@@ -26,7 +26,7 @@ from repro.api.request import ReleaseRequest
 from repro.core.composition import MarginalBudget
 from repro.core.release import MarginalRelease
 from repro.metrics.error import l1_error, l1_error_batch
-from repro.metrics.ranking import spearman_correlation_batch
+from repro.metrics.ranking import centered_rank_stats, spearman_distinct_batch
 from repro.metrics.strata import STRATUM_LABELS
 
 N_STRATA = len(STRATUM_LABELS)
@@ -126,8 +126,8 @@ class ReleaseResult:
         cells = self.mask if cells is None else cells
         if self.sdl_noisy is None or int(cells.sum()) < 2:
             return float("nan")
-        values = spearman_correlation_batch(
-            self.trials()[:, cells], self.sdl_noisy[cells]
+        values = spearman_distinct_batch(
+            self.trials()[:, cells], *centered_rank_stats(self.sdl_noisy[cells])
         )
         if np.all(np.isnan(values)):
             return float("nan")

@@ -14,12 +14,15 @@ establishments populate only a few.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.db.join import WorkerFull
 from repro.db.query import Marginal
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def establishment_histograms(
@@ -32,6 +35,8 @@ def establishment_histograms(
     :class:`repro.db.query.Marginal` cell order).  An empty ``worker_attrs``
     produces a single column holding total employment per establishment.
     """
+    from scipy import sparse
+
     marginal = Marginal(worker_full.table.schema, worker_attrs)
     cell = marginal.cell_index(worker_full.table)
     data = np.ones(worker_full.n_jobs, dtype=np.int64)

@@ -597,9 +597,10 @@ def fused_family_points(
       multiply plus a ``bincount`` scatter, the envelope coming from the
       per-α cache on ``stats`` shared by all mechanisms of the sweep.
     - Otherwise each member applies its transform to the shared unit
-      chunk; Spearman members reduce through the tie-free fast ranking
-      kernel against the cached SDL rank statistics, falling back to the
-      exact tie-averaging kernel for any chunk whose rows collide.
+      chunk; Spearman members reduce through the sorted-key ranking
+      kernel against the cached SDL rank statistics, which hands only
+      the rows it cannot rank from one value sort to the exact
+      tie-averaging kernel.
 
     ``evaluate`` masks which members to reduce (a resumed family
     recomputes only its missing members).  The unit draw never depends
@@ -730,7 +731,6 @@ def fused_family_points(
                         continue
                     _reduce_spearman_family(
                         noisy,
-                        sdl,
                         index_sets,
                         rank_stats,
                         sums[e, m],
@@ -764,7 +764,6 @@ def fused_family_points(
 
 def _reduce_spearman_family(
     noisy: np.ndarray,
-    sdl: np.ndarray,
     index_sets,
     rank_stats,
     sums: np.ndarray,
@@ -772,36 +771,16 @@ def _reduce_spearman_family(
 ) -> None:
     """Fold one member-chunk's Spearman statistics into running sums.
 
-    The overall set runs the tie-free fast kernel *with* tie detection;
-    a clean pass proves every stratum subset tie-free too (a subset of a
-    tie-free row cannot collide), so the strata skip the check.  Any
-    collision drops the whole member-chunk to the exact tie-averaging
-    kernel — same statistics, just slower — so correctness never rests
-    on the almost-sure continuity argument.
+    Every index set ranks through the sorted-key kernel against the
+    cached SDL rank statistics; rows it cannot rank from one value sort
+    (ties, ±inf, NaN) fall back to the tie-averaging kernel inside it,
+    so each row's ρ is the exact tie-averaging value.
     """
     n_cells = noisy.shape[1]
-    centered_y, sd_y = rank_stats[0]
-    rho = (
-        spearman_distinct_batch(noisy, centered_y, sd_y)
-        if n_cells >= 2
-        else None
-    )
-    if rho is None:
-        for j, idx in enumerate(index_sets):
-            if idx.size >= 2:
-                sub = noisy if idx.size == n_cells else noisy[:, idx]
-                values = spearman_correlation_batch(sub, sdl[idx])
-                sums[j] += np.nansum(values)
-                counts[j] += np.count_nonzero(~np.isnan(values))
-        return
-    sums[0] += np.nansum(rho)
-    counts[0] += np.count_nonzero(~np.isnan(rho))
-    for j, idx in enumerate(index_sets[1:], start=1):
+    for j, idx in enumerate(index_sets):
         if idx.size < 2:
             continue
-        centered_y, sd_y = rank_stats[j]
-        values = spearman_distinct_batch(
-            noisy[:, idx], centered_y, sd_y, check_ties=False
-        )
+        sub = noisy if idx.size == n_cells else noisy[:, idx]
+        values = spearman_distinct_batch(sub, *rank_stats[j])
         sums[j] += np.nansum(values)
         counts[j] += np.count_nonzero(~np.isnan(values))

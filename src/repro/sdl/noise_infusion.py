@@ -13,9 +13,9 @@ linearity, and O(jobs) per marginal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.db.histogram import establishment_histograms
 from repro.db.join import WorkerFull
@@ -23,6 +23,9 @@ from repro.db.query import Marginal
 from repro.sdl.distortion import DistortionParams, sample_distortion_factors
 from repro.sdl.small_cells import SmallCellModel
 from repro.util import as_generator, derive_seed
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,8 @@ class InputNoiseInfusion:
         every cell of establishment ``w`` shares the same factor ``f_w``
         and zero cells stay exactly zero.
         """
+        from scipy import sparse
+
         histograms = establishment_histograms(worker_full, worker_attrs)
         scaling = sparse.diags(self.factors)
         return (scaling @ histograms).tocsr()

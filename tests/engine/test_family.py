@@ -19,7 +19,84 @@ from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
 
-from .test_fused import FIGURE_GOLDEN, run_figure_plan
+from .test_fused import FIGURE_GOLDEN, run_figure_plan, same_float
+
+NAN = float("nan")
+
+# The family path's own values, in plan order, pinned at full precision
+# on the ENGINE_CONFIG snapshot: (mechanism, alpha, epsilon, theta,
+# feasible, overall, by_stratum) per point of ``fused="family"`` runs.
+# Kernel changes under the family reducers must reproduce them exactly.
+FAMILY_GOLDEN = {
+    "figure-1": (
+        ("log-laplace", 0.05, 0.5, None, True, 2.6359764262719514,
+         (1.9684675972163233, 4.030429537850033,
+          2.100520458626123, 3.375181197881018)),
+        ("log-laplace", 0.05, 2.0, None, True, 0.6278683035704976,
+         (0.5159783816670481, 0.9823635982269295,
+          0.4944484146344407, 0.79507558495232)),
+        ("log-laplace", 0.2, 0.5, None, True, 11.039011841301935,
+         (3.613743579274015, 11.48523591840873,
+          9.469553008621165, 16.51708978818338)),
+        ("log-laplace", 0.2, 2.0, None, True, 1.5851642854627446,
+         (1.0449225812757226, 2.2008338820148543,
+          1.3142065379115557, 2.0572891689119284)),
+        ("smooth-laplace", 0.05, 0.5, None, True, 2.3498454380098717,
+         (2.0526914349807512, 3.033616250694461,
+          2.2190050495677816, 2.3750974710311206)),
+        ("smooth-laplace", 0.05, 2.0, None, True, 0.5874613595024679,
+         (0.5131728587451878, 0.7584040626736153,
+          0.5547512623919454, 0.5937743677577801)),
+        ("smooth-laplace", 0.2, 0.5, None, False, NAN, (NAN, NAN, NAN, NAN)),
+        ("smooth-laplace", 0.2, 2.0, None, True, 1.7666390629348672,
+         (1.49613507253326, 2.0577958870194695,
+          1.7587013676201462, 1.692446275973205)),
+        ("smooth-gamma", 0.05, 0.5, None, True, 7.030793542754428,
+         (3.8484853016299514, 9.583538958967301,
+          6.358174677061927, 8.086322465338098)),
+        ("smooth-gamma", 0.05, 2.0, None, True, 1.0251585985102263,
+         (0.5611468711482785, 1.397373896445565,
+          0.9270841763995858, 1.179065059336121)),
+        ("smooth-gamma", 0.2, 0.5, None, False, NAN, (NAN, NAN, NAN, NAN)),
+        ("smooth-gamma", 0.2, 2.0, None, True, 4.640714178226714,
+         (1.4769349125937337, 4.666864880027208,
+          4.543240259319308, 5.633662944093537)),
+    ),
+    "figure-2": (
+        ("log-laplace", 0.05, 0.5, None, True, 0.8297843048008937,
+         (0.6176688680097732, 0.7389289637293357,
+          0.836190040669595, 0.8591006915172501)),
+        ("log-laplace", 0.05, 2.0, None, True, 0.966951240926903,
+         (0.8403658068160178, 0.9393666634726414,
+          0.9716424069196868, 0.9790463253098365)),
+        ("log-laplace", 0.2, 0.5, None, True, 0.664078098919034,
+         (0.21429328073808457, 0.5706745812216281,
+          0.7179324360230727, 0.658171933870368)),
+        ("log-laplace", 0.2, 2.0, None, True, 0.9405321607861998,
+         (0.7143109357936153, 0.8945674858806888,
+          0.9527269658834299, 0.9489938467140232)),
+        ("smooth-laplace", 0.05, 0.5, None, True, 0.8608632669299692,
+         (0.7605310551684963, 0.7725283469233002,
+          0.8600028000911933, 0.9196964555201148)),
+        ("smooth-laplace", 0.05, 2.0, None, True, 0.965729362831131,
+         (0.8739804390886586, 0.9114315441121422,
+          0.9699457929336104, 0.9832370603904086)),
+        ("smooth-laplace", 0.2, 0.5, None, False, NAN, (NAN, NAN, NAN, NAN)),
+        ("smooth-laplace", 0.2, 2.0, None, True, 0.9594446707839268,
+         (0.8739804390886586, 0.8989444170247302,
+          0.9664803686216243, 0.9756106776311694)),
+        ("smooth-gamma", 0.05, 0.5, None, True, 0.5750876967918461,
+         (0.35295363886272757, 0.30625644681395287,
+          0.6099748425260643, 0.6812776083686565)),
+        ("smooth-gamma", 0.05, 2.0, None, True, 0.9336910388852466,
+         (0.6680908164187342, 0.8681771657474981,
+          0.9244981970087106, 0.9737229591264074)),
+        ("smooth-gamma", 0.2, 0.5, None, False, NAN, (NAN, NAN, NAN, NAN)),
+        ("smooth-gamma", 0.2, 2.0, None, True, 0.7309020101953005,
+         (0.5798524067030524, 0.5364315316829515,
+          0.7402411050314825, 0.7847245824296218)),
+    ),
+}
 
 
 def family_plan(session, n_trials=400, metric="l1-ratio", tag="family-equiv"):
@@ -394,6 +471,20 @@ class TestFamilyFigures:
             assert point.alpha == (expected[1] or point.alpha)
             assert point.epsilon == expected[2]
             assert point.feasible == expected[4]
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_GOLDEN))
+    def test_family_values_bit_identical(self, session, name):
+        _, family = run_figure_plan(session, name, fused="family")
+        golden = FAMILY_GOLDEN[name]
+        assert len(family.points) == len(golden)
+        for point, (*head, by_stratum) in zip(family.points, golden):
+            got = (
+                point.mechanism, point.alpha, point.epsilon, point.theta,
+                point.feasible, point.overall, *point.by_stratum,
+            )
+            want = (*head, *by_stratum)
+            assert len(got) == len(want)
+            assert all(map(same_float, got, want)), (name, got, want)
 
     def test_figure2_family_feasibility_matches(self, session):
         _, family = run_figure_plan(session, "figure-2", fused="family")

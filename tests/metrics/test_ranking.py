@@ -1,5 +1,7 @@
 """Unit tests for Spearman correlation, cross-checked against scipy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -27,6 +29,37 @@ class TestAverageRanks:
         values = rng.integers(0, 20, size=200).astype(float)
         np.testing.assert_allclose(
             average_ranks(values), stats.rankdata(values, method="average")
+        )
+
+    def test_tied_infinities_share_average(self):
+        """``inf - inf`` is nan, so finding tie groups by differencing
+        would split repeated infinities; they tie like any other value."""
+        values = np.array([1.0, np.inf, 3.0, np.inf, -np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ranks = average_ranks(values)
+        assert ranks.tolist() == [3.0, 5.5, 4.0, 5.5, 1.5, 1.5]
+        np.testing.assert_array_equal(
+            ranks, stats.rankdata(values, method="average")
+        )
+
+    def test_repeated_infinities_match_scipy_rankdata(self):
+        rng = np.random.default_rng(8)
+        pool = np.array([-np.inf, -2.0, 0.0, -0.0, 1.5, np.inf])
+        for _ in range(20):
+            values = rng.choice(pool, size=30)
+            np.testing.assert_array_equal(
+                average_ranks(values), stats.rankdata(values, method="average")
+            )
+
+    def test_tied_infinities_agree_across_spearman_kernels(self):
+        x = np.array([1.0, np.inf, 3.0, np.inf, -np.inf, -np.inf])
+        y = np.arange(6.0)
+        single = spearman_correlation(x, y)
+        batch = spearman_correlation_batch(x[None], y)[0]
+        assert single == batch
+        assert single == pytest.approx(
+            stats.spearmanr(x, y).statistic, abs=1e-12
         )
 
 
@@ -74,23 +107,29 @@ class TestRankDescending:
 
 
 class TestSpearmanDistinctBatch:
-    """The tie-free fast kernel: exact agreement with the general
-    tie-averaging batch kernel whenever the x rows are distinct, and an
-    explicit None refusal whenever they are not."""
+    """The sorted-key kernel: bit-for-bit the tie-averaging batch kernel
+    on every row, ranking tie-free rows from one value sort and handing
+    tied, near-tied and non-finite rows to the general kernel."""
 
     @staticmethod
     def _stats(y):
         centered, sd = centered_rank_stats(np.asarray(y, dtype=np.float64))
         return centered, sd
 
+    @staticmethod
+    def _assert_bit_identical(x, y):
+        centered, sd = centered_rank_stats(np.asarray(y, dtype=np.float64))
+        fast = spearman_distinct_batch(x, centered, sd)
+        with np.errstate(all="ignore"):
+            exact = spearman_correlation_batch(x, y)
+        np.testing.assert_array_equal(fast, exact)
+        return fast
+
     def test_matches_general_kernel_on_distinct_rows(self):
         rng = np.random.default_rng(17)
         y = rng.normal(size=80)
         x = y + rng.normal(scale=2.0, size=(25, 80))
-        centered, sd = self._stats(y)
-        fast = spearman_distinct_batch(x, centered, sd)
-        exact = spearman_correlation_batch(x, y)
-        np.testing.assert_allclose(fast, exact, atol=1e-12)
+        self._assert_bit_identical(x, y)
 
     def test_matches_scipy_per_row(self):
         rng = np.random.default_rng(18)
@@ -103,32 +142,49 @@ class TestSpearmanDistinctBatch:
                 stats.spearmanr(row, y).statistic, abs=1e-12
             )
 
-    def test_returns_none_on_ties(self):
+    def test_tied_rows_fall_back_per_row(self):
+        """A tied row takes the tie-averaging value; its tie-free
+        neighbours in the same matrix keep the one-sort value."""
         y = np.arange(6.0)
-        x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0]])  # 1.0 repeats
-        centered, sd = self._stats(y)
-        assert spearman_distinct_batch(x, centered, sd) is None
+        x = np.array(
+            [
+                [3.0, 1.0, 4.0, 1.0, 5.0, 9.0],  # 1.0 repeats
+                [3.0, 1.0, 4.0, 2.0, 5.0, 9.0],
+            ]
+        )
+        fast = self._assert_bit_identical(x, y)
+        assert fast[0] == pytest.approx(
+            stats.spearmanr(x[0], y).statistic, abs=1e-12
+        )
 
-    def test_check_ties_false_skips_detection(self):
-        """With detection off the kernel silently ranks tied rows by
-        argsort order — the caller's job is to only disable the check
-        for provably tie-free data (stratum subsets of a clean row)."""
-        y = np.arange(4.0)
-        x = np.array([[2.0, 2.0, 1.0, 3.0]])
-        centered, sd = self._stats(y)
-        rho = spearman_distinct_batch(x, centered, sd, check_ties=False)
-        assert rho is not None and rho.shape == (1,)
+    def test_near_ties_and_signed_zeros_fall_back(self):
+        """One-ulp neighbours share their value bits, and -0.0 == 0.0
+        is a tie even though their bit patterns differ."""
+        rng = np.random.default_rng(20)
+        y = rng.normal(size=9)
+        x = rng.normal(size=(3, 9))
+        x[0, 4] = np.nextafter(x[0, 2], np.inf)
+        x[1, [1, 7]] = [0.0, -0.0]
+        self._assert_bit_identical(x, y)
+
+    def test_non_finite_rows_fall_back(self):
+        rng = np.random.default_rng(21)
+        y = rng.normal(size=7)
+        x = rng.normal(size=(5, 7))
+        x[0, 3] = np.inf
+        x[1, 0] = -np.inf
+        x[2, 6] = np.nan
+        x[3, [2, 5]] = [np.inf, np.inf]
+        self._assert_bit_identical(x, y)
 
     def test_tied_y_is_fine(self):
         """Ties in *y* are pre-averaged into the centered ranks; only x
-        ties defeat the permutation shortcut."""
+        ties need the fallback."""
         rng = np.random.default_rng(19)
         y = rng.integers(0, 4, size=50).astype(float)
         x = rng.normal(size=(8, 50))
-        centered, sd = self._stats(y)
-        fast = spearman_distinct_batch(x, centered, sd)
-        exact = spearman_correlation_batch(x, y)
-        np.testing.assert_allclose(fast, exact, atol=1e-12)
+        x[3, 10] = x[3, 20]
+        self._assert_bit_identical(x, y)
 
     def test_degenerate_cases_are_nan(self):
         single = spearman_distinct_batch(
@@ -139,6 +195,10 @@ class TestSpearmanDistinctBatch:
             np.array([[1.0, 2.0, 3.0]]), *self._stats(np.ones(3))
         )
         assert np.isnan(constant_y).all()
+        constant_x = self._assert_bit_identical(
+            np.array([[2.0, 2.0, 2.0], [1.0, 3.0, 2.0]]), np.arange(3.0)
+        )
+        assert np.isnan(constant_x[0]) and not np.isnan(constant_x[1])
 
     def test_requires_2d(self):
         centered, sd = self._stats(np.arange(3.0))

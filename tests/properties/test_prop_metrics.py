@@ -12,6 +12,11 @@ from repro.metrics import (
     rank_descending,
     spearman_correlation,
 )
+from repro.metrics.ranking import (
+    centered_rank_stats,
+    spearman_correlation_batch,
+    spearman_distinct_batch,
+)
 
 vectors = hnp.arrays(
     dtype=np.float64,
@@ -95,6 +100,70 @@ class TestSpearmanProperties:
         # Guard against float precision collapsing distinct values.
         assume(len(np.unique(transformed)) == len(np.unique(values)) > 1)
         assert np.isclose(spearman_correlation(values, transformed), 1.0)
+
+
+# Widths where the cell index needs one more low mantissa bit: the key
+# kernel stores indices 0..n-1 in ⌈log₂ n⌉ bits.
+KEY_BIT_BOUNDARIES = (2, 3, 4, 5, 256, 257, 512, 513)
+SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def ranking_problems(draw):
+    """A noisy ``(rows, n)`` matrix and a baseline ``y`` seeded with
+    everything the sorted-key kernel must route to the exact kernel:
+    exact ties, one-ulp neighbours, signed zeros, ±inf/NaN and constant
+    rows — plus tied baselines."""
+    n = draw(st.sampled_from(KEY_BIT_BOUNDARIES) | st.integers(2, 40))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-315, 1e-300, 1e-3, 1.0, 1e6, 1e300)))
+    if draw(st.booleans()):
+        y = rng.integers(0, 4, size=n).astype(np.float64)
+    else:
+        y = rng.normal(size=n)
+    x = y * scale + rng.normal(size=(rows, n)) * scale
+    cell = st.integers(0, n - 1)
+    row = st.integers(0, rows - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(
+            st.sampled_from(
+                ("tie", "ulp", "zeros", "special", "constant", "y-special")
+            )
+        )
+        r, i, j = draw(row), draw(cell), draw(cell)
+        if kind == "tie":
+            x[r, i] = x[r, j]
+        elif kind == "zeros":
+            x[r, [i, j]] = [0.0, -0.0]
+        elif kind == "ulp":
+            toward = draw(st.sampled_from((-np.inf, np.inf)))
+            x[r, i] = np.nextafter(x[r, j], toward)
+        elif kind == "special":
+            x[r, i] = draw(st.sampled_from(SPECIAL_VALUES))
+        elif kind == "constant":
+            x[r] = draw(st.sampled_from((1.0, -0.0, np.inf)))
+        else:
+            y[i] = draw(st.sampled_from(SPECIAL_VALUES))
+    return x, y
+
+
+class TestSpearmanDistinctBatchProperties:
+    @given(ranking_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_tie_averaging_kernel(self, problem):
+        x, y = problem
+        before = x.copy()
+        fast = spearman_distinct_batch(x, *centered_rank_stats(y))
+        with np.errstate(all="ignore"):
+            exact = spearman_correlation_batch(x, y)
+        # Bit patterns, with NaN == NaN whatever its sign or payload.
+        np.testing.assert_array_equal(np.isnan(fast), np.isnan(exact))
+        finite = ~np.isnan(exact)
+        np.testing.assert_array_equal(
+            fast[finite].view(np.int64), exact[finite].view(np.int64)
+        )
+        np.testing.assert_array_equal(x, before)
 
 
 class TestRankDescendingProperties:

@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main, run_figures, run_tables
 
 
@@ -376,3 +381,25 @@ class TestStorageCommand:
             assert code == 0
         out = capsys.readouterr().out
         assert f"remote: {server.url}" in out
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        """scipy loads only inside the functions that use it, so
+        ``import repro.cli`` alone must leave it out of ``sys.modules``."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
