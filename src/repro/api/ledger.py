@@ -134,6 +134,9 @@ class PrivacyLedger:
     losing entries or slipping past a budget.  Process-parallel sweeps
     instead return :class:`LedgerEntry` spend records from workers and
     :meth:`merge` them here, in deterministic plan order.
+
+    The spent totals are running ``+=`` sums kept by :meth:`restore`:
+    O(1) to read, and bit-equal to journal compaction's fold.
     """
 
     epsilon_budget: float | None = None
@@ -144,6 +147,8 @@ class PrivacyLedger:
     _lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
+    _spent_epsilon: float = field(default=0.0, init=False, repr=False, compare=False)
+    _spent_delta: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.on_overdraft not in _POLICIES:
@@ -157,16 +162,19 @@ class PrivacyLedger:
         ):
             if budget is not None and budget < 0:
                 raise ValueError(f"{name} cannot be negative, got {budget}")
+        for entry in self.entries:
+            self._spent_epsilon += entry.epsilon
+            self._spent_delta += entry.delta
 
     # -- state ----------------------------------------------------------
 
     @property
     def spent_epsilon(self) -> float:
-        return sum(entry.epsilon for entry in self.entries)
+        return self._spent_epsilon
 
     @property
     def spent_delta(self) -> float:
-        return sum(entry.delta for entry in self.entries)
+        return self._spent_delta
 
     @property
     def remaining_epsilon(self) -> float:
@@ -273,8 +281,7 @@ class PrivacyLedger:
                 if self.on_overdraft == RAISE:
                     raise PrivacyBudgetExceeded(over)
                 warnings.warn(over, PrivacyOverdraftWarning, stacklevel=3)
-            self.entries.append(entry)
-        return entry
+            return self.restore(entry)
 
     def merge(self, records) -> list[LedgerEntry]:
         """Record a sequence of spend records, in order.
@@ -320,23 +327,25 @@ class PrivacyLedger:
         """
         with self._lock:
             self.entries.append(entry)
+            self._spent_epsilon += entry.epsilon
+            self._spent_delta += entry.delta
         return entry
 
     # -- reporting ------------------------------------------------------
 
-    def as_dict(self) -> dict:
-        """The JSON-serializable ledger state (``GET /v1/ledger/<tenant>``).
+    def totals(self) -> dict:
+        """The JSON-serializable ledger state without its entries, read
+        in one step under the lock (``n_entries`` and the totals agree).
 
         Infinite remaining budgets serialize as ``None`` (JSON has no
         ``inf``), matching the "unlimited" reading everywhere else.
         """
         with self._lock:
-            entries = list(self.entries)
             return {
                 "epsilon_budget": self.epsilon_budget,
                 "delta_budget": self.delta_budget,
                 "on_overdraft": self.on_overdraft,
-                "n_entries": len(entries),
+                "n_entries": len(self.entries),
                 "spent_epsilon": self.spent_epsilon,
                 "spent_delta": self.spent_delta,
                 "remaining_epsilon": (
@@ -346,8 +355,13 @@ class PrivacyLedger:
                     None if self.delta_budget is None else self.remaining_delta
                 ),
                 "utilization": self.utilization,
-                "entries": [entry.to_dict() for entry in entries],
             }
+
+    def as_dict(self) -> dict:
+        """:meth:`totals` plus every entry (``GET /v1/ledger/<tenant>``)."""
+        with self._lock:
+            entries = [entry.to_dict() for entry in self.entries]
+            return {**self.totals(), "entries": entries}
 
     def summary(self) -> str:
         """A one-paragraph human-readable ledger state (used by the CLI)."""

@@ -5,11 +5,11 @@ over the library's release machinery:
 
 - ``POST /v1/release`` — execute one declarative
   :class:`~repro.api.request.ReleaseRequest` for a tenant.  The flow is
-  validate → dedupe lookup → budget preflight → compute (on the bounded
-  executor) → durable charge → cache → respond.  Overdrafts return
-  **402** for ``raise``-policy tenants and **200 with a warning** for
-  ``warn``-policy ones; an identical repeat request is served straight
-  from the content-addressed store with zero compute and zero new debit.
+  validate → dedupe lookup → budget preflight → compute → durable
+  charge → cache → respond.  Overdrafts return **402** for
+  ``raise``-policy tenants and **200 with a warning** for ``warn``-policy
+  ones; an identical repeat request is served straight from the
+  content-addressed store with zero compute and zero new debit.
 - ``GET /v1/ledger/<tenant>`` — the tenant's full ledger state.
 - ``GET /v1/scenarios`` — the hosted economies and their warm state.
 - ``GET /healthz`` — liveness (and draining state).
@@ -17,13 +17,15 @@ over the library's release machinery:
   histogram with p50/p95/p99, release compute/dedupe counts, and the
   unified store telemetry (:class:`~repro.storage.StoreStats`).
 
-**The event loop never blocks**: dataset compute, journal fsyncs,
-ledger replay and store I/O all run through the pool's bounded
-executor.  **Shutdown is graceful**: SIGINT/SIGTERM stop the listener,
-in-flight requests finish (journals are fsync'd per entry, so there is
-nothing else to flush), and the process exits 0.  Binding ``port=0``
-picks an ephemeral port which is reported on stdout — the hook the
-tests and the load generator use.
+**One pool hop per request**: the event loop only parses requests and
+writes replies.  The rest of a release (tenant, validation, dedupe,
+preflight, compute, result metrics, fsync'd charge, cache write) is one
+synchronous call on the pool's bounded executor, so the loop never
+blocks on NumPy or disk.  **Shutdown is graceful**: SIGINT/SIGTERM stop
+the listener, in-flight requests finish (journals are fsync'd per entry,
+so there is nothing else to flush), and the process exits 0.  Binding
+``port=0`` picks an ephemeral port which is reported on stdout — the
+hook the tests and the load generator use.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.core.release import resolve_mode
 from repro.dp.composition import PrivacyBudgetExceeded
 from repro.serve.dedupe import ReleaseCache, release_key
 from repro.serve.pool import SessionPool
-from repro.serve.tenants import TenantRegistry, UnknownTenant
+from repro.serve.tenants import TenantAccount, TenantRegistry, UnknownTenant
 
 __all__ = ["ReleaseService", "ServiceMetrics"]
 
@@ -407,14 +409,16 @@ class ReleaseService:
         payload["tenants"] = {"materialized": len(self.tenants.accounts())}
         return payload
 
-    async def _handle_ledger(self, name: str):
+    def _account(self, name: str) -> TenantAccount:
         try:
-            account = await self.pool.run(self.tenants.account, name)
+            return self.tenants.account(name)
         except UnknownTenant as error:
             raise _HTTPError(404, str(error)) from None
         except ValueError as error:
             raise _HTTPError(400, str(error)) from None
-        return 200, await self.pool.run(account.state)
+
+    async def _handle_ledger(self, name: str):
+        return 200, await self.pool.run(lambda: self._account(name).state())
 
     # -- the release flow ----------------------------------------------
 
@@ -446,22 +450,18 @@ class ReleaseService:
             request = ReleaseRequest.from_dict(envelope.get("request"))
         except ValueError as error:
             raise _HTTPError(400, str(error)) from None
+        return await self.pool.run(self._release, tenant_name, scenario, request)
 
+    def _release(self, tenant: str, scenario: str | None, request: ReleaseRequest):
+        """The release flow after parsing, on one compute-pool thread."""
+        account = self._account(tenant)
         try:
-            account = await self.pool.run(self.tenants.account, tenant_name)
-        except UnknownTenant as error:
-            raise _HTTPError(404, str(error)) from None
-        except ValueError as error:
-            raise _HTTPError(400, str(error)) from None
-        try:
-            session = await self.pool.session_async(scenario)
+            session = self.pool.session(scenario)
         except ValueError as error:
             raise _HTTPError(404, str(error)) from None
         try:
-            await self.pool.run(
-                lambda: request.validate(
-                    schema=session.schema, worker_attrs=session.worker_attrs
-                )
+            request.validate(
+                schema=session.schema, worker_attrs=session.worker_attrs
             )
         except ValueError as error:
             raise _HTTPError(400, str(error)) from None
@@ -470,7 +470,7 @@ class ReleaseService:
         already_paid = account.has_paid(key)
 
         if already_paid:
-            cached = await self.pool.run(self.cache.get, key)
+            cached = self.cache.get(key)
             if cached is not None:
                 self.metrics.release_outcome("deduped")
                 return 200, {
@@ -483,8 +483,7 @@ class ReleaseService:
                 }
             # Paid but evicted from the cache: recompute below, but the
             # tenant is never charged twice for one request key.
-
-        if not already_paid:
+        else:
             epsilon, delta = expected_spend(session, request)
             try:
                 account.preflight(epsilon, delta, label=request.ledger_label)
@@ -493,7 +492,7 @@ class ReleaseService:
                     402, str(error), ledger=account.summary()
                 ) from None
 
-        result, spend = await self.pool.run(session.execute, request)
+        result, spend = session.execute(request)
         result_payload = result.to_dict()
         warning = None
         if not already_paid:
@@ -501,14 +500,14 @@ class ReleaseService:
                 # Journal fsync before the in-memory debit, both before
                 # the cache write and the response: an acknowledged (or
                 # cached) release is always a journaled one.
-                warning = await self.pool.run(account.charge, spend, key)
+                warning = account.charge(spend, key)
             except PrivacyBudgetExceeded as error:
                 # A concurrent debit for the same tenant won the race
                 # between preflight and charge.
                 raise _HTTPError(
                     402, str(error), ledger=account.summary()
                 ) from None
-        await self.pool.run(self.cache.put, key, result_payload, spend)
+        self.cache.put(key, result_payload, spend)
         self.metrics.release_outcome("computed")
         return 200, {
             "result": result_payload,

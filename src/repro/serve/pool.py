@@ -10,16 +10,15 @@ are lock-guarded, so a thousand requests against one scenario pay the
 expensive statistics exactly once and only draw noise per request.
 
 Compute runs on a **bounded** :class:`~repro.runtime.ComputePool`
-(`--compute-workers`): the asyncio front end awaits
-:meth:`SessionPool.run` for anything that touches a dataset, a journal
-or the result store, so the event loop itself never blocks on NumPy or
-disk — it keeps accepting connections and serving ``/healthz`` while
-releases grind.  Sizing goes through the one
-:mod:`repro.runtime.policy` every pool in the codebase uses: an
-explicit ``--compute-workers`` wins, otherwise
-:func:`~repro.runtime.serve_compute_workers` (small, CPU-derived, and —
-new with the shared policy — bounded by ``REPRO_MAX_WORKERS`` like
-every other pool).
+(`--compute-workers`).  The asyncio front end makes one
+:meth:`SessionPool.run` hop per release or ledger read, and that one
+call runs the whole flow, from tenant lookup to the fsync'd charge and
+the cache write, on one pool thread: the event loop never blocks on
+NumPy or disk, and concurrent releases proceed side by side.  Sizing
+goes through the one :mod:`repro.runtime.policy` every pool in the
+codebase uses: an explicit ``--compute-workers`` wins, otherwise
+:func:`~repro.runtime.serve_compute_workers` (small, CPU-derived, and
+bounded by ``REPRO_MAX_WORKERS`` like every other pool).
 """
 
 from __future__ import annotations
@@ -149,10 +148,6 @@ class SessionPool:
     async def run(self, fn, /, *args):
         """Run blocking work on the bounded compute pool, off the event loop."""
         return await self._pool.run(fn, *args)
-
-    async def session_async(self, name: str | None = None) -> ReleaseSession:
-        """:meth:`session` off-loop (a cold first build is expensive)."""
-        return await self.run(self.session, name)
 
     def close(self) -> None:
         """Finish queued compute and release the worker threads."""

@@ -339,21 +339,12 @@ class TenantAccount:
             return over
 
     def summary(self) -> dict:
-        """Compact JSON state (no per-entry detail) for release responses."""
-        ledger = self.ledger
-        return {
-            "tenant": self.name,
-            "epsilon_budget": ledger.epsilon_budget,
-            "delta_budget": ledger.delta_budget,
-            "on_overdraft": ledger.on_overdraft,
-            "n_entries": len(ledger.entries),
-            "spent_epsilon": ledger.spent_epsilon,
-            "spent_delta": ledger.spent_delta,
-            "remaining_epsilon": (
-                None if ledger.epsilon_budget is None else ledger.remaining_epsilon
-            ),
-            "utilization": ledger.utilization,
-        }
+        """Compact JSON state (no per-entry detail) for release responses,
+        read in one step under the ledger lock."""
+        payload = self.ledger.totals()
+        del payload["remaining_delta"]
+        payload["tenant"] = self.name
+        return payload
 
     def state(self) -> dict:
         """Full JSON ledger state (``GET /v1/ledger/<tenant>``)."""

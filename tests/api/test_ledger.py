@@ -209,6 +209,49 @@ class TestConcurrency:
         assert len(ledger.entries) == n_threads * debits_each
         assert ledger.spent_epsilon == pytest.approx(0.01 * n_threads * debits_each)
 
+    def test_running_totals_survive_thread_switches(self):
+        import sys
+        import threading
+
+        # Record and restore race with thread switches forced every
+        # microsecond.  Totals folded outside the lock would lose updates
+        # or add entries in another order than they were appended; with
+        # unequal amounts either leaves them off the entries' own fold.
+        ledger = PrivacyLedger()
+        n_threads, debits_each = 8, 500
+        barrier = threading.Barrier(n_threads)
+
+        def hammer(worker):
+            barrier.wait()
+            for index in range(debits_each):
+                entry = LedgerEntry(
+                    label=f"w{worker}:{index}",
+                    epsilon=0.1 * (worker + 1),
+                    delta=1e-7 * (index + 1),
+                )
+                (ledger.record if index % 2 else ledger.restore)(entry)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(worker,))
+                for worker in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(ledger.entries) == n_threads * debits_each
+        epsilon = delta = 0.0
+        for entry in ledger.entries:
+            epsilon += entry.epsilon
+            delta += entry.delta
+        assert (ledger.spent_epsilon, ledger.spent_delta) == (epsilon, delta)
+
     def test_concurrent_debits_never_exceed_a_raise_budget(self):
         import threading
 

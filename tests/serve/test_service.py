@@ -252,3 +252,78 @@ class TestGracefulShutdown:
         with pytest.raises((ServeError, OSError)):
             with ServeClient(runner.url, timeout=2.0) as c:
                 c.healthz()
+
+
+class TestOnePoolHop:
+    def test_release_work_runs_off_the_loop_in_one_hop(
+        self, tmp_path, monkeypatch
+    ):
+        # A dedicated server, so the spies see only this test's requests.
+        from repro.api import ReleaseSession
+        from repro.api.result import ReleaseResult
+        from repro.engine.store import ResultStore
+        from repro.serve import (
+            ReleaseCache,
+            ReleaseService,
+            SessionPool,
+            TenantPolicy,
+            TenantRegistry,
+        )
+        from repro.serve.tenants import TenantAccount
+
+        from .conftest import ServiceRunner, tiny_config
+
+        threads: dict[str, set[int]] = {}
+        hops = []
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def recorded(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, recorded)
+
+        for cls, name in (
+            (ReleaseSession, "execute"),
+            (ReleaseResult, "to_dict"),
+            (TenantAccount, "charge"),
+            (ReleaseCache, "get"),
+            (ReleaseCache, "put"),
+        ):
+            spy(cls, name)
+        pool_run = SessionPool.run
+
+        async def counted_run(self, fn, /, *args):
+            hops.append(fn)
+            return await pool_run(self, fn, *args)
+
+        monkeypatch.setattr(SessionPool, "run", counted_run)
+
+        pool = SessionPool({"tiny": tiny_config()}, compute_workers=2)
+        service = ReleaseService(
+            pool,
+            TenantRegistry(
+                root=tmp_path / "ledgers", default_policy=TenantPolicy()
+            ),
+            ReleaseCache(ResultStore(tmp_path / "cache")),
+            port=0,
+        )
+        runner = ServiceRunner(service).start()
+        try:
+            with ServeClient(runner.url) as c:
+                assert c.release("t", request(seed=5))["charged"] is True
+                computed = len(hops)
+                assert c.release("t", request(seed=5))["cached"] is True
+                replayed = len(hops) - computed
+                c.ledger("t")
+                ledger = len(hops) - computed - replayed
+        finally:
+            runner.stop()
+
+        assert set(threads) == {"execute", "to_dict", "charge", "get", "put"}
+        loop = runner._thread.ident
+        for name, idents in threads.items():
+            assert loop not in idents, f"{name} ran on the event loop"
+        assert (computed, replayed, ledger) == (1, 1, 1)
