@@ -130,7 +130,6 @@ def test_one_pass_reduction_speedup(benchmark, context):
             iter((matrix,)),
             true,
             sdl,
-            strata,
             "l1-ratio",
             REDUCTION_N_TRIALS,
             index_sets=stats.stratum_cells,

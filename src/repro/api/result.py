@@ -12,12 +12,18 @@ Metric conventions match :mod:`repro.experiments.runner`: evaluation is
 restricted to cells with positive true count that were released, the L1
 ratio is the mean private L1 over trials divided by the SDL L1, and
 Spearman compares each trial's ordering to the SDL ordering.
+
+The SDL side of those metrics never changes between releases of one
+marginal, so it lives in an :class:`EvaluationBaseline` record that the
+session builds once per (marginal, evaluation mask) and attaches to
+every result; a result then pays only for its own noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,11 +31,9 @@ from repro.api.ledger import LedgerEntry
 from repro.api.request import ReleaseRequest
 from repro.core.composition import MarginalBudget
 from repro.core.release import MarginalRelease
-from repro.metrics.error import l1_error, l1_error_batch
-from repro.metrics.ranking import centered_rank_stats, spearman_distinct_batch
-from repro.metrics.strata import STRATUM_LABELS
-
-N_STRATA = len(STRATUM_LABELS)
+from repro.engine.points import baseline_rank_stats, stratum_index_sets
+from repro.metrics.error import l1_error
+from repro.metrics.ranking import spearman_distinct_batch
 
 
 def _json_float(value: float) -> float | None:
@@ -47,13 +51,61 @@ def _params_dict(params) -> dict:
 
 
 @dataclass(frozen=True)
+class EvaluationBaseline:
+    """The SDL side of the Sec-10 metrics over one evaluation mask.
+
+    ``cells`` are the evaluation cells, ascending indices into the
+    marginal.  ``index_sets`` index into ``cells``: the overall set
+    first, then one set per place-population stratum (all empty when
+    the marginal has no strata).  Per set, ``sdl_l1`` is the SDL
+    baseline's L1 error and ``rank_stats`` its centered ranks and rank
+    sd; both are ``None`` without a baseline.  Every array is read-only,
+    so one record can be shared by every release whose mask has this
+    content.
+    """
+
+    cells: np.ndarray
+    index_sets: tuple[np.ndarray, ...]
+    sdl_l1: tuple[float, ...] | None
+    rank_stats: tuple[tuple[np.ndarray, float], ...] | None
+
+    @classmethod
+    def build(
+        cls,
+        mask: np.ndarray,
+        true: np.ndarray,
+        sdl_noisy: np.ndarray | None,
+        strata: np.ndarray | None,
+    ) -> "EvaluationBaseline":
+        """The record for boolean ``mask`` over the marginal's cells."""
+        cells = np.flatnonzero(mask)
+        cells.setflags(write=False)
+        # Without strata no cell is in any stratum: those sets are empty,
+        # so their metrics come back nan.
+        index_sets = stratum_index_sets(
+            np.full(cells.size, -1) if strata is None else strata[cells]
+        )
+        if sdl_noisy is None:
+            return cls(cells, index_sets, None, None)
+        true, sdl = true[cells], sdl_noisy[cells]
+        return cls(
+            cells,
+            index_sets,
+            tuple(l1_error(true[idx], sdl[idx]) for idx in index_sets),
+            baseline_rank_stats(sdl, index_sets),
+        )
+
+
+@dataclass(frozen=True)
 class ReleaseResult:
     """One executed release request, with provenance and metrics.
 
     ``sdl_noisy`` and ``strata`` are per-cell arrays over the marginal
-    (present when the session computed its SDL baseline); the metric
-    helpers return ``nan`` when a baseline is unavailable or a stratum
-    is empty, mirroring the figure runner.
+    (present when the session computed its SDL baseline), and
+    ``evaluation`` is the session's shared record of their statistics
+    over this release's evaluation mask (built from the arrays when
+    absent).  The metric helpers return ``nan`` when a baseline is
+    unavailable or a stratum is empty, mirroring the figure runner.
     """
 
     request: ReleaseRequest
@@ -62,6 +114,7 @@ class ReleaseResult:
     ledger_entry: LedgerEntry | None = None
     sdl_noisy: np.ndarray | None = None
     strata: np.ndarray | None = None
+    evaluation: EvaluationBaseline | None = None
 
     # -- delegation -----------------------------------------------------
 
@@ -103,53 +156,82 @@ class ReleaseResult:
 
     def mean_l1(self, cells: np.ndarray | None = None) -> float:
         """Mean-over-trials total L1 error on the evaluation cells."""
-        cells = self.mask if cells is None else cells
-        if not cells.any():
-            return float("nan")
-        return float(
-            l1_error_batch(self.true[cells], self.trials()[:, cells]).mean()
-        )
+        return self._metrics_for(cells)[0][0]
 
     def l1_ratio(self, cells: np.ndarray | None = None) -> float:
         """Mean private L1 over trials / SDL L1 (the Sec 10 error ratio)."""
-        cells = self.mask if cells is None else cells
-        if self.sdl_noisy is None or not cells.any():
-            return float("nan")
-        sdl_l1 = l1_error(self.true[cells], self.sdl_noisy[cells])
-        private_l1 = self.mean_l1(cells)
-        if sdl_l1 == 0.0:
-            return math.inf if private_l1 > 0 else float("nan")
-        return private_l1 / sdl_l1
+        return self._metrics_for(cells)[1][0]
 
     def spearman(self, cells: np.ndarray | None = None) -> float:
         """Mean-over-trials Spearman ρ against the SDL ordering."""
-        cells = self.mask if cells is None else cells
-        if self.sdl_noisy is None or int(cells.sum()) < 2:
-            return float("nan")
-        values = spearman_distinct_batch(
-            self.trials()[:, cells], *centered_rank_stats(self.sdl_noisy[cells])
-        )
-        if np.all(np.isnan(values)):
-            return float("nan")
-        return float(np.nanmean(values))
-
-    def _stratum_cells(self) -> list[np.ndarray]:
-        if self.strata is None:
-            return []
-        mask = self.mask
-        return [mask & (self.strata == s) for s in range(N_STRATA)]
+        return self._metrics_for(cells)[2][0]
 
     def l1_ratio_by_stratum(self) -> tuple[float, ...]:
         """The error ratio per place-population stratum (Sec 10 panels)."""
-        if self.strata is None:
-            return (float("nan"),) * N_STRATA
-        return tuple(self.l1_ratio(cells) for cells in self._stratum_cells())
+        return self._metrics[1][1:]
 
     def spearman_by_stratum(self) -> tuple[float, ...]:
         """Spearman ρ per place-population stratum."""
-        if self.strata is None:
-            return (float("nan"),) * N_STRATA
-        return tuple(self.spearman(cells) for cells in self._stratum_cells())
+        return self._metrics[2][1:]
+
+    def _metrics_for(self, cells: np.ndarray | None):
+        if cells is None:
+            return self._metrics
+        return self._evaluate(
+            EvaluationBaseline.build(cells, self.true, self.sdl_noisy, None)
+        )
+
+    @cached_property
+    def _metrics(self) -> tuple[tuple[float, ...], ...]:
+        """(mean L1, L1 ratios, Spearman ρs) over the evaluation record's
+        sets, computed once per result (``cached_property`` writes into
+        ``__dict__``, so it works on this frozen dataclass)."""
+        evaluation = self.evaluation
+        if evaluation is None:
+            evaluation = EvaluationBaseline.build(
+                self.mask, self.true, self.sdl_noisy, self.strata
+            )
+        return self._evaluate(evaluation)
+
+    def _evaluate(
+        self, evaluation: EvaluationBaseline
+    ) -> tuple[tuple[float, ...], ...]:
+        """Every set's metrics in one pass over the noisy trials.
+
+        One gather of the evaluation cells feeds one |error| pass, whose
+        per-set row sums give the mean L1 and the L1 ratio, and one
+        Spearman call per set against the record's SDL ranks.  An
+        ``m[:, indices]`` gather is laid out like an ``m[:, mask]``
+        slice, so each row sum adds the same values in the same order as
+        slicing the marginal by that set's boolean mask; a set spanning
+        every evaluation cell sums ``abs_err`` itself, which already has
+        that layout.
+        """
+        trials = self.trials()[:, evaluation.cells]
+        abs_err = np.abs(trials - self.true[evaluation.cells])
+        n_cells = evaluation.cells.size
+        rows = []
+        for j, idx in enumerate(evaluation.index_sets):
+            mean_l1 = ratio = rho = float("nan")
+            whole = idx.size == n_cells
+            if idx.size:
+                errors = abs_err if whole else abs_err[:, idx]
+                mean_l1 = float(errors.sum(axis=1).mean())
+            if idx.size and evaluation.sdl_l1 is not None:
+                sdl_l1 = evaluation.sdl_l1[j]
+                if sdl_l1 != 0.0:
+                    ratio = mean_l1 / sdl_l1
+                elif mean_l1 > 0:
+                    ratio = math.inf
+            if idx.size >= 2 and evaluation.rank_stats is not None:
+                values = spearman_distinct_batch(
+                    trials if whole else trials[:, idx],
+                    *evaluation.rank_stats[j],
+                )
+                if not np.all(np.isnan(values)):
+                    rho = float(np.nanmean(values))
+            rows.append((mean_l1, ratio, rho))
+        return tuple(zip(*rows))
 
     # -- presentation ---------------------------------------------------
 
@@ -164,6 +246,7 @@ class ReleaseResult:
         strict-JSON clean.
         """
         budget = self.budget
+        mean_l1, l1_ratio, spearman = self._metrics
         return {
             "request": self.request.to_dict(),
             "seed": self.seed,
@@ -178,15 +261,11 @@ class ReleaseResult:
                 "total": _params_dict(budget.total),
             },
             "metrics": {
-                "mean_l1": _json_float(self.mean_l1()),
-                "l1_ratio": _json_float(self.l1_ratio()),
-                "spearman": _json_float(self.spearman()),
-                "l1_ratio_by_stratum": [
-                    _json_float(v) for v in self.l1_ratio_by_stratum()
-                ],
-                "spearman_by_stratum": [
-                    _json_float(v) for v in self.spearman_by_stratum()
-                ],
+                "mean_l1": _json_float(mean_l1[0]),
+                "l1_ratio": _json_float(l1_ratio[0]),
+                "spearman": _json_float(spearman[0]),
+                "l1_ratio_by_stratum": [_json_float(v) for v in l1_ratio[1:]],
+                "spearman_by_stratum": [_json_float(v) for v in spearman[1:]],
             },
             "spend": (
                 None if self.ledger_entry is None else self.ledger_entry.to_dict()
@@ -205,13 +284,18 @@ class ReleaseResult:
         """The ``k`` largest released cells as (labels, true, noisy).
 
         Uses the first trial of a batched release; handy for CLI output
-        and quick inspection.
+        and quick inspection.  ``k=0`` gives no rows; a negative ``k``
+        raises ``ValueError``.
         """
+        if k < 0:
+            raise ValueError(f"top_cells needs k >= 0, got {k}")
         noisy = self.trials()[0]
         released = self.release.released
         order = np.argsort(noisy)[::-1]
         rows = []
         for index in order:
+            if len(rows) >= k:
+                break
             if not released[index]:
                 continue
             rows.append(
@@ -221,6 +305,4 @@ class ReleaseResult:
                     float(noisy[index]),
                 )
             )
-            if len(rows) >= k:
-                break
         return rows

@@ -5,7 +5,8 @@ baseline system, and caches of every trial-invariant statistic, so any
 number of release requests and figure evaluations against the same
 snapshot reuse the expensive work — the true marginals, release masks,
 smooth-sensitivity statistics, place strata and SDL answers are computed
-once per (marginal, mode) and only the noise is redrawn.
+once per (marginal, mode), the SDL side of the Sec-10 metrics once per
+(marginal, evaluation mask), and only the noise is redrawn.
 
 Three execution surfaces:
 
@@ -48,7 +49,7 @@ import numpy as np
 from repro.api.ledger import LedgerEntry, PrivacyLedger
 from repro.api.registry import BASELINE, COMPOSITE
 from repro.api.request import ReleaseRequest
-from repro.api.result import ReleaseResult
+from repro.api.result import EvaluationBaseline, ReleaseResult
 from repro.core.composition import marginal_budget
 from repro.core.params import EREEParams
 from repro.core.release import (
@@ -146,6 +147,7 @@ class ReleaseSession:
         self._stats_cache: dict = {}
         self._release_cache: dict = {}
         self._baseline_cache: dict = {}
+        self._evaluation_cache: dict = {}
         # Guards the caches above: threads sharing this session (e.g. a
         # ThreadExecutor sweep) must compute each trial-invariant
         # statistic exactly once.  Reentrant because statistics() can
@@ -344,6 +346,26 @@ class ReleaseSession:
                 self._baseline_cache[attrs] = (sdl_noisy, strata)
             return self._baseline_cache[attrs]
 
+    def _evaluation(self, attrs: tuple[str, ...], release) -> EvaluationBaseline:
+        """Cached SDL-side Sec-10 statistics for one release's mask.
+
+        Keyed by (attrs, evaluation-mask content): the true counts and
+        the SDL answers are fixed per marginal, so every release whose
+        mask has this content — any seed, any mechanism — shares one
+        read-only record, built on the first such release.
+        """
+        mask = release.released & (release.true > 0)
+        key = (attrs, mask.tobytes())
+        with self._cache_lock:
+            evaluation = self._evaluation_cache.get(key)
+            if evaluation is None:
+                sdl_noisy, strata = self._baseline(attrs)
+                evaluation = EvaluationBaseline.build(
+                    mask, release.true, sdl_noisy, strata
+                )
+                self._evaluation_cache[key] = evaluation
+            return evaluation
+
     # -- declarative execution -----------------------------------------
 
     def run(self, request: ReleaseRequest) -> ReleaseResult:
@@ -379,7 +401,8 @@ class ReleaseSession:
         return self._run_calibrated(request)
 
     def _result(self, request, release, entry) -> ReleaseResult:
-        sdl_noisy, strata = self._baseline(tuple(request.attrs))
+        attrs = tuple(request.attrs)
+        sdl_noisy, strata = self._baseline(attrs)
         return ReleaseResult(
             request=request,
             release=release,
@@ -387,6 +410,7 @@ class ReleaseSession:
             ledger_entry=entry,
             sdl_noisy=sdl_noisy,
             strata=strata,
+            evaluation=self._evaluation(attrs, release),
         )
 
     def _run_calibrated(

@@ -276,6 +276,13 @@ def _parse_values(text: str, cast) -> tuple:
     return tuple(cast(part.strip()) for part in text.split(",") if part.strip())
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -394,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EPS",
         help="arm the privacy ledger with a total epsilon budget",
     )
-    release.add_argument("--top", type=int, default=10, metavar="K")
+    release.add_argument("--top", type=_non_negative_int, default=10, metavar="K")
     release.add_argument(
         "--json",
         action="store_true",

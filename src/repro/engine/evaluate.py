@@ -175,15 +175,6 @@ def release_trials_looped(
     return trials
 
 
-def _default_index_sets(strata: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Overall + per-stratum ascending cell-index sets (fallback when the
-    caller has no :attr:`WorkloadStatistics.stratum_cells` cache)."""
-    return (
-        np.arange(strata.size),
-        *(np.flatnonzero(strata == stratum) for stratum in range(N_STRATA)),
-    )
-
-
 def _l1_ratio_results(
     sums: np.ndarray,
     n_trials: int,
@@ -210,10 +201,9 @@ def _streamed_point_values(
     chunk_iter,
     true,
     sdl,
-    strata,
     metric: str,
     n_trials: int,
-    index_sets: Sequence[np.ndarray] | None = None,
+    index_sets: Sequence[np.ndarray],
 ) -> tuple[float, tuple[float, ...]]:
     """Reduce trial-chunk matrices to (overall, by-stratum) point values.
 
@@ -225,7 +215,7 @@ def _streamed_point_values(
 
     The L1 reduction is one pass per chunk: ``|chunk - true|`` is
     computed once and gathered into the overall + per-stratum sums
-    through the ascending ``index_sets`` (by default the
+    through the ascending ``index_sets`` (the
     :attr:`WorkloadStatistics.stratum_cells` cache).  The gather always
     copies — even for the full-size overall set — because a
     ``m[:, indices]`` gather is Fortran-ordered exactly like the
@@ -235,8 +225,6 @@ def _streamed_point_values(
     reassociation.  Values are therefore bit-identical to the slicing
     reducer while the subtraction runs once instead of once per set.
     """
-    if index_sets is None:
-        index_sets = _default_index_sets(strata)
     sums = np.zeros(len(index_sets))
     counts = np.zeros(len(index_sets))
     if profile.active():
@@ -294,7 +282,6 @@ def error_ratio_point(
         _release_chunks(stats, mechanism_name, per_cell, n_trials, seed, batch_size),
         stats.eval_true,
         stats.eval_sdl,
-        stats.eval_strata,
         "l1-ratio",
         n_trials,
         index_sets=stats.stratum_cells,
@@ -324,7 +311,6 @@ def spearman_point(
         _release_chunks(stats, mechanism_name, per_cell, n_trials, seed, batch_size),
         stats.eval_true,
         stats.eval_sdl,
-        stats.eval_strata,
         "spearman",
         n_trials,
         index_sets=stats.stratum_cells,
@@ -373,7 +359,6 @@ def truncated_laplace_point(
         chunk_iter(),
         stats.eval_true,
         stats.eval_sdl,
-        stats.eval_strata,
         metric,
         n_trials,
         index_sets=stats.stratum_cells,

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.metrics.ranking import centered_rank_stats
 from repro.metrics.strata import STRATUM_LABELS
 
 if TYPE_CHECKING:  # annotation-only: neither layer is imported at runtime
@@ -25,6 +26,46 @@ if TYPE_CHECKING:  # annotation-only: neither layer is imported at runtime
     from repro.experiments.workloads import Workload
 
 N_STRATA = len(STRATUM_LABELS)
+
+
+def stratum_index_sets(strata: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only index sets over evaluation cells: overall + one per stratum.
+
+    ``strata`` is the place-population stratum of each evaluation cell.
+    The indices ascend, so gathering with them preserves cell order (and
+    hence float summation order) exactly.  Sweeps
+    (:attr:`WorkloadStatistics.stratum_cells`) and release results
+    (:class:`repro.api.result.EvaluationBaseline`) both evaluate over
+    these sets.
+    """
+    sets = (
+        np.arange(strata.size),
+        *(np.flatnonzero(strata == s) for s in range(N_STRATA)),
+    )
+    for idx in sets:
+        idx.setflags(write=False)
+    return sets
+
+
+def baseline_rank_stats(
+    sdl: np.ndarray, index_sets
+) -> tuple[tuple[np.ndarray, float], ...]:
+    """Per index set: ``(centered SDL ranks, rank sd)``, read-only.
+
+    Spearman compares every noisy ordering against the *same* SDL
+    ordering, so one ranking of the baseline per set serves every trial,
+    mechanism and release; sets with fewer than 2 cells get an empty
+    rank vector (their ρ is undefined).
+    """
+    stats = []
+    for idx in index_sets:
+        if idx.size < 2:
+            stats.append((np.empty(0, dtype=np.float64), 0.0))
+            continue
+        centered, sd = centered_rank_stats(sdl[idx])
+        centered.setflags(write=False)
+        stats.append((centered, sd))
+    return tuple(stats)
 
 
 @dataclass(frozen=True)
@@ -83,16 +124,11 @@ class WorkloadStatistics:
     def stratum_cells(self) -> tuple[np.ndarray, ...]:
         """Index sets over the evaluation cells: overall + one per stratum.
 
-        Precomputed once so the streaming reducers stop rebuilding
-        N_STRATA + 1 boolean masks for every point of every sweep; the
-        indices ascend, so gathering with them preserves cell order (and
-        hence float summation order) exactly.
+        Precomputed once (:func:`stratum_index_sets`) so the streaming
+        reducers stop rebuilding N_STRATA + 1 boolean masks for every
+        point of every sweep.
         """
-        strata = self.eval_strata
-        return (
-            np.arange(strata.size),
-            *(np.flatnonzero(strata == s) for s in range(N_STRATA)),
-        )
+        return stratum_index_sets(self.eval_strata)
 
     def envelope(self, alpha: float) -> np.ndarray:
         """Cached per-α smooth-sensitivity envelope ``max(xv·α, 1)``.
@@ -126,18 +162,7 @@ class WorkloadStatistics:
         these instead of re-ranking the SDL answers per (mechanism, α,
         ε, chunk).
         """
-        from repro.metrics.ranking import centered_rank_stats
-
-        sdl = self.eval_sdl
-        stats = []
-        for idx in self.stratum_cells:
-            if idx.size < 2:
-                stats.append((np.empty(0, dtype=np.float64), 0.0))
-                continue
-            centered, sd = centered_rank_stats(sdl[idx])
-            centered.setflags(write=False)
-            stats.append((centered, sd))
-        return tuple(stats)
+        return baseline_rank_stats(self.eval_sdl, self.stratum_cells)
 
     def stratum_masks(self) -> list[np.ndarray]:
         """Evaluation mask restricted to each place-population stratum."""

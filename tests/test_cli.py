@@ -46,6 +46,13 @@ class TestParser:
         assert args.attrs == "place,naics,ownership"
         assert args.alpha == 0.1
 
+    def test_release_top_must_be_non_negative(self, capsys):
+        assert build_parser().parse_args(["release", "--top", "0"]).top == 0
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["release", "--top", "-2"])
+        assert excinfo.value.code == 2
+        assert "--top: must be >= 0, got -2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["sweep", "figures", "tables"])
     def test_fused_modes(self, command):
         base = [command]
@@ -115,6 +122,13 @@ class TestCommands:
         assert "released" in out
         assert "privacy ledger" in out
         assert "utilization 50.0%" in out
+
+    def test_release_command_top_zero_prints_no_rows(self, capsys):
+        code = main(["release", "--jobs", "4000", "--top", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "top 0 released cells" in out
+        assert "top 1 released cells" not in out
 
     def test_release_command_truncated_laplace(self, capsys):
         code = main(
