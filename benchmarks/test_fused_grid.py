@@ -1,19 +1,23 @@
-"""EXP-B4 — Fused-grid kernels: one noise draw per (mechanism, α) group.
+"""EXP-B4 — Fused-grid kernels: one noise draw per mechanism family.
 
-The sweep engine's fused path (PR 8) factors every smooth mechanism's
-release into ``counts + S(x)/a · Z`` and serves all ε points of a
-(mechanism, α) group from one unit ``(n_trials, n_cells)`` draw — a
-Figure-1 ε row costs one RNG draw instead of one per point, and the
-linear mechanisms reduce their L1 ratios analytically from unit |Z|
-column sums without materializing a single noisy matrix.
+The sweep engine's fused path factors every smooth mechanism's release
+into ``counts + S(x,α)/a(ε) · Z`` and serves a mechanism's whole α×ε
+grid from one unit ``(n_trials, n_cells)`` draw — a figure costs one
+RNG draw per mechanism instead of one per point.  The linear mechanisms
+reduce their L1 ratios analytically from unit |Z| column sums without
+materializing a single noisy matrix, and Spearman members rank through
+the sorted-key kernel against SDL rank statistics cached per workload.
 
-This suite pins the acceptance gate: the fused Figure-1 grid (75
-points, 15 groups of 5 ε) must run ≥``MIN_FUSED_SPEEDUP``× faster than
-the per-point serial path at n_trials=100.  The measured value lands in
-``BENCH_grid.json`` next to the executor/replay timings.
+This suite pins the acceptance gate on both reducers: the fused
+Figure-1 (L1) and Figure-2 (Spearman) grids must each run
+≥``MIN_FUSED_SPEEDUP``× faster than the per-point serial path at
+n_trials=100.  The measured values land in ``BENCH_grid.json`` next to
+the executor/replay timings.
 """
 
 from dataclasses import replace
+
+import pytest
 
 from benchmarks.conftest import write_report
 from benchmarks.test_batched_trials import _best_of
@@ -25,16 +29,17 @@ from repro.util import format_table
 
 N_TRIALS = 100
 MIN_FUSED_SPEEDUP = 3.0
-MIN_FAMILY_SPEEDUP = 2.0
 
 
-def test_fused_grid_speedup(bench_config, context, out_dir):
-    """The acceptance gate: fused Figure-1 grid ≥3x over per-point serial."""
+@pytest.mark.parametrize("name", ["figure-1", "figure-2"])
+def test_fused_grid_speedup(bench_config, context, out_dir, name):
+    """The acceptance gate: a fused figure grid ≥3x over per-point serial."""
     config = replace(bench_config, n_trials=N_TRIALS)
-    plan = figure_plan("figure-1", config)
+    plan = figure_plan(name, config)
 
-    # Warm the workload-statistics cache so both timings compare grid
-    # execution, not one-off prologue work.
+    # Warm the workload-statistics caches (statistics, envelopes, SDL
+    # rank stats) so both timings compare grid execution, not one-off
+    # prologue work.
     serial = run_plan(plan, context, executor=SerialExecutor(), merge_spend=False)
     fused = run_plan(plan, context, merge_spend=False, fused=True)
 
@@ -49,8 +54,7 @@ def test_fused_grid_speedup(bench_config, context, out_dir):
     speedup = serial_s / fused_s
 
     # The fused stream is different noise, not a different experiment:
-    # same grid, same feasibility frontier, finite values where the
-    # serial path has them.
+    # same grid, same feasibility frontier.
     assert len(fused.points) == len(serial.points)
     for a, b in zip(serial.points, fused.points):
         assert (b.mechanism, b.alpha, b.epsilon) == (
@@ -64,118 +68,31 @@ def test_fused_grid_speedup(bench_config, context, out_dir):
         headers=["path", "wall ms", "vs serial"],
         rows=[
             ["per-point serial", f"{serial_s * 1e3:.1f}", "1.0x"],
-            ["fused groups", f"{fused_s * 1e3:.1f}", f"{speedup:.1f}x"],
+            ["fused families", f"{fused_s * 1e3:.1f}", f"{speedup:.1f}x"],
         ],
         title=(
-            f"Fused Figure-1 grid ({len(plan.points)} points, "
-            f"n_trials={N_TRIALS}, {context.dataset.n_jobs} jobs): "
-            "one unit draw per (mechanism, alpha) group"
-        ),
-    )
-    write_report(out_dir, "fused-grid", report)
-
-    _merge_bench_json(
-        {
-            "fused_grid": {
-                "points": len(plan.points),
-                "n_trials": N_TRIALS,
-                "workload": "workload-1",
-            },
-            "fused_serial_s": serial_s,
-            "fused_s": fused_s,
-            "fused_speedup": speedup,
-            "min_fused_speedup_gate": MIN_FUSED_SPEEDUP,
-        }
-    )
-
-    assert speedup >= MIN_FUSED_SPEEDUP, (
-        f"fused grid only {speedup:.1f}x faster than per-point serial "
-        f"(need >= {MIN_FUSED_SPEEDUP}x)"
-    )
-
-
-def test_family_grid_speedup(bench_config, context, out_dir):
-    """The PR-9 gate: α×ε families ≥2x over ε-only groups on the full
-    multi-α Figure-1 + Figure-2 grid.
-
-    The family path (``fused="family"``) folds the α axis into the
-    fusion too — one unit draw per *mechanism* instead of one per
-    (mechanism, α) — and reduces Figure 2's Spearman members through the
-    tie-free fast ranking kernel against the cached SDL rank statistics.
-    Both sides run the PR-8-or-better fused machinery, so the measured
-    ratio isolates exactly what this layer adds.
-    """
-    config = replace(bench_config, n_trials=N_TRIALS)
-    plans = [figure_plan(name, config) for name in ("figure-1", "figure-2")]
-
-    def run_grouped():
-        return [
-            run_plan(plan, context, merge_spend=False, fused=True)
-            for plan in plans
-        ]
-
-    def run_family():
-        return [
-            run_plan(plan, context, merge_spend=False, fused="family")
-            for plan in plans
-        ]
-
-    # Warm every trial-invariant cache (statistics, envelopes, SDL rank
-    # stats) so both timings compare grid execution only.
-    grouped = run_grouped()
-    family = run_family()
-
-    grouped_s = _best_of(run_grouped)
-    family_s = _best_of(run_family)
-    speedup = grouped_s / family_s
-
-    # Same grid, same feasibility frontier — the family stream is
-    # different noise, not a different experiment.
-    n_points = 0
-    for grouped_outcome, family_outcome in zip(grouped, family):
-        assert len(family_outcome.points) == len(grouped_outcome.points)
-        n_points += len(family_outcome.points)
-        for a, b in zip(grouped_outcome.points, family_outcome.points):
-            assert (b.mechanism, b.alpha, b.epsilon) == (
-                a.mechanism,
-                a.alpha,
-                a.epsilon,
-            )
-            assert b.feasible == a.feasible
-
-    report = format_table(
-        headers=["path", "wall ms", "vs groups"],
-        rows=[
-            ["fused groups (per alpha)", f"{grouped_s * 1e3:.1f}", "1.0x"],
-            [
-                "fused families (alpha x eps)",
-                f"{family_s * 1e3:.1f}",
-                f"{speedup:.1f}x",
-            ],
-        ],
-        title=(
-            f"Family-fused Figure-1+2 grid ({n_points} points, "
+            f"Fused {name} grid ({len(plan.points)} points, {plan.metric}, "
             f"n_trials={N_TRIALS}, {context.dataset.n_jobs} jobs): "
             "one unit draw per mechanism family"
         ),
     )
-    write_report(out_dir, "family-grid", report)
+    write_report(out_dir, f"fused-grid-{name}", report)
 
     _merge_bench_json(
         {
-            "family_grid": {
-                "points": n_points,
+            f"fused_grid_{name}": {
+                "points": len(plan.points),
+                "metric": plan.metric,
                 "n_trials": N_TRIALS,
-                "figures": ["figure-1", "figure-2"],
-            },
-            "family_grouped_s": grouped_s,
-            "family_s": family_s,
-            "family_speedup": speedup,
-            "min_family_speedup_gate": MIN_FAMILY_SPEEDUP,
+                "serial_s": serial_s,
+                "fused_s": fused_s,
+                "speedup": speedup,
+                "min_speedup_gate": MIN_FUSED_SPEEDUP,
+            }
         }
     )
 
-    assert speedup >= MIN_FAMILY_SPEEDUP, (
-        f"family grid only {speedup:.1f}x faster than the eps-fused "
-        f"groups (need >= {MIN_FAMILY_SPEEDUP}x)"
+    assert speedup >= MIN_FUSED_SPEEDUP, (
+        f"fused {name} grid only {speedup:.1f}x faster than per-point "
+        f"serial (need >= {MIN_FUSED_SPEEDUP}x)"
     )

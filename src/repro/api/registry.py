@@ -57,9 +57,10 @@ class MechanismSpec:
 
     ``unit_noise`` names the mechanism's unit-noise family (``"gamma4"``
     or ``"laplace"``) when its release factors as a data-independent unit
-    draw transformed by ε-derived scalars — the property the fused sweep
-    path exploits to share one ``(n_trials, n_cells)`` draw across every
-    ε of a (workload, mechanism, α) group.  ``linear_unit_scale`` marks
+    draw transformed by (α, ε)-derived scalars — the property the fused
+    sweep path exploits to share one ``(n_trials, n_cells)`` draw across
+    every (α, ε) point of a (workload, mechanism) family.
+    ``linear_unit_scale`` marks
     the subset whose transform is exactly ``counts + scale(ε) · Z``
     (Theorem 8.4 form), where per-cell |error| is ``scale(ε)·|Z|`` and L1
     metrics never need the noisy matrix at all.  ``None`` means not

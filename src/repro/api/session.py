@@ -670,67 +670,6 @@ class ReleaseSession:
             )
         return point, spend
 
-    def evaluate_fused_outcome(
-        self,
-        workload: Workload,
-        mechanism: str,
-        *,
-        alpha: float,
-        delta: float,
-        epsilons: Sequence[float],
-        metrics: Sequence[str] = ("l1-ratio",),
-        n_trials: int | None = None,
-        seed=None,
-        batch_size: int | None = None,
-    ) -> tuple[dict[str, list[SeriesPoint]], list[LedgerEntry | None]]:
-        """Every ε point of one (workload, mechanism, α) group, one draw.
-
-        The fused counterpart of :meth:`evaluate_point_outcome`: one
-        unit-noise matrix (Theorem 8.4's ``Z`` is ε-free) serves all
-        requested ε values and metrics through
-        :func:`repro.engine.evaluate.fused_grid_points`.  Returns
-        ``{metric: [SeriesPoint, ...]}`` (plus one detached spend per ε,
-        aligned with ``epsilons``; ``None`` where infeasible) — nothing
-        is debited here, exactly like the per-point outcome method.  The
-        spend of a fused point equals the unfused point's spend: sharing
-        the unit draw changes which bits are drawn, not the composed
-        (ε, δ) total of the release it represents.
-        """
-        if n_trials is None:
-            n_trials = self.config.n_trials
-        if batch_size is None:
-            batch_size = self.config.trials_batch
-        stats = self.statistics(workload)
-        values = point_kernels.fused_grid_points(
-            stats,
-            mechanism,
-            alpha=alpha,
-            delta=delta,
-            epsilons=list(epsilons),
-            n_trials=n_trials,
-            seed=seed,
-            batch_size=batch_size,
-            metrics=metrics,
-        )
-        spends: list[LedgerEntry | None] = []
-        for point in values[tuple(metrics)[0]]:
-            if not point.feasible:
-                spends.append(None)
-                continue
-            params = EREEParams(alpha, point.epsilon, delta)
-            spends.append(
-                LedgerEntry.from_budget(
-                    stats.budget_of(params),
-                    label=(
-                        f"{workload.name}:{mechanism}:"
-                        f"alpha={params.alpha}:eps={params.epsilon}"
-                    ),
-                    mechanism=mechanism,
-                    attrs=tuple(workload.attrs),
-                )
-            )
-        return values, spends
-
     def evaluate_family_outcome(
         self,
         workload: Workload,
@@ -746,10 +685,12 @@ class ReleaseSession:
     ) -> tuple[dict[str, list[SeriesPoint | None]], list[LedgerEntry | None]]:
         """Every (α, ε) point of one mechanism's α×ε family, one draw.
 
-        The whole-grid extension of :meth:`evaluate_fused_outcome`: the
+        The fused counterpart of :meth:`evaluate_point_outcome`: the
         unit noise of Theorem 8.4 is independent of α *and* ε, so one
-        unit matrix serves the full ``members`` list of (α, ε) pairs
-        through :func:`repro.engine.evaluate.fused_family_points`.
+        unit matrix serves the full ``members`` list of (α, ε) pairs and
+        every requested metric through
+        :func:`repro.engine.evaluate.fused_family_points`.  Returns
+        ``{metric: [SeriesPoint | None, ...]}`` aligned with ``members``.
         ``evaluate`` masks which members to reduce (resume support);
         masked-out members return ``None`` points and ``None`` spends.
         Nothing is debited here — spends come back detached, one per

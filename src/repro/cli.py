@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from pathlib import Path
 
 from repro.api.registry import available_mechanisms
@@ -175,8 +176,8 @@ def _add_engine_arguments(parser, *, claims: bool = True):
     """The sweep-engine knobs shared by figures/tables/sweep.
 
     ``claims=False`` omits the cooperative-drain flags for commands
-    whose compute does not go through ``run_plan``'s per-point path
-    (Table 3 drains a request grid, not a sweep plan).
+    whose compute does not go through ``run_plan`` (Table 3 drains a
+    request grid, not a sweep plan).
     """
     parser.add_argument(
         "--snapshot-dir",
@@ -215,15 +216,13 @@ def _add_engine_arguments(parser, *, claims: bool = True):
     parser.add_argument(
         "--fused",
         nargs="?",
-        const="group",
+        const="family",
         default=False,
-        choices=("group", "family"),
-        help="share unit-noise draws across the grid: 'group' (the "
-        "default when the flag is given bare) draws once per "
-        "(mechanism, alpha) epsilon row, 'family' draws once per "
-        "mechanism's whole alpha x epsilon grid (statistically "
-        "equivalent to per-point evaluation, different RNG streams, "
-        "cached under distinct keys)",
+        choices=("family",),
+        help="share unit-noise draws across the grid: one draw per "
+        "mechanism's whole alpha x epsilon grid ('family', also what "
+        "the bare flag means; statistically equivalent to per-point "
+        "evaluation, different RNG streams, cached under distinct keys)",
     )
     if claims:
         parser.add_argument(
@@ -238,7 +237,7 @@ def _add_engine_arguments(parser, *, claims: bool = True):
         )
         parser.add_argument(
             "--claim-ttl",
-            type=float,
+            type=_positive_seconds,
             default=None,
             metavar="SECONDS",
             help="lease time-to-live for --claim; a claim whose owner "
@@ -280,6 +279,15 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text}"
+        )
     return value
 
 
@@ -664,10 +672,6 @@ def _claim_options_from_args(args) -> dict:
     if args.no_cache:
         raise SystemExit(
             "--claim coordinates through the result store; drop --no-cache"
-        )
-    if args.fused:
-        raise SystemExit(
-            "--claim runs on the per-point path; drop --fused"
         )
     return {"claim": True, "claim_ttl_s": getattr(args, "claim_ttl", None)}
 

@@ -7,12 +7,13 @@ that plans, executes and caches those sweeps:
 - :mod:`repro.engine.points` — the neutral point/result dataclasses
   (``SeriesPoint``, ``FigureSeries``, ``WorkloadStatistics``) shared by
   the session and experiment layers;
-- :mod:`repro.engine.evaluate` — the per-point evaluation kernels over
-  cached workload statistics (batched noise draw + streamed Sec-10
-  metric reduction);
+- :mod:`repro.engine.evaluate` — the per-point and fused-family
+  evaluation kernels over cached workload statistics (batched noise
+  draw + streamed Sec-10 metric reduction);
 - :mod:`repro.engine.plan` — ``SweepPlan``/``PointSpec``: figure and
   grid requests flattened into content-hashed, self-seeded point specs
-  whose results are independent of execution order;
+  whose results are independent of execution order, split into work
+  units (one per point, or one per fused family);
 - :mod:`repro.engine.executors` — pluggable ``SerialExecutor`` /
   ``ThreadExecutor`` / ``ProcessExecutor`` (workers rebuild the session
   from its config once and return spend records for exact ledger

@@ -29,13 +29,14 @@ Two reduction strategies coexist:
   :func:`_streamed_point_values` — one |error| pass per chunk, scattered
   into the overall + per-stratum sums through precomputed ascending index
   sets, bit-identical to the historical per-stratum slicing.
-- The **fused** kernel (:func:`fused_grid_points`) exploits the
-  Theorem 8.4 release form ``q(x) + S(x)/a · Z``: the unit noise ``Z``
-  does not depend on ε, so one unit matrix per (workload, mechanism, α)
-  group serves every ε point of the group via a scale multiply (linear
-  mechanisms) or one transform pass (Log-Laplace).  The fused stream is
-  statistically identical but not bit-identical to the per-point
-  streams, so it only runs behind ``run_plan(fused=True)``.
+- The **family** kernel (:func:`fused_family_points`) exploits the
+  Theorem 8.4 release form ``q(x) + S(x,α)/a(ε) · Z``: the unit noise
+  ``Z`` depends on neither α nor ε, so one unit matrix per (workload,
+  mechanism) family serves every (α, ε) point of the grid via a scale
+  multiply (linear mechanisms) or one transform pass (Log-Laplace).
+  The family stream is statistically identical but not bit-identical
+  to the per-point streams, so it only runs behind
+  ``run_plan(fused=True)``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ __all__ = [
     "spearman_point",
     "truncated_laplace_point",
     "sample_unit_noise",
-    "fused_grid_points",
     "fused_family_points",
 ]
 
@@ -392,171 +392,6 @@ def sample_unit_noise(kind: str, shape, seed=None) -> np.ndarray:
     raise ValueError(f"unknown unit-noise family {kind!r}")
 
 
-def fused_grid_points(
-    stats: WorkloadStatistics,
-    mechanism_name: str,
-    *,
-    alpha: float,
-    delta: float,
-    epsilons: Sequence[float],
-    n_trials: int,
-    seed,
-    batch_size: int | None = None,
-    metrics: Sequence[str] = ("l1-ratio",),
-) -> dict[str, list[SeriesPoint]]:
-    """Every ε point of one (workload, mechanism, α) group from one draw.
-
-    Theorem 8.4 releases are ``q(x) + S(x)/a · Z`` with the unit noise
-    ``Z`` independent of ε — the smooth sensitivity ``max(xv·α, 1)``
-    depends only on α — so a grid's ε axis can share one unit matrix:
-
-    - **Linear mechanisms** (``linear_unit_scale``, the two smooth
-      mechanisms) reporting only the L1 ratio never materialize the
-      noisy matrices at all: ``E-sum per cell`` is ``noise_scale(xv) ·
-      Σ|Z|`` exactly, so the reduction accumulates the unit |Z| column
-      sums once and each ε point is a scale multiply plus a
-      ``bincount`` scatter into the strata.
-    - Otherwise each ε applies its transform to the shared unit chunk
-      (Log-Laplace's exp, or a Spearman metric that needs the noisy
-      values) and folds through the same one-pass reduction.
-
-    The fused stream draws different random bits than the per-point
-    kernels (one group stream instead of one stream per ε), so results
-    are statistically — not bit — identical to the unfused path; the
-    sweep engine stores them under fused-specific keys.
-    """
-    spec = mechanism_spec(mechanism_name)
-    unit_kind = spec.unit_noise
-    if unit_kind is None:
-        raise ValueError(
-            f"{mechanism_name!r} declares no unit-noise family; "
-            "fused evaluation needs a registry unit_noise tag"
-        )
-    metrics = tuple(metrics)
-    for metric in metrics:
-        if metric not in ("l1-ratio", "spearman"):
-            raise ValueError(
-                f"metric must be 'l1-ratio' or 'spearman', got {metric!r}"
-            )
-
-    true = stats.eval_true
-    sdl = stats.eval_sdl
-    strata = stats.eval_strata
-    index_sets = stats.stratum_cells
-    xv = stats.eval_xv
-    n_cells = true.size
-    n_sets = len(index_sets)
-
-    per_eps: list[tuple[EREEParams, object]] = []
-    for epsilon in epsilons:
-        params = EREEParams(alpha, epsilon, delta)
-        per_cell = stats.per_cell_params_of(params)
-        mechanism = (
-            create_mechanism(mechanism_name, per_cell)
-            if mechanism_is_feasible(mechanism_name, per_cell)
-            else None
-        )
-        per_eps.append((params, mechanism))
-
-    rng = as_generator(seed)
-    results: dict[str, list[SeriesPoint]] = {metric: [] for metric in metrics}
-
-    def _point(params: EREEParams, values: list[float]) -> SeriesPoint:
-        return SeriesPoint(
-            mechanism=mechanism_name,
-            alpha=params.alpha,
-            epsilon=params.epsilon,
-            overall=values[0],
-            by_stratum=tuple(values[1:]),
-        )
-
-    if metrics == ("l1-ratio",) and spec.linear_unit_scale:
-        # Linear shortcut: E-sum of |error| per cell over the chunk is
-        # noise_scale(xv) · Σ|Z|, so only the unit |Z| column sums need
-        # accumulating — no per-ε work inside the chunk loop at all.
-        unit_colsum = np.zeros(n_cells)
-        for chunk in _trial_chunks(n_trials, batch_size):
-            with profile.stage("draw"):
-                unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
-            with profile.stage("reduce"):
-                unit_colsum += np.abs(unit).sum(axis=0)
-        for params, mechanism in per_eps:
-            if mechanism is None:
-                results["l1-ratio"].append(
-                    _infeasible_point(mechanism_name, params)
-                )
-                continue
-            per_cell_err = mechanism.noise_scale(xv) * unit_colsum
-            sums = np.empty(n_sets)
-            sums[0] = per_cell_err.sum()
-            sums[1:] = np.bincount(
-                strata, weights=per_cell_err, minlength=N_STRATA
-            )
-            results["l1-ratio"].append(
-                _point(
-                    params,
-                    _l1_ratio_results(sums, n_trials, true, sdl, index_sets),
-                )
-            )
-        return results
-
-    sums = np.zeros((len(per_eps), len(metrics), n_sets))
-    counts = np.zeros((len(per_eps), len(metrics), n_sets))
-    for chunk in _trial_chunks(n_trials, batch_size):
-        with profile.stage("draw"):
-            unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
-        for e, (params, mechanism) in enumerate(per_eps):
-            if mechanism is None:
-                continue
-            with profile.stage("draw"):
-                if spec.needs_xv:
-                    noisy = mechanism.release_counts_from_unit(true, xv, unit)
-                else:
-                    noisy = mechanism.release_counts_from_unit(true, unit)
-            with profile.stage("reduce"):
-                for m, metric in enumerate(metrics):
-                    if metric == "l1-ratio":
-                        cell_tot = np.abs(noisy - true).sum(axis=0)
-                        sums[e, m, 0] += cell_tot.sum()
-                        sums[e, m, 1:] += np.bincount(
-                            strata, weights=cell_tot, minlength=N_STRATA
-                        )
-                    else:
-                        for j, idx in enumerate(index_sets):
-                            if idx.size >= 2:
-                                sub = (
-                                    noisy
-                                    if idx.size == n_cells
-                                    else noisy[:, idx]
-                                )
-                                values = spearman_correlation_batch(
-                                    sub, sdl[idx]
-                                )
-                                sums[e, m, j] += np.nansum(values)
-                                counts[e, m, j] += np.count_nonzero(
-                                    ~np.isnan(values)
-                                )
-
-    for e, (params, mechanism) in enumerate(per_eps):
-        for m, metric in enumerate(metrics):
-            if mechanism is None:
-                results[metric].append(_infeasible_point(mechanism_name, params))
-                continue
-            if metric == "l1-ratio":
-                values = _l1_ratio_results(
-                    sums[e, m], n_trials, true, sdl, index_sets
-                )
-            else:
-                values = [
-                    float(sums[e, m, j] / counts[e, m, j])
-                    if counts[e, m, j]
-                    else float("nan")
-                    for j in range(n_sets)
-                ]
-            results[metric].append(_point(params, values))
-    return results
-
-
 def fused_family_points(
     stats: WorkloadStatistics,
     mechanism_name: str,
@@ -571,8 +406,8 @@ def fused_family_points(
 ) -> dict[str, list[SeriesPoint | None]]:
     """Every (α, ε) point of one mechanism's whole grid from one draw.
 
-    The α×ε extension of :func:`fused_grid_points`: Theorem 8.4's unit
-    noise ``Z`` is independent of α *and* ε — α enters only through the
+    Theorem 8.4 releases are ``q(x) + S(x,α)/a(ε) · Z`` with the unit
+    noise ``Z`` independent of α *and* ε — α enters only through the
     smooth-sensitivity envelope ``max(xv·α, 1)`` — so a single unit
     matrix serves the full family of ``members`` (α, ε) pairs.
 
@@ -592,6 +427,11 @@ def fused_family_points(
     on the mask — full chunks are drawn regardless — so a subset
     evaluation reproduces the full run's member values bit-for-bit.
     Masked-out members come back as ``None`` placeholders.
+
+    The family stream draws different random bits than the per-point
+    kernels (one stream per family instead of one per point), so
+    results are statistically — not bit — identical to the unfused
+    path; the sweep engine stores them under family member keys.
     """
     spec = mechanism_spec(mechanism_name)
     unit_kind = spec.unit_noise

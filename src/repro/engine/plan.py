@@ -17,6 +17,13 @@ resumable execution:
   already-computed point across processes and invocations.  Execution
   knobs that cannot change the value (``batch_size``, worker count) are
   deliberately excluded from the hash.
+
+:func:`work_units` splits a plan into the tasks the sweep engine runs:
+one per point by default, or — fused — one per :class:`FusedFamily`
+(every (α, ε) point of one mechanism, served by a single unit-noise
+draw) plus one per point no family can take.  Two key spaces follow: a
+point unit stores under :meth:`PointSpec.key`, a family member under
+:meth:`FusedFamily.member_key`, which adds the family token.
 """
 
 from __future__ import annotations
@@ -204,74 +211,19 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
-class FusedGroup:
-    """One (workload, mechanism, metric, α) bucket of a plan's ε points.
-
-    The fused evaluation path (``run_plan(fused=True)``) draws **one**
-    unit-noise matrix per group — Theorem 8.4 releases are
-    ``q(x) + S(x)/a · Z`` with ``Z`` independent of ε — and serves every
-    member ε from it.  A member's value therefore depends on the whole
-    group, not just its own spec: ``group_seed`` derives from the first
-    member's seed *and* the group's ε tuple, and :meth:`member_key`
-    mixes both into the member's content address, so fused results can
-    never collide with (or be replayed as) unfused per-point results nor
-    with a fused run over a different ε grid.
-
-    ``indices`` are positions into the owning plan's ``points``, in plan
-    order; ``epsilons`` aligns with them.
-    """
-
-    workload: str
-    mechanism: str
-    metric: str
-    alpha: float
-    delta: float
-    n_trials: int
-    batch_size: int | None
-    indices: tuple[int, ...]
-    epsilons: tuple[float, ...]
-    group_seed: int | None
-
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.workload}:{self.mechanism}:alpha={self.alpha}:"
-            f"eps={list(self.epsilons)}"
-        )
-
-    def _fused_token(self) -> dict:
-        return {
-            "group_seed": self.group_seed,
-            "epsilons": list(self.epsilons),
-        }
-
-    def member_key(self, spec: PointSpec, fingerprint: str) -> str:
-        """Content-address of one member point under fused evaluation."""
-        payload = spec.content(fingerprint)
-        payload["fused"] = self._fused_token()
-        return content_key(payload)
-
-    def member_content(self, spec: PointSpec, fingerprint: str) -> dict:
-        payload = spec.content(fingerprint)
-        payload["fused"] = self._fused_token()
-        return payload
-
-
-@dataclass(frozen=True)
 class FusedFamily:
     """One (workload, mechanism, metric) bucket of a plan's α×ε points.
 
-    The family evaluation path (``run_plan(fused="family")``) extends
-    the :class:`FusedGroup` idea across the α axis: Theorem 8.4 releases
-    are ``q(x) + S(x,α)/a(ε) · Z`` with the unit noise ``Z`` independent
-    of *both* α and ε — α lives only in the smooth-sensitivity envelope
-    ``max(xv·α, 1)`` — so **one** unit draw serves the whole α×ε
-    sub-grid of a mechanism.  A member's value depends on the family
-    draw, hence on the family composition: ``family_seed`` derives from
-    the first member's seed and the full (α, ε) member list, and
-    :meth:`member_key` embeds both into the member's content address.
-    Family results therefore never collide with the default per-point
-    keys nor with the ε-only ``fused`` member keys.
+    The fused evaluation path (``run_plan(fused=True)``) shares noise
+    across the grid: Theorem 8.4 releases are ``q(x) + S(x,α)/a(ε) · Z``
+    with the unit noise ``Z`` independent of *both* α and ε — α lives
+    only in the smooth-sensitivity envelope ``max(xv·α, 1)`` — so
+    **one** unit draw serves the whole α×ε sub-grid of a mechanism.  A
+    member's value depends on the family draw, hence on the family
+    composition: ``family_seed`` derives from the first member's seed
+    and the full (α, ε) member list, and :meth:`member_key` embeds both
+    into the member's content address.  Family results therefore never
+    collide with the default per-point keys.
 
     The unit draw depends only on ``(family_seed, n_trials, n_cells)``
     — not on which members are reduced from it — so a resumed family
@@ -336,77 +288,18 @@ def _mechanism_unit_noise(name: str) -> str | None:
     return getattr(spec, "unit_noise", None)
 
 
-def fused_groups(plan: SweepPlan) -> tuple[list[FusedGroup], list[int]]:
-    """Bucket a plan's fusable points into per-α groups.
-
-    Returns ``(groups, leftover)``: every plan index lands in exactly one
-    group's ``indices`` or in ``leftover`` (truncated-laplace points and
-    mechanisms without a unit-noise family evaluate per point even under
-    ``fused=True``).  Grouping is deterministic — buckets appear in
-    first-member plan order and members keep plan order within a bucket
-    — so group seeds and member keys are stable across runs.
-    """
-    buckets: dict[tuple, list[int]] = {}
-    leftover: list[int] = []
-    for index, spec in enumerate(plan.points):
-        if (
-            spec.mechanism == TRUNCATED_LAPLACE
-            or _mechanism_unit_noise(spec.mechanism) is None
-        ):
-            leftover.append(index)
-            continue
-        bucket = (
-            spec.workload,
-            spec.mechanism,
-            spec.metric,
-            spec.n_trials,
-            spec.batch_size,
-            spec.alpha,
-            spec.delta,
-        )
-        buckets.setdefault(bucket, []).append(index)
-
-    groups = []
-    for bucket, indices in buckets.items():
-        workload, mechanism, metric, n_trials, batch_size, alpha, delta = bucket
-        epsilons = tuple(plan.points[i].epsilon for i in indices)
-        first_seed = plan.points[indices[0]].seed
-        group_seed = (
-            None
-            if first_seed is None
-            else derive_seed(
-                first_seed,
-                "fused:{}:{}:{}".format(
-                    mechanism, alpha, ",".join(repr(e) for e in epsilons)
-                ),
-            )
-        )
-        groups.append(
-            FusedGroup(
-                workload=workload,
-                mechanism=mechanism,
-                metric=metric,
-                alpha=alpha,
-                delta=delta,
-                n_trials=n_trials,
-                batch_size=batch_size,
-                indices=tuple(indices),
-                epsilons=epsilons,
-                group_seed=group_seed,
-            )
-        )
-    return groups, leftover
-
-
 def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
     """Bucket a plan's fusable points into whole α×ε families.
 
-    The family analogue of :func:`fused_groups`: the bucket key drops α
-    (and ε), so every (α, ε) point of one (workload, mechanism, metric,
-    trials, batch, δ) combination shares a single unit draw.  Returns
-    ``(families, leftover)`` with the same determinism guarantees —
-    buckets in first-member plan order, members in plan order within a
-    bucket — so family seeds and member keys are stable across runs.
+    The bucket key leaves out α and ε, so every (α, ε) point of one
+    (workload, mechanism, metric, trials, batch, δ) combination shares a
+    single unit draw.  Returns ``(families, leftover)``: every plan
+    index lands in exactly one family's ``indices`` or in ``leftover``
+    (truncated-laplace points and mechanisms without a unit-noise
+    family evaluate per point even when fused).  Bucketing is
+    deterministic — buckets in first-member plan order, members in plan
+    order within a bucket — so family seeds and member keys are stable
+    across runs.
     """
     buckets: dict[tuple, list[int]] = {}
     leftover: list[int] = []
@@ -461,6 +354,61 @@ def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
             )
         )
     return families, leftover
+
+
+@dataclass(frozen=True)
+class WorkUnit:
+    """One task of a sweep: a lone point, or one fused family.
+
+    A point unit holds its :class:`PointSpec` and stores under the
+    plain key; a family unit holds its :class:`FusedFamily` and stores
+    under the family member keys.  ``indices`` are the plan positions
+    the unit covers, in plan order, and ``mask`` marks which of them
+    still need computing — a resumed family reduces only its missing
+    members, bit-identical to the full run because the family's unit
+    draw never depends on the mask.
+    """
+
+    indices: tuple[int, ...]
+    mask: tuple[bool, ...]
+    spec: PointSpec | None = None
+    family: FusedFamily | None = None
+
+    def member_content(self, plan: SweepPlan, index: int) -> dict:
+        """The value-determining payload of member ``index`` (a plan position)."""
+        spec = plan.points[index]
+        if self.family is None:
+            return spec.content(plan.fingerprint)
+        return self.family.member_content(spec, plan.fingerprint)
+
+    def member_key(self, plan: SweepPlan, index: int) -> str:
+        """Content-address of member ``index`` in the result store."""
+        return content_key(self.member_content(plan, index))
+
+
+def work_units(plan: SweepPlan, fused: bool = False) -> list[WorkUnit]:
+    """Split a plan into work units, in first-member plan order.
+
+    Unfused, every point is its own unit.  Fused, every
+    :func:`fused_families` family is one unit and each leftover point
+    stays a unit of its own (its value is identical either way, so it
+    keeps its plain key and stays shareable with unfused runs).
+    """
+    if not fused:
+        return [
+            WorkUnit((index,), (True,), spec=spec)
+            for index, spec in enumerate(plan.points)
+        ]
+    families, leftover = fused_families(plan)
+    units = [
+        WorkUnit(family.indices, (True,) * len(family.indices), family=family)
+        for family in families
+    ]
+    units += [
+        WorkUnit((index,), (True,), spec=plan.points[index])
+        for index in leftover
+    ]
+    return sorted(units, key=lambda unit: unit.indices[0])
 
 
 def grid_specs(

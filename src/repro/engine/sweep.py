@@ -1,30 +1,37 @@
 """Sweep orchestration: plans in, points out — parallel and resumable.
 
-:func:`run_plan` is the engine's front door.  Given a
-:class:`~repro.engine.plan.SweepPlan` and a session it:
+:func:`run_plan` is the engine's front door.  It splits a
+:class:`~repro.engine.plan.SweepPlan` into work units
+(:func:`~repro.engine.plan.work_units`: one per point, or one per fused
+family of a mechanism's α×ε grid) and runs them through one loop:
 
-1. consults the :class:`~repro.engine.store.ResultStore` (when resuming)
-   and keeps every already-computed point — a resumed figure recomputes
-   only what is missing;
-2. fans the missing points through an
+1. consult the :class:`~repro.engine.store.ResultStore` (when resuming)
+   and keep every already-computed member — a resumed figure recomputes
+   only what is missing, and a resumed family reduces only its missing
+   members from the same unit draw;
+2. with ``claim=True``, claim each pending unit on the store's
+   :class:`~repro.runtime.ClaimBoard`, so concurrent drains of one plan
+   partition it;
+3. fan the pending units through an
    :class:`~repro.engine.executors.Executor` (serial by default; thread
    or process pools for parallel sweeps) via the non-debiting
-   :meth:`~repro.api.ReleaseSession.evaluate_point_outcome`, so workers
-   never touch a ledger;
-3. records each **computed** point's spend on the parent session's
-   ledger and then persists the point to the store, walking plan order
+   :meth:`~repro.api.ReleaseSession.evaluate_point_outcome` and
+   :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`, so
+   workers never touch a ledger;
+4. record each **computed** point's spend on the parent session's
+   ledger and then persist the point to the store, walking plan order
    — accounting is exact and deterministic no matter which executor ran
    the points, and a raise-mode overdraft aborts before the offending
    point is ever cached.  Cache hits debit nothing: re-serving a stored
    release consumes no new privacy budget (the noise was drawn, and
-   paid for, when the point was first computed and stored).
+   paid for, when the point was first computed and stored);
+5. release the claims.
 """
-
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 from repro.api.ledger import LedgerEntry
@@ -33,22 +40,19 @@ from repro.engine import profile as stage_profile
 from repro.engine.executors import SerialExecutor, resolve_executor
 from repro.engine.plan import (
     TRUNCATED_LAPLACE,
-    FusedFamily,
-    FusedGroup,
     PointSpec,
     SweepPlan,
-    fused_families,
-    fused_groups,
+    WorkUnit,
+    work_units,
 )
 from repro.engine.points import FigureSeries, SeriesPoint
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, content_key
 
 __all__ = [
     "SweepOutcome",
     "run_plan",
     "evaluate_point_spec",
-    "evaluate_fused_group",
-    "evaluate_fused_family",
+    "evaluate_work_unit",
     "resolve_workload",
     "figure_series",
 ]
@@ -99,41 +103,22 @@ def evaluate_point_spec(session, spec: PointSpec):
     )
 
 
-def evaluate_fused_group(session, group: FusedGroup):
-    """Task function: one fused group → aligned (points, spends) lists.
+def evaluate_work_unit(session, unit: WorkUnit):
+    """Task function: one work unit → aligned (points, spends) lists.
 
     Module-level (picklable by reference) like
-    :func:`evaluate_point_spec`; one unit-noise draw serves every ε of
-    the group.  Spends come back detached — the parent merges them.
+    :func:`evaluate_point_spec`, which evaluates a point unit.  A family
+    unit reduces the members its mask marks from one unit draw through
+    :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`;
+    masked-out slots come back ``None``.  Spends come back detached —
+    the parent merges them.
     """
-    workload = resolve_workload(group.workload)
-    values, spends = session.evaluate_fused_outcome(
-        workload,
-        group.mechanism,
-        alpha=group.alpha,
-        delta=group.delta,
-        epsilons=list(group.epsilons),
-        metrics=(group.metric,),
-        n_trials=group.n_trials,
-        seed=group.group_seed,
-        batch_size=group.batch_size,
-    )
-    return values[group.metric], spends
-
-
-def evaluate_fused_family(session, item):
-    """Task function: ``(family, evaluate mask)`` → (points, spends).
-
-    Module-level (picklable by reference); one unit draw serves the
-    family's whole α×ε grid.  The mask marks which members to reduce —
-    a resumed family recomputes only its missing members, bit-identical
-    to the full-family run because the unit draw never depends on the
-    mask.  Masked-out slots come back ``None``.
-    """
-    family, evaluate = item
-    workload = resolve_workload(family.workload)
+    if unit.family is None:
+        point, spend = evaluate_point_spec(session, unit.spec)
+        return [point], [spend]
+    family = unit.family
     values, spends = session.evaluate_family_outcome(
-        workload,
+        resolve_workload(family.workload),
         family.mechanism,
         members=family.members,
         delta=family.delta,
@@ -141,7 +126,7 @@ def evaluate_fused_family(session, item):
         n_trials=family.n_trials,
         seed=family.family_seed,
         batch_size=family.batch_size,
-        evaluate=evaluate,
+        evaluate=unit.mask,
     )
     return values[family.metric], spends
 
@@ -250,21 +235,17 @@ def figure_series(plan: SweepPlan, points) -> FigureSeries:
     )
 
 
-def _normalize_fused(fused) -> str | None:
-    """Map the ``fused`` knob onto an evaluation mode.
+def _normalize_fused(fused) -> bool:
+    """Whether the ``fused`` knob asks for family evaluation.
 
-    ``False``/``None`` → per-point; ``True``/``"group"`` → per-(mechanism,
-    α) ε groups (the PR-8 path); ``"family"`` → whole α×ε families.
+    ``False``/``None`` → per-point; ``True``/``"family"`` → one unit
+    draw per :class:`~repro.engine.plan.FusedFamily`.
     """
     if fused is None or fused is False:
-        return None
-    if fused is True or fused == "group":
-        return "group"
-    if fused == "family":
-        return "family"
-    raise ValueError(
-        f"fused must be False, True, 'group' or 'family', got {fused!r}"
-    )
+        return False
+    if fused is True or fused == "family":
+        return True
+    raise ValueError(f"fused must be False, True or 'family', got {fused!r}")
 
 
 def run_plan(
@@ -293,36 +274,34 @@ def run_plan(
     later ``--resume`` run will hit.  ``merge_spend=False`` skips the
     ledger merge for callers doing their own accounting.
 
+    ``fused=True`` (or ``"family"``) evaluates the plan through
+    :class:`~repro.engine.plan.FusedFamily` work units — one unit-noise
+    draw per mechanism's whole α×ε grid instead of one per point, with
+    linear mechanisms reducing the entire family analytically.  Family
+    values are statistically, not bit, identical to the default path
+    and store under their own ``family``-token member keys, so the two
+    paths never serve each other's cached points; points no family can
+    take (truncated-laplace) evaluate per point under their plain keys.
+    The default ``fused=False`` path is bit-identical to what it always
+    produced.
+
     ``claim=True`` turns the drain cooperative: before computing a
-    missing point this run *claims* it on the store's
+    missing work unit this run *claims* it on the store's
     :class:`~repro.runtime.ClaimBoard` (an atomic lease file beside the
-    payloads), so N concurrent drains of the same plan against one
-    shared store partition the grid instead of each computing all of
-    it.  Points another drain claimed are deferred: this run polls the
-    store (every ``claim_poll_s`` seconds) and adopts their results as
-    cache hits when they land; a claim whose owner crashed expires
-    after ``claim_ttl_s`` (default
+    payloads, keyed by the unit's first member), so N concurrent drains
+    of the same plan against one shared store partition the grid
+    instead of each computing all of it.  Units another drain claimed
+    are deferred: this run polls the store (every ``claim_poll_s``
+    seconds) and adopts their results as cache hits when they land; a
+    claim whose owner crashed expires after ``claim_ttl_s`` (default
     :data:`~repro.runtime.DEFAULT_LEASE_TTL_S`) and is taken over.
     Claims are an optimization, never a correctness mechanism — if two
     drains ever compute the same point (expiry race, unreachable
     backend failing open) both write bit-identical bytes and last
     writer wins, exactly the claimless behavior.  Requires a ``store``
     and implies ``resume`` (a cooperative drain must honor what the
-    shared store already holds); the per-point values are bit-identical
-    to a claimless run of the same plan.
-
-    ``fused=True`` (or ``"group"``) evaluates the plan through
-    per-(mechanism, α) :class:`~repro.engine.plan.FusedGroup`\\ s — one
-    unit-noise draw per group instead of one per point.
-    ``fused="family"`` goes further: one draw per whole
-    :class:`~repro.engine.plan.FusedFamily` α×ε grid of a mechanism,
-    with linear mechanisms reducing the entire family analytically.
-    Both fused modes draw different random bits than the default path
-    (statistically, not bit, identical) and store results under their
-    own member keys — ``fused``-token keys for groups, ``family``-token
-    keys for families — so the three paths never serve each other's
-    cached points.  The default ``fused=False`` path is bit-identical to
-    what it always produced.
+    shared store already holds); the values are bit-identical to a
+    claimless run of the same plan, fused or not.
 
     ``profile=True`` wraps the run in the stage profiler
     (:mod:`repro.engine.profile`); the outcome's ``profile`` field then
@@ -330,52 +309,37 @@ def run_plan(
     process-pool runs, the per-worker stage split shipped back with each
     task.
     """
+    fused = _normalize_fused(fused)
+    board = None
     if claim:
         if store is None:
             raise ValueError("claim=True requires a result store")
-        if _normalize_fused(fused) is not None:
-            raise ValueError(
-                "claim coordination runs on the per-point path; "
-                "combine --claim with fused=False"
-            )
+        board = store.claim_board(owner=claim_owner, ttl_s=claim_ttl_s)
         resume = True  # a cooperative drain must honor the shared store
-    claim_spec = (
-        None
-        if not claim
-        else {"owner": claim_owner, "ttl_s": claim_ttl_s, "poll_s": claim_poll_s}
-    )
-    if profile:
-        with stage_profile.profiled() as prof:
-            outcome = _run_plan(
-                plan,
-                session,
-                executor=executor,
-                workers=workers,
-                store=store,
-                resume=resume,
-                merge_spend=merge_spend,
-                fused=fused,
-                claim_spec=claim_spec,
-            )
-        outcome.profile = prof.as_dict()
-        return outcome
-    return _run_plan(
+    drain = partial(
+        _drain,
         plan,
         session,
-        executor=executor,
-        workers=workers,
+        executor=resolve_executor(executor, workers) or SerialExecutor(),
         store=store,
         resume=resume,
         merge_spend=merge_spend,
         fused=fused,
-        claim_spec=claim_spec,
+        board=board,
+        poll_s=claim_poll_s or 0.2,
     )
+    if not profile:
+        return drain()
+    with stage_profile.profiled() as prof:
+        outcome = drain()
+    outcome.profile = prof.as_dict()
+    return outcome
 
 
-def _store_point(store, key: str, content: dict, point, spend) -> None:
+def _store_point(store, content: dict, point, spend) -> None:
     with stage_profile.stage("store"):
         store.put(
-            key,
+            content_key(content),
             {
                 "spec": content,
                 "point": encode_point(point),
@@ -384,437 +348,136 @@ def _store_point(store, key: str, content: dict, point, spend) -> None:
         )
 
 
-def _run_plan(
+def _drain(
     plan: SweepPlan,
     session,
     *,
     executor,
-    workers: int | None,
     store: ResultStore | None,
     resume: bool,
     merge_spend: bool,
-    fused: bool | str,
-    claim_spec: dict | None = None,
+    fused: bool,
+    board,
+    poll_s: float,
 ) -> SweepOutcome:
-    executor = resolve_executor(executor, workers) or SerialExecutor()
-    fused_mode = _normalize_fused(fused)
-    if fused_mode == "family":
-        return _run_family(
-            plan,
-            session,
-            executor=executor,
-            store=store,
-            resume=resume,
-            merge_spend=merge_spend,
-        )
-    if fused_mode == "group":
-        return _run_fused(
-            plan,
-            session,
-            executor=executor,
-            store=store,
-            resume=resume,
-            merge_spend=merge_spend,
-        )
-    n_points = len(plan.points)
-    points: list[SeriesPoint | None] = [None] * n_points
-    spends: dict[int, LedgerEntry] = {}
-    missing = list(range(n_points))
+    """The one loop behind :func:`run_plan`, over the plan's work units.
 
-    if store is not None and resume:
-        missing = []
-        for index, spec in enumerate(plan.points):
-            payload = store.get(spec.key(plan.fingerprint))
+    1. Resume: with ``resume``, one store ``get`` per member; stored
+       members take their cached values (and debit nothing), and a unit
+       narrows its mask to the members still missing.
+    2. Claim (with a ``board``): each round claims every unowned pending
+       unit and defers the rest.
+    3. Compute the round's units through the executor.
+    4. Publish every computed member in plan order: record its spend on
+       the ledger, *then* persist it — a raise-mode overdraft therefore
+       aborts with every stored point paid for, and nothing a later
+       resume would replay free of charge was ever cached.
+    5. Release the round's claims, only after their members persisted,
+       so no member is ever neither claimed nor stored.
+
+    Without a board the loop runs one round.  With one, a drain
+    publishes each round before waiting on anyone else's units — two
+    drains holding disjoint claims would otherwise wait on each other
+    forever; a round that claims nothing sleeps ``poll_s`` and rescans,
+    and a crashed owner's lease expires and is taken over, so every
+    stall is bounded.
+    """
+    points: list[SeriesPoint | None] = [None] * len(plan.points)
+    spends: dict[int, LedgerEntry] = {}
+    computed = 0
+
+    def restore(unit: WorkUnit, probe: bool = False) -> WorkUnit | None:
+        """Place ``unit``'s stored members; the unit narrowed to the rest.
+
+        ``None`` when no member is missing.  ``probe`` checks
+        ``contains`` before each ``get``: a polling drain would
+        otherwise count a miss against the store every round.
+        """
+        mask = list(unit.mask)
+        for position, index in enumerate(unit.indices):
+            if not mask[position]:
+                continue
+            key = unit.member_key(plan, index)
+            if probe and not store.contains(key):
+                continue
+            payload = store.get(key)
             if payload is not None and "point" in payload:
                 points[index] = decode_point(payload["point"])
-            else:
-                missing.append(index)
-    cache_hits = n_points - len(missing)
+                mask[position] = False
+        return replace(unit, mask=tuple(mask)) if any(mask) else None
 
-    if missing and claim_spec is not None:
-        computed = _drain_claimed(
-            plan,
-            session,
-            executor=executor,
-            store=store,
-            missing=missing,
-            points=points,
-            spends=spends,
-            merge_spend=merge_spend,
-            claim_spec=claim_spec,
-        )
-        ordered_spends = [spends[i] for i in sorted(spends)]
-        return SweepOutcome(
-            plan=plan,
-            points=list(points),
-            computed=len(computed),
-            cache_hits=n_points - len(computed),
-            spends=ordered_spends,
-        )
+    def lease_key(unit: WorkUnit) -> str:
+        return unit.member_key(plan, unit.indices[0])
 
-    if missing:
-        outcomes = _executor_map(
-            executor, evaluate_point_spec, session,
-            [plan.points[i] for i in missing],
-        )
-        # `missing` ascends and executor results come back in item
-        # order, so this loop walks the plan order — each point's spend
-        # records on the ledger *before* the point persists to the
-        # store.  A raise-mode overdraft therefore aborts with every
-        # stored point paid for: nothing a later resume would replay
-        # free of charge was ever cached.
-        for index, (point, spend) in zip(missing, outcomes):
-            points[index] = point
-            if spend is not None:
-                spends[index] = spend
-                if merge_spend:
-                    session.ledger.record(spend)
-            if store is not None:
-                spec = plan.points[index]
-                _store_point(
-                    store,
-                    spec.key(plan.fingerprint),
-                    spec.content(plan.fingerprint),
-                    point,
-                    spend,
-                )
-
-    ordered_spends = [spends[i] for i in sorted(spends)]
-    return SweepOutcome(
-        plan=plan,
-        points=list(points),
-        computed=len(missing),
-        cache_hits=cache_hits,
-        spends=ordered_spends,
-    )
-
-
-def _drain_claimed(
-    plan: SweepPlan,
-    session,
-    *,
-    executor,
-    store: ResultStore,
-    missing: list[int],
-    points: list,
-    spends: dict,
-    merge_spend: bool,
-    claim_spec: dict,
-) -> set[int]:
-    """Cooperatively drain ``missing``: claim, compute, adopt, take over.
-
-    Each round: (1) poll the store for deferred points another drain
-    finished (adopted as cache hits — they debit nothing here; their
-    spend was recorded by whoever computed them); (2) claim whatever is
-    still unowned and compute the claimed batch through the executor,
-    recording spend and persisting **per round** — a drain must publish
-    its results before waiting on anyone else's, or two drains holding
-    disjoint claims would deadlock politely forever; (3) release each
-    claim only *after* its point persisted, so no gap exists in which a
-    point is neither claimed nor stored.  A round that claims nothing
-    sleeps ``poll_s`` and rescans; a crashed owner's lease expires
-    (``ttl_s``) and :meth:`~repro.runtime.ClaimBoard.try_claim` takes
-    it over, so every stall is bounded.  Returns the indices computed
-    *by this drain*.
-    """
-    board = store.claim_board(
-        owner=claim_spec.get("owner"), ttl_s=claim_spec.get("ttl_s")
-    )
-    poll_s = claim_spec.get("poll_s") or 0.2
-    pending = set(missing)
-    computed: set[int] = set()
-
-    def key_of(index: int) -> str:
-        return plan.points[index].key(plan.fingerprint)
-
+    pending = work_units(plan, fused)
+    if store is not None and resume:
+        pending = [unit for unit in map(restore, pending) if unit is not None]
     try:
         while pending:
-            # 1. Adopt results another drain published since last scan.
-            #    `contains` first: polling with `get` alone would count
-            #    a miss against the store every round.
-            for index in sorted(pending):
-                if not store.contains(key_of(index)):
-                    continue
-                payload = store.get(key_of(index))
-                if payload is not None and "point" in payload:
-                    points[index] = decode_point(payload["point"])
-                    pending.discard(index)
-            if not pending:
-                break
-            # 2. Claim and compute one batch.  After *winning* a claim,
-            #    re-check the store: the previous holder may have
-            #    published and released between our adoption scan and
-            #    this claim.  Holding the lease freezes the entry
-            #    (publishers store *before* releasing), so the re-check
-            #    is race-free — this is what makes two concurrent
-            #    drains compute each point exactly once.
-            claimed = []
-            for index in sorted(pending):
-                if not board.try_claim(key_of(index)):
-                    continue
-                if store.contains(key_of(index)):
-                    payload = store.get(key_of(index))
-                    if payload is not None and "point" in payload:
-                        points[index] = decode_point(payload["point"])
-                        board.release(key_of(index))
-                        pending.discard(index)
+            if board is None:
+                batch, pending = pending, []
+            else:
+                # Adopt what other drains published, then claim.  After
+                # *winning* a lease, re-check the store: the previous
+                # holder may have published and released in between.
+                # Holding the lease freezes the entry (publishers store
+                # *before* releasing), so the re-check is race-free —
+                # this is what makes concurrent drains compute each
+                # member exactly once.
+                batch, waiting = [], []
+                for unit in pending:
+                    unit = restore(unit, probe=True)
+                    if unit is None:
                         continue
-                claimed.append(index)
-            if not claimed:
-                time.sleep(poll_s)
-                continue
+                    lease = lease_key(unit)
+                    if not board.try_claim(lease):
+                        waiting.append(unit)
+                        continue
+                    unit = restore(unit, probe=True)
+                    if unit is None:
+                        board.release(lease)
+                        continue
+                    batch.append(unit)
+                pending = waiting
+                if not batch:
+                    if pending:
+                        time.sleep(poll_s)
+                    continue
             outcomes = _executor_map(
-                executor,
-                evaluate_point_spec,
-                session,
-                [plan.points[i] for i in claimed],
+                executor, evaluate_work_unit, session, batch
             )
-            # 3. Publish in plan order: record spend, persist, release.
-            for index, (point, spend) in zip(claimed, outcomes):
+            members = sorted(
+                (
+                    (index, unit, point, spend)
+                    for unit, (unit_points, unit_spends) in zip(batch, outcomes)
+                    for index, todo, point, spend in zip(
+                        unit.indices, unit.mask, unit_points, unit_spends
+                    )
+                    if todo
+                ),
+                key=lambda member: member[0],
+            )
+            for index, unit, point, spend in members:
                 points[index] = point
                 if spend is not None:
                     spends[index] = spend
                     if merge_spend:
                         session.ledger.record(spend)
-                spec = plan.points[index]
-                _store_point(
-                    store,
-                    key_of(index),
-                    spec.content(plan.fingerprint),
-                    point,
-                    spend,
-                )
-                board.release(key_of(index))
-                pending.discard(index)
-                computed.add(index)
+                if store is not None:
+                    _store_point(
+                        store, unit.member_content(plan, index), point, spend
+                    )
+            computed += len(members)
+            if board is not None:
+                for unit in batch:
+                    board.release(lease_key(unit))
     finally:
-        board.release_all()
-    return computed
-
-
-def _run_fused(
-    plan: SweepPlan,
-    session,
-    *,
-    executor,
-    store: ResultStore | None,
-    resume: bool,
-    merge_spend: bool,
-) -> SweepOutcome:
-    """The ``fused=True`` body of :func:`run_plan`.
-
-    Fusable points evaluate group-at-a-time through
-    :func:`evaluate_fused_group`; leftover points (truncated-laplace,
-    mechanisms without a unit-noise family) run through the ordinary
-    per-point path under their ordinary keys — their values are
-    identical either way, so they stay shareable with unfused runs.
-    A group recomputes whenever *any* of its members is missing from
-    the store (the draw is indivisible), but members already cached
-    keep their stored values and debit nothing; only the missing ones
-    record spend and persist.
-    """
-    groups, leftover = fused_groups(plan)
-    n_points = len(plan.points)
-    points: list[SeriesPoint | None] = [None] * n_points
-    spends: dict[int, LedgerEntry] = {}
-
-    # -- leftover (non-fusable) points: the ordinary per-point path ----
-    missing_leftover = list(leftover)
-    if store is not None and resume:
-        missing_leftover = []
-        for index in leftover:
-            spec = plan.points[index]
-            payload = store.get(spec.key(plan.fingerprint))
-            if payload is not None and "point" in payload:
-                points[index] = decode_point(payload["point"])
-            else:
-                missing_leftover.append(index)
-
-    # -- fused groups: resume member-by-member, recompute by group -----
-    cached_members: set[int] = set()
-    pending_groups: list[FusedGroup] = []
-    if store is not None and resume:
-        for group in groups:
-            complete = True
-            for index in group.indices:
-                spec = plan.points[index]
-                payload = store.get(group.member_key(spec, plan.fingerprint))
-                if payload is not None and "point" in payload:
-                    points[index] = decode_point(payload["point"])
-                    cached_members.add(index)
-                else:
-                    complete = False
-            if not complete:
-                pending_groups.append(group)
-    else:
-        pending_groups = list(groups)
-
-    computed_indices: set[int] = set(missing_leftover)
-    results: dict[int, tuple[SeriesPoint, LedgerEntry | None, FusedGroup | None]] = {}
-
-    if missing_leftover:
-        outcomes = _executor_map(
-            executor,
-            evaluate_point_spec,
-            session,
-            [plan.points[i] for i in missing_leftover],
-        )
-        for index, (point, spend) in zip(missing_leftover, outcomes):
-            results[index] = (point, spend, None)
-
-    if pending_groups:
-        group_outcomes = _executor_map(
-            executor, evaluate_fused_group, session, pending_groups
-        )
-        for group, (group_points, group_spends) in zip(
-            pending_groups, group_outcomes
-        ):
-            for index, point, spend in zip(
-                group.indices, group_points, group_spends
-            ):
-                if index in cached_members:
-                    continue  # stored value wins; recompute spends nothing
-                results[index] = (point, spend, group)
-                computed_indices.add(index)
-
-    # Plan-order walk: record each newly computed point's spend before
-    # persisting it, exactly like the unfused path.
-    for index in sorted(results):
-        point, spend, group = results[index]
-        points[index] = point
-        if spend is not None:
-            spends[index] = spend
-            if merge_spend:
-                session.ledger.record(spend)
-        if store is not None:
-            spec = plan.points[index]
-            if group is None:
-                key = spec.key(plan.fingerprint)
-                content = spec.content(plan.fingerprint)
-            else:
-                key = group.member_key(spec, plan.fingerprint)
-                content = group.member_content(spec, plan.fingerprint)
-            _store_point(store, key, content, point, spend)
-
-    ordered_spends = [spends[i] for i in sorted(spends)]
+        if board is not None:
+            board.release_all()
     return SweepOutcome(
         plan=plan,
-        points=list(points),
-        computed=len(computed_indices),
-        cache_hits=n_points - len(computed_indices),
-        spends=ordered_spends,
-    )
-
-
-def _run_family(
-    plan: SweepPlan,
-    session,
-    *,
-    executor,
-    store: ResultStore | None,
-    resume: bool,
-    merge_spend: bool,
-) -> SweepOutcome:
-    """The ``fused="family"`` body of :func:`run_plan`.
-
-    Fusable points evaluate family-at-a-time through
-    :func:`evaluate_fused_family` — one unit draw per whole α×ε grid of
-    a mechanism; leftover points run the ordinary per-point path under
-    their ordinary keys.  Resume is *member-precise*: the family's unit
-    draw depends only on the family seed, never on which members get
-    reduced, so a resumed family recomputes exactly its missing members
-    and reproduces the original run's values bit-for-bit — unlike the
-    ε-group path, cached members cost no redundant kernel work at all.
-    """
-    families, leftover = fused_families(plan)
-    n_points = len(plan.points)
-    points: list[SeriesPoint | None] = [None] * n_points
-    spends: dict[int, LedgerEntry] = {}
-
-    # -- leftover (non-fusable) points: the ordinary per-point path ----
-    missing_leftover = list(leftover)
-    if store is not None and resume:
-        missing_leftover = []
-        for index in leftover:
-            spec = plan.points[index]
-            payload = store.get(spec.key(plan.fingerprint))
-            if payload is not None and "point" in payload:
-                points[index] = decode_point(payload["point"])
-            else:
-                missing_leftover.append(index)
-
-    # -- families: resume member-by-member, recompute only the missing -
-    pending: list[tuple[FusedFamily, tuple[bool, ...]]] = []
-    if store is not None and resume:
-        for family in families:
-            evaluate = []
-            for index in family.indices:
-                spec = plan.points[index]
-                payload = store.get(family.member_key(spec, plan.fingerprint))
-                if payload is not None and "point" in payload:
-                    points[index] = decode_point(payload["point"])
-                    evaluate.append(False)
-                else:
-                    evaluate.append(True)
-            if any(evaluate):
-                pending.append((family, tuple(evaluate)))
-    else:
-        pending = [
-            (family, (True,) * len(family.indices)) for family in families
-        ]
-
-    computed_indices: set[int] = set(missing_leftover)
-    results: dict[int, tuple[SeriesPoint, LedgerEntry | None, FusedFamily | None]] = {}
-
-    if missing_leftover:
-        outcomes = _executor_map(
-            executor,
-            evaluate_point_spec,
-            session,
-            [plan.points[i] for i in missing_leftover],
-        )
-        for index, (point, spend) in zip(missing_leftover, outcomes):
-            results[index] = (point, spend, None)
-
-    if pending:
-        family_outcomes = _executor_map(
-            executor, evaluate_fused_family, session, pending
-        )
-        for (family, evaluate), (family_points, family_spends) in zip(
-            pending, family_outcomes
-        ):
-            for index, do_eval, point, spend in zip(
-                family.indices, evaluate, family_points, family_spends
-            ):
-                if not do_eval:
-                    continue  # cached member: stored value already placed
-                results[index] = (point, spend, family)
-                computed_indices.add(index)
-
-    # Plan-order walk: record each newly computed point's spend before
-    # persisting it, exactly like the unfused path.
-    for index in sorted(results):
-        point, spend, family = results[index]
-        points[index] = point
-        if spend is not None:
-            spends[index] = spend
-            if merge_spend:
-                session.ledger.record(spend)
-        if store is not None:
-            spec = plan.points[index]
-            if family is None:
-                key = spec.key(plan.fingerprint)
-                content = spec.content(plan.fingerprint)
-            else:
-                key = family.member_key(spec, plan.fingerprint)
-                content = family.member_content(spec, plan.fingerprint)
-            _store_point(store, key, content, point, spend)
-
-    ordered_spends = [spends[i] for i in sorted(spends)]
-    return SweepOutcome(
-        plan=plan,
-        points=list(points),
-        computed=len(computed_indices),
-        cache_hits=n_points - len(computed_indices),
-        spends=ordered_spends,
+        points=points,
+        computed=computed,
+        cache_hits=len(points) - computed,
+        spends=[spends[index] for index in sorted(spends)],
     )

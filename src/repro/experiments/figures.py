@@ -17,7 +17,12 @@ things the old per-point loop could not do:
 - **exact accounting** — the spend records of all computed feasible
   points merge into the session's privacy ledger in plan order (the
   figure's total draw-down equals the Sec-4 composition cost of its
-  grid, as before); cached points debit nothing.
+  grid, as before); cached points debit nothing;
+- **fusion** — pass ``fused=True`` (or ``"family"``) to draw one unit
+  noise matrix per mechanism family through
+  :meth:`repro.api.ReleaseSession.evaluate_family_outcome` instead of
+  one per point: statistically equivalent values, a different RNG
+  stream, and family member keys in the store.
 """
 
 from __future__ import annotations
@@ -58,11 +63,12 @@ def run_figure(
     ``config`` overrides the grids/trial count (defaults to the
     session's); the snapshot fingerprint and seed base always come from
     the *session*, whose data the points are actually computed on.
-    ``fused=True`` (or ``"group"``) shares one unit-noise draw per
-    (mechanism, α) group; ``fused="family"`` shares one draw per
+    ``fused=True`` (or ``"family"``) shares one unit-noise draw per
     mechanism's whole α×ε grid (statistically equivalent, different RNG
     streams, distinct result keys); the default reproduces the
-    historical figures bit-for-bit.
+    historical figures bit-for-bit.  ``claim=True`` drains the figure
+    cooperatively with other processes sharing ``store``, on either
+    path.
     """
     config = config or session.config
     plan = figure_plan(

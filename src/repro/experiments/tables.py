@@ -11,17 +11,21 @@ Table 3 is not in the paper: it is an empirical per-mechanism accuracy
 summary of the Workload-1 marginal on one snapshot, produced through the
 :class:`repro.api.ReleaseSession` facade (one shared snapshot, the
 batched trial engine, and ledger accounting) so the ``tables`` CLI
-exercises the same path as ``figures``.
+exercises the same path as ``figures``.  With ``--fused`` its rows come
+from one unit-noise family draw per mechanism, both metrics from the
+same draw, like a fused figure sweep.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
 from repro.core.definitions import table1_rows
 from repro.core.params import min_epsilon
 from repro.experiments.workloads import WORKLOAD_1
-from repro.util import format_table
+from repro.util import derive_seed, format_table
 
 # The paper's published Table 2 entries: (delta, alpha) -> epsilon.
 PAPER_TABLE2: dict[tuple[float, float], float] = {
@@ -90,13 +94,14 @@ TABLE3_DELTA: float = 0.05
 
 
 def _table3_row_key(
-    fingerprint: str, request: ReleaseRequest, fused: dict | None = None
+    fingerprint: str, request: ReleaseRequest, family: dict | None = None
 ) -> str:
     """Content-address of one Table-3 row for the result store.
 
-    ``fused`` carries the fused-evaluation token (group seed + the
-    group's ε tuple): fused rows come from a different noise stream than
-    per-request rows, so their cache keys must never collide.
+    ``family`` carries the fused-evaluation token (family seed + the
+    family's (α, ε) members): fused rows come from a different noise
+    stream than per-request rows, so their cache keys must never
+    collide.
     """
     from repro.engine.store import content_key
 
@@ -112,8 +117,8 @@ def _table3_row_key(
         "n_trials": request.n_trials,
         "seed": request.seed,
     }
-    if fused is not None:
-        payload["fused"] = fused
+    if family is not None:
+        payload["family"] = family
     return content_key(payload)
 
 
@@ -127,69 +132,71 @@ def _table3_rows_fused(
     store,
     resume: bool,
 ) -> list[dict]:
-    """Fill the pending Table-3 rows group-at-a-time with shared draws.
+    """Fill the pending Table-3 rows family-at-a-time with shared draws.
 
-    One (mechanism, α) group shares one unit-noise draw serving *both*
-    metrics of every ε row (L1 ratio and Spearman reduce from the same
-    noisy matrices), debiting once per feasible row — the same composed
-    budget the per-request path debits.  A group recomputes whenever any
-    of its rows is missing from the store; cached rows keep their stored
-    values and debit nothing.
+    One mechanism's feasible rows share one unit-noise draw serving
+    *both* metrics of every (α, ε) row (L1 ratio and Spearman reduce
+    from the same noisy matrices), debiting once per feasible row — the
+    same spend, under the same label, the per-request path debits.
+    Resume is member-precise: cached rows keep their stored values and
+    debit nothing, and only the missing rows reduce from the draw.
     """
-    from repro.util import derive_seed
-
-    groups: dict[tuple, list[int]] = {}
+    families: dict[str, list[int]] = {}
     for index, request in enumerate(requests):
-        if rows[index] is not None and not rows[index]["feasible"]:
-            continue  # prefiltered infeasible rows need no draw
-        groups.setdefault((request.mechanism, request.alpha), []).append(index)
+        if rows[index] is None:  # prefiltered infeasible rows need no draw
+            families.setdefault(request.mechanism, []).append(index)
 
-    for (mechanism, alpha), indices in groups.items():
-        epsilons = [requests[i].epsilon for i in indices]
-        group_seed = derive_seed(
-            session.config.seed, f"table3-fused:{mechanism}:{alpha}"
+    for mechanism, indices in families.items():
+        members = [(requests[i].alpha, requests[i].epsilon) for i in indices]
+        family_seed = derive_seed(
+            session.config.seed, f"table3-family:{mechanism}"
         )
-        token = {"group_seed": group_seed, "epsilons": list(epsilons)}
-        cached: set[int] = set()
+        token = {
+            "family_seed": family_seed,
+            "members": [list(member) for member in members],
+        }
+        keys = [
+            _table3_row_key(fingerprint, requests[i], family=token)
+            for i in indices
+        ]
+        evaluate = [True] * len(indices)
         if store is not None and resume:
-            for i in indices:
-                payload = store.get(
-                    _table3_row_key(fingerprint, requests[i], fused=token)
-                )
+            for pos, (i, key) in enumerate(zip(indices, keys)):
+                payload = store.get(key)
                 if payload is not None and "row" in payload:
                     rows[i] = payload["row"]
-                    cached.add(i)
-        if len(cached) == len(indices):
+                    evaluate[pos] = False
+        if not any(evaluate):
             continue
-        values, spends = session.evaluate_fused_outcome(
+        values, spends = session.evaluate_family_outcome(
             WORKLOAD_1,
             mechanism,
-            alpha=alpha,
+            members=members,
             delta=delta,
-            epsilons=epsilons,
             metrics=("l1-ratio", "spearman"),
             n_trials=n_trials,
-            seed=group_seed,
+            seed=family_seed,
+            evaluate=evaluate,
         )
-        for pos, i in enumerate(indices):
-            if i in cached:
+        for pos, (i, key) in enumerate(zip(indices, keys)):
+            if not evaluate[pos]:
                 continue
+            l1_point = values["l1-ratio"][pos]
             row = {
                 "mechanism": mechanism,
-                "alpha": alpha,
+                "alpha": requests[i].alpha,
                 "epsilon": requests[i].epsilon,
-                "feasible": values["l1-ratio"][pos].feasible,
-                "l1_ratio": values["l1-ratio"][pos].overall,
+                "feasible": l1_point.feasible,
+                "l1_ratio": l1_point.overall,
                 "spearman": values["spearman"][pos].overall,
             }
             rows[i] = row
             if spends[pos] is not None:
-                session.ledger.record(spends[pos])
-            if store is not None:
-                store.put(
-                    _table3_row_key(fingerprint, requests[i], fused=token),
-                    {"row": row},
+                session.ledger.record(
+                    replace(spends[pos], label=requests[i].ledger_label)
                 )
+            if store is not None:
+                store.put(key, {"row": row})
     return rows
 
 
@@ -219,18 +226,19 @@ def table3_rows(
     content hash and ``resume=True`` replays completed rows without
     touching the data (cache hits debit nothing).
 
-    ``fused`` (any truthy mode — the sweep engine's ``"family"`` mode
-    included) evaluates each (mechanism, α) group's ε rows from one
-    shared unit-noise draw (both metrics from the same matrices) instead
-    of one release per row — statistically equivalent, different RNG
-    streams, distinct cache keys; the default path is unchanged.  Table
-    3 rows need both metrics per point, so the table always fuses at
-    group granularity.
+    ``fused=True`` (or ``"family"``, as for the sweep engine) evaluates
+    each mechanism's (α, ε) rows from one shared unit-noise draw (both
+    metrics from the same matrices) instead of one release per row —
+    statistically equivalent, different RNG streams, distinct cache
+    keys; the default path is unchanged.
     """
+    from repro.engine.evaluate import mechanism_is_feasible
+    from repro.engine.sweep import _normalize_fused
+    from repro.experiments.config import MECHANISM_NAMES
+
+    fused = _normalize_fused(fused)
     if n_trials is None:
         n_trials = session.config.n_trials
-    from repro.engine.evaluate import mechanism_is_feasible
-    from repro.experiments.config import MECHANISM_NAMES
 
     requests = ReleaseRequest.grid(
         WORKLOAD_1.attrs,
@@ -259,7 +267,7 @@ def table3_rows(
             }
             continue
         if fused:
-            continue  # fused grouping handles resume per member key
+            continue  # the family path resumes per member key
         if store is not None and resume:
             payload = store.get(_table3_row_key(fingerprint, request))
             if payload is not None and "row" in payload:

@@ -33,6 +33,7 @@ compute time and the fleet's clock skew.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import socket
@@ -99,17 +100,21 @@ class Lease:
         An unreadable lease means a writer died mid-put or the file was
         corrupted; either way the safe reading is "stale" — a waiting
         drain takes over and, at worst, duplicates work the safety net
-        already tolerates.
+        already tolerates.  A lease with a non-finite stamp or TTL could
+        never expire, so it reads as garbage too.
         """
         try:
             payload = json.loads(raw.decode("utf-8"))
-            return cls(
+            lease = cls(
                 owner=str(payload["owner"]),
                 acquired_at=float(payload["acquired_at"]),
                 ttl_s=float(payload["ttl_s"]),
             )
         except (ValueError, KeyError, TypeError, UnicodeDecodeError):
             return None
+        if not (math.isfinite(lease.acquired_at) and math.isfinite(lease.ttl_s)):
+            return None
+        return lease
 
 
 class ClaimBoard:
@@ -131,6 +136,13 @@ class ClaimBoard:
         self.backend = backend
         self.owner = owner if owner is not None else default_owner()
         self.ttl_s = DEFAULT_LEASE_TTL_S if ttl_s is None else float(ttl_s)
+        # A NaN or infinite TTL never expires (a crashed owner would
+        # stall every rival forever); zero or negative always has (every
+        # rival takes over at once and duplicates the work).
+        if not (math.isfinite(self.ttl_s) and self.ttl_s > 0):
+            raise ValueError(
+                f"lease ttl_s must be a finite number > 0, got {ttl_s!r}"
+            )
         self.prefix = prefix.strip("/")
         self._held: set[str] = set()
 

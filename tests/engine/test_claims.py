@@ -9,6 +9,9 @@ The acceptance gates of the claim-based scheduler:
   stores' write counters);
 - a lease whose owner crashed **expires** and is taken over, so a dead
   drain never wedges the fleet;
+- all of the above hold for fused family drains too, whose lease is
+  the family's first member key and whose takeover computes only the
+  members still missing;
 - a SIGKILL'd process-pool worker mid-plan does not abort the run: the
   crashed task is retried exactly once and the outcome stays
   bit-identical.
@@ -22,7 +25,7 @@ import time
 import pytest
 
 from repro.engine.executors import ProcessExecutor, SerialExecutor
-from repro.engine.plan import figure_plan
+from repro.engine.plan import figure_plan, fused_families
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
@@ -55,42 +58,57 @@ def serial_outcome(figure1_plan, session):
     )
 
 
+@pytest.fixture(scope="module")
+def family_outcome(figure1_plan, session):
+    return run_plan(figure1_plan, session, fused="family", merge_spend=False)
+
+
+# A claimed drain must reproduce the claimless run of its own path:
+# (fused, fixture holding that claimless outcome).
+PATHS = [(False, "serial_outcome"), ("family", "family_outcome")]
+
+
 class TestClaimValidation:
     def test_claim_requires_a_store(self, figure1_plan, session):
         with pytest.raises(ValueError, match="requires a result store"):
             run_plan(figure1_plan, session, claim=True)
 
-    @pytest.mark.parametrize("fused", [True, "group", "family"])
-    def test_claim_excludes_fused_modes(
-        self, figure1_plan, session, tmp_path, fused
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_claim_ttl_must_be_finite_and_positive(
+        self, figure1_plan, session, tmp_path, ttl
     ):
-        with pytest.raises(ValueError, match="per-point path"):
+        """A TTL that never expires would stall rivals of a crashed
+        drain forever; one that always has would duplicate work."""
+        with pytest.raises(ValueError, match="ttl_s"):
             run_plan(
                 figure1_plan,
                 session,
                 store=ResultStore(tmp_path),
                 claim=True,
-                fused=fused,
+                claim_ttl_s=ttl,
             )
 
 
 class TestClaimedDrainEquivalence:
+    @pytest.mark.parametrize("fused, reference", PATHS)
     def test_bit_identical_to_claimless(
-        self, figure1_plan, session, serial_outcome, tmp_path
+        self, figure1_plan, session, tmp_path, request, fused, reference
     ):
+        claimless = request.getfixturevalue(reference)
         store = ResultStore(tmp_path / "cache")
         outcome = run_plan(
             figure1_plan,
             session,
             store=store,
+            fused=fused,
             claim=True,
             claim_poll_s=0.02,
             merge_spend=False,
         )
         assert outcome.computed == len(figure1_plan)
         assert outcome.cache_hits == 0
-        assert_series_identical(serial_outcome.points, outcome.points)
-        assert outcome.spends == serial_outcome.spends
+        assert_series_identical(claimless.points, outcome.points)
+        assert outcome.spends == claimless.spends
         # Every lease released: claims coordinate, they never linger.
         assert lease_files(store) == []
         assert len(store) == len(figure1_plan)
@@ -121,10 +139,13 @@ class TestClaimedDrainEquivalence:
 
 
 class TestConcurrentDrains:
+    @pytest.mark.parametrize("fused, reference", PATHS)
     def test_two_drains_compute_each_point_exactly_once(
-        self, figure1_plan, session, serial_outcome, tmp_path
+        self, figure1_plan, session, tmp_path, request, fused, reference
     ):
-        """The zero-duplicate gate: N drains partition the grid."""
+        """The zero-duplicate gate: N drains partition the grid, point
+        by point or family by family."""
+        claimless = request.getfixturevalue(reference)
         root = tmp_path / "shared"
         stores = [ResultStore(root), ResultStore(root)]
         outcomes: dict[int, object] = {}
@@ -138,6 +159,7 @@ class TestConcurrentDrains:
                     figure1_plan,
                     session,
                     store=stores[slot],
+                    fused=fused,
                     claim=True,
                     claim_poll_s=0.02,
                     merge_spend=False,
@@ -161,8 +183,8 @@ class TestConcurrentDrains:
         assert a.cache_hits == n_points - a.computed
         assert b.cache_hits == n_points - b.computed
         # Both drains observed the complete, bit-identical series.
-        assert_series_identical(serial_outcome.points, a.points)
-        assert_series_identical(serial_outcome.points, b.points)
+        assert_series_identical(claimless.points, a.points)
+        assert_series_identical(claimless.points, b.points)
         assert lease_files(stores[0]) == []
 
     def test_expired_lease_is_taken_over(
@@ -186,6 +208,49 @@ class TestConcurrentDrains:
         assert outcome.computed == len(figure1_plan)
         assert_series_identical(serial_outcome.points, outcome.points)
         assert lease_files(store) == []
+
+    def test_expired_family_lease_taken_over_for_missing_members(
+        self, figure1_plan, session, family_outcome, tmp_path
+    ):
+        """Half a family is stored and a crashed drain's lease sits on
+        its first member: the drain takes the lease over and computes
+        only the missing members, bit-identical to the full run."""
+        reference = ResultStore(tmp_path / "reference")
+        run_plan(
+            figure1_plan,
+            session,
+            store=reference,
+            fused="family",
+            merge_spend=False,
+        )
+        family = fused_families(figure1_plan)[0][0]
+        keys = [
+            family.member_key(figure1_plan.points[i], figure1_plan.fingerprint)
+            for i in family.indices
+        ]
+        stored = keys[: len(keys) // 2]
+        assert stored
+        shared = ResultStore(tmp_path / "shared")
+        for key in stored:
+            shared.put(key, reference.get(key))
+        crashed = shared.claim_board(owner="crashed-drain", ttl_s=0.05)
+        assert crashed.try_claim(keys[0])
+        time.sleep(0.1)
+        drain_store = ResultStore(tmp_path / "shared")
+        outcome = run_plan(
+            figure1_plan,
+            session,
+            store=drain_store,
+            fused="family",
+            claim=True,
+            claim_poll_s=0.02,
+            merge_spend=False,
+        )
+        assert outcome.computed == len(figure1_plan) - len(stored)
+        assert outcome.cache_hits == len(stored)
+        assert drain_store.writes == len(figure1_plan) - len(stored)
+        assert_series_identical(family_outcome.points, outcome.points)
+        assert lease_files(shared) == []
 
     def test_foreign_claim_is_deferred_then_adopted(
         self, figure1_plan, session, serial_outcome, tmp_path

@@ -1,20 +1,20 @@
-"""Tests for the family-fused path (PR 9): one unit-noise draw per
-mechanism's whole α×ε sub-grid (``run_plan(fused="family")``).
+"""Tests for the family-fused path: one unit-noise draw per mechanism's
+whole α×ε sub-grid (``run_plan(fused="family")``, also what
+``fused=True`` means).
 
 The family path rides the same content-addressed store and ledger
-machinery as the ε-only groups from :mod:`tests.engine.test_fused`, so
-these tests focus on what the α axis adds: the shared envelope cache,
-three-way key disjointness (default / ``fused`` / ``family``),
-member-precise resume, ``--trials-batch`` chunking of the family draw,
-and the per-worker profile breakdown that ships back from process
-pools.
+machinery as the default path, so these tests focus on what sharing the
+draw adds: the shared envelope cache, two-way key disjointness (default
+/ ``family``), member-precise resume, ``--trials-batch`` chunking of the
+family draw, and the per-worker profile breakdown that ships back from
+process pools.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.evaluate import fused_family_points
-from repro.engine.plan import fused_families, fused_groups, grid_plan
+from repro.engine.plan import fused_families, grid_plan, work_units
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
@@ -155,17 +155,16 @@ class TestFamilyPlanning:
 
 
 class TestFamilyEquivalence:
-    """One draw per α×ε family is a different RNG stream from both the
-    unfused and the ε-group paths, but all three must agree
-    statistically at 400 trials."""
+    """One draw per α×ε family is a different RNG stream from the
+    unfused path, but the two must agree statistically at 400 trials."""
 
     @pytest.fixture(scope="class")
     def paths(self, session):
         plan = family_plan(session)
         unfused = run_plan(plan, session, merge_spend=False)
-        grouped = run_plan(plan, session, merge_spend=False, fused=True)
+        bare = run_plan(plan, session, merge_spend=False, fused=True)
         family = run_plan(plan, session, merge_spend=False, fused="family")
-        return unfused, grouped, family
+        return unfused, bare, family
 
     def test_overall_within_tolerance(self, paths):
         unfused, _, family = paths
@@ -189,13 +188,14 @@ class TestFamilyEquivalence:
                     pu.mechanism, pu.alpha, pu.epsilon,
                 )
 
-    def test_family_agrees_with_group_path(self, paths):
-        _, grouped, family = paths
-        for pg, pf in zip(grouped.points, family.points):
-            assert pf.feasible == pg.feasible
-            if not pg.feasible:
-                continue
-            assert abs(pf.overall - pg.overall) / pg.overall < 0.06
+    def test_bare_fused_runs_families(self, paths):
+        _, bare, family = paths
+        for a, b in zip(bare.points, family.points):
+            assert points_identical(a, b)
+
+    def test_group_mode_is_gone(self, session):
+        with pytest.raises(ValueError, match="fused must be"):
+            run_plan(family_plan(session, n_trials=2), session, fused="group")
 
     def test_family_is_deterministic(self, session, paths):
         _, _, family = paths
@@ -204,17 +204,13 @@ class TestFamilyEquivalence:
         for a, b in zip(family.points, again.points):
             assert points_identical(a, b)
 
-    def test_family_differs_from_other_streams(self, paths):
+    def test_family_differs_from_unfused_stream(self, paths):
         """Sanity: the family stream really is its own draw (silent
-        fallback to either other path would pass the tolerances)."""
-        unfused, grouped, family = paths
+        fallback to the per-point path would pass the tolerances)."""
+        unfused, _, family = paths
         assert any(
             pu.feasible and pf.overall != pu.overall
             for pu, pf in zip(unfused.points, family.points)
-        )
-        assert any(
-            pg.feasible and pf.overall != pg.overall
-            for pg, pf in zip(grouped.points, family.points)
         )
 
     def test_family_spends_match_unfused(self, paths):
@@ -255,38 +251,44 @@ class TestFamilyAnalytic:
 
 
 class TestFamilyStore:
-    """The three cache prefixes — default, ``fused`` group, ``family``
-    — are pairwise disjoint, and family resume is member-precise."""
+    """The two cache key spaces — default and ``family`` — are
+    disjoint, and family resume is member-precise."""
 
-    def test_three_way_key_disjointness(self, session):
+    def test_two_way_key_disjointness(self, session):
         plan = family_plan(session, n_trials=2)
-        groups, g_left = fused_groups(plan)
-        families, f_left = fused_families(plan)
-        assert not g_left and not f_left
+        families, leftover = fused_families(plan)
+        assert not leftover
         plain = {spec.key(plan.fingerprint) for spec in plan.points}
-        member = {
-            group.member_key(plan.points[i], plan.fingerprint)
-            for group in groups
-            for i in group.indices
-        }
         family = {
             fam.member_key(plan.points[i], plan.fingerprint)
             for fam in families
             for i in fam.indices
         }
-        assert len(plain) == len(member) == len(family) == len(plan.points)
-        assert plain.isdisjoint(member)
+        assert len(plain) == len(family) == len(plan.points)
         assert plain.isdisjoint(family)
-        assert member.isdisjoint(family)
+
+    def test_work_unit_keys_match_both_key_spaces(self, session):
+        plan = family_plan(session, n_trials=2)
+        plain = {
+            unit.member_key(plan, unit.indices[0])
+            for unit in work_units(plan)
+        }
+        assert plain == set(plan.keys())
+        families, _ = fused_families(plan)
+        fused = work_units(plan, fused=True)
+        assert [unit.family for unit in fused] == families
+        assert {
+            unit.member_key(plan, i) for unit in fused for i in unit.indices
+        } == {
+            fam.member_key(plan.points[i], plan.fingerprint)
+            for fam in families
+            for i in fam.indices
+        }
 
     def test_family_run_ignores_other_caches(self, session, tmp_path):
         plan = family_plan(session, n_trials=2)
         store = ResultStore(tmp_path)
         run_plan(plan, session, merge_spend=False, store=store, resume=True)
-        run_plan(
-            plan, session, merge_spend=False, store=store, resume=True,
-            fused=True,
-        )
         family = run_plan(
             plan,
             session,

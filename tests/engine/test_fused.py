@@ -1,5 +1,6 @@
-"""Tests for the fused-grid path: one unit-noise draw per (mechanism, α)
-group, plus the guarantee that turning the feature OFF changes nothing.
+"""Tests for the fused path (``run_plan(fused=True)``, one unit-noise draw
+per mechanism family), plus the guarantee that turning the feature OFF
+changes nothing.
 
 The golden tables below were captured at the commit that introduced
 fusion, running the *default* (unfused) path on the ENGINE_CONFIG
@@ -12,13 +13,11 @@ import math
 
 import pytest
 
-from repro.engine.evaluate import fused_grid_points
-from repro.engine.plan import figure_plan, fused_groups, grid_plan
+from repro.engine.plan import figure_plan, grid_plan
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
 from repro.experiments.tables import table3_rows
-from repro.experiments.workloads import WORKLOAD_1
 
 NAN = float("nan")
 
@@ -240,44 +239,9 @@ class TestFusedEquivalence:
         )
 
 
-class TestAnalyticReduction:
-    """For linear mechanisms the fused L1 path reduces analytically from
-    unit |Z| column sums.  Requesting spearman as well forces the generic
-    per-ε release path over the *same* RNG stream, so the two L1 answers
-    must agree to float-reassociation error."""
-
-    @pytest.mark.parametrize("mechanism", ["smooth-gamma", "smooth-laplace"])
-    def test_analytic_matches_generic(self, session, mechanism):
-        stats = session.statistics(WORKLOAD_1)
-        kwargs = dict(
-            alpha=0.05, delta=0.05, epsilons=[1.0, 2.0], n_trials=50, seed=99
-        )
-        analytic = fused_grid_points(stats, mechanism, **kwargs)
-        generic = fused_grid_points(
-            stats, mechanism, metrics=("l1-ratio", "spearman"), **kwargs
-        )
-        for pa, pg in zip(analytic["l1-ratio"], generic["l1-ratio"]):
-            assert pa.overall == pytest.approx(pg.overall, rel=1e-9)
-            for sa, sg in zip(pa.by_stratum, pg.by_stratum):
-                assert sa == pytest.approx(sg, rel=1e-9)
-
-
 class TestFusedStore:
-    """Fused member keys are disjoint from plain point keys: the two
-    paths never serve each other's cached values."""
-
-    def test_member_keys_disjoint_from_plain_keys(self, session):
-        plan = equivalence_plan(session, n_trials=2)
-        groups, leftover = fused_groups(plan)
-        assert not leftover  # every point in this grid is fusable
-        plain = {spec.key(plan.fingerprint) for spec in plan.points}
-        member = {
-            group.member_key(plan.points[i], plan.fingerprint)
-            for group in groups
-            for i in group.indices
-        }
-        assert len(member) == len(plan.points)
-        assert plain.isdisjoint(member)
+    """Fused (family member) keys are disjoint from plain point keys:
+    the two paths never serve each other's cached values."""
 
     def test_fused_run_ignores_unfused_cache(self, session, tmp_path):
         plan = equivalence_plan(session, n_trials=2)
@@ -314,6 +278,77 @@ class TestFusedStore:
         assert not second.spends  # cache hits debit nothing
         for a, b in zip(first.points, second.points):
             assert points_identical(a, b)
+
+
+def spend_key(entry):
+    return (entry.label, entry.mechanism, entry.epsilon, entry.delta, entry.mode)
+
+
+def new_entries(session, run):
+    """Run ``run()``; its result and the ledger entries it recorded."""
+    before = len(session.ledger.entries)
+    result = run()
+    return result, session.ledger.entries[before:]
+
+
+def same_row(a, b):
+    return a.keys() == b.keys() and all(
+        same_float(a[name], b[name]) for name in a
+    )
+
+
+class TestFusedTable3:
+    """Fused Table 3: one family draw per mechanism serves both metrics
+    of every (α, ε) row, debiting exactly what the default path debits."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, session):
+        default = new_entries(session, lambda: table3_rows(session, n_trials=2))
+        fused = new_entries(
+            session, lambda: table3_rows(session, n_trials=2, fused=True)
+        )
+        return default, fused
+
+    def test_rows_in_default_order_and_feasibility(self, runs):
+        (default, _), (fused, _) = runs
+        assert len(fused) == len(default)
+        for d, f in zip(default, fused):
+            assert (f["mechanism"], f["alpha"], f["epsilon"]) == (
+                d["mechanism"], d["alpha"], d["epsilon"],
+            )
+            assert f["feasible"] == d["feasible"]
+            if f["feasible"]:
+                assert math.isfinite(f["l1_ratio"])
+                assert math.isfinite(f["spearman"])
+
+    def test_spends_match_default(self, runs):
+        (_, default_spent), (_, fused_spent) = runs
+        assert default_spent
+        assert sorted(map(spend_key, fused_spent)) == sorted(
+            map(spend_key, default_spent)
+        )
+
+    def test_resume_replays_every_row_for_free(self, session, runs, tmp_path):
+        first = table3_rows(
+            session, n_trials=2, fused=True, store=ResultStore(tmp_path)
+        )
+        again, spent = new_entries(
+            session,
+            lambda: table3_rows(
+                session,
+                n_trials=2,
+                fused=True,
+                store=ResultStore(tmp_path),
+                resume=True,
+            ),
+        )
+        assert spent == []
+        assert all(map(same_row, first, again))
+
+    def test_fresh_runs_identical(self, session, runs):
+        _, (fused, _) = runs
+        again = table3_rows(session, n_trials=2, fused=True)
+        assert all(map(same_row, fused, again))
 
 
 class TestFusedFigures:

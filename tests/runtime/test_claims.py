@@ -42,6 +42,19 @@ class TestLease:
         assert Lease.from_json(b"[1, 2]") is None
         assert Lease.from_json(b'{"owner": "x"}') is None
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"owner": "x", "acquired_at": 1000.0, "ttl_s": NaN}',
+            b'{"owner": "x", "acquired_at": 1000.0, "ttl_s": Infinity}',
+            b'{"owner": "x", "acquired_at": NaN, "ttl_s": 60.0}',
+        ],
+    )
+    def test_never_expiring_lease_parses_to_none(self, raw):
+        """A non-finite stamp or TTL would never expire, so it reads as
+        garbage (taken over) instead of stalling rivals forever."""
+        assert Lease.from_json(raw) is None
+
     def test_expiry(self):
         lease = Lease(owner="me", acquired_at=1000.0, ttl_s=10.0)
         assert not lease.expired(now=1009.0)
@@ -100,6 +113,26 @@ class TestClaimBoard:
         b = board(backend, "b")
         assert not b.try_claim("key-1")
         holder = b.holder("key-1")
+        assert holder is not None and holder.owner == "a"
+
+    @pytest.mark.parametrize(
+        "ttl", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0]
+    )
+    def test_ttl_must_be_finite_and_positive(self, backend, ttl):
+        """NaN/inf leases never expire (a crashed owner stalls every
+        rival forever); zero/negative ones always have (every rival
+        takes over at once and duplicates the work)."""
+        with pytest.raises(ValueError, match="ttl_s"):
+            board(backend, "a", ttl_s=ttl)
+
+    def test_never_expiring_lease_file_is_taken_over(self, backend):
+        a = board(backend, "a")
+        backend.put_file(
+            a.lease_key("key-1"),
+            b'{"owner": "ghost", "acquired_at": 1000.0, "ttl_s": NaN}',
+        )
+        assert a.try_claim("key-1")
+        holder = a.holder("key-1")
         assert holder is not None and holder.owner == "a"
 
     def test_holder_of_unclaimed_key_is_none(self, backend):

@@ -57,13 +57,29 @@ class TestParser:
     def test_fused_modes(self, command):
         base = [command]
         assert build_parser().parse_args(base).fused is False
-        assert build_parser().parse_args(base + ["--fused"]).fused == "group"
+        assert build_parser().parse_args(base + ["--fused"]).fused == "family"
         assert (
             build_parser().parse_args(base + ["--fused", "family"]).fused
             == "family"
         )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(base + ["--fused", "bogus"])
+        for gone in ("group", "bogus"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(base + ["--fused", gone])
+            assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "figures"])
+    def test_claim_ttl_accepts_positive_seconds(self, command):
+        args = build_parser().parse_args([command, "--claim-ttl", "30"])
+        assert args.claim_ttl == 30.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_claim_ttl_must_be_finite_and_positive(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["sweep", "--claim", "--claim-ttl", value]
+            )
+        assert excinfo.value.code == 2
+        assert "--claim-ttl: must be a finite number" in capsys.readouterr().err
 
 
 class TestCommands:
