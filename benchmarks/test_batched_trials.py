@@ -8,6 +8,7 @@ pins its speedup over the historical per-trial engine — the
 comprehensions, reconstructed verbatim below — at n_trials = 100.
 """
 
+import math
 import time
 
 import numpy as np
@@ -58,13 +59,21 @@ def _legacy_spearman_point(stats, mechanism_name, params, n_trials, seed):
     return overall, by_stratum
 
 
-def _best_of(fn, repeats=3):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+def _best_of_pair(first, second, repeats=3):
+    """Best-of-``repeats`` seconds of two functions, timed interleaved.
+
+    Every repeat times both sides, alternating which one goes first, so
+    a slow stretch of the host lands on both sides of a ratio gate
+    instead of deciding it.
+    """
+    fns = (first, second)
+    best = [math.inf, math.inf]
+    for repeat in range(repeats):
+        for side in (0, 1) if repeat % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            fns[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 def test_batched_draw_log_laplace(benchmark, context):
@@ -145,8 +154,7 @@ def test_one_pass_reduction_speedup(benchmark, context):
     result = benchmark(one_pass)
     assert result == sliced()
 
-    one_pass_s = _best_of(one_pass, repeats=7)
-    sliced_s = _best_of(sliced, repeats=7)
+    one_pass_s, sliced_s = _best_of_pair(one_pass, sliced, repeats=7)
     speedup = sliced_s / one_pass_s
     assert speedup >= MIN_REDUCTION_SPEEDUP, (
         f"one-pass reduction only {speedup:.2f}x faster than the sliced "
@@ -160,21 +168,17 @@ def test_batched_speedup_over_loop(context, out_dir):
     rows = []
     speedups = {}
     for mechanism in MECHANISMS:
-        batched_s = _best_of(
-            lambda m=mechanism: spearman_point(stats, m, PARAMS, N_TRIALS, 7)
-        )
-        looped_s = _best_of(
+        batched_s, looped_s = _best_of_pair(
+            lambda m=mechanism: spearman_point(stats, m, PARAMS, N_TRIALS, 7),
             lambda m=mechanism: _legacy_spearman_point(
                 stats, m, PARAMS, N_TRIALS, 7
-            )
+            ),
         )
-        draw_batched_s = _best_of(
-            lambda m=mechanism: release_trials(stats, m, PARAMS, N_TRIALS, 7)
-        )
-        draw_looped_s = _best_of(
+        draw_batched_s, draw_looped_s = _best_of_pair(
+            lambda m=mechanism: release_trials(stats, m, PARAMS, N_TRIALS, 7),
             lambda m=mechanism: release_trials_looped(
                 stats, m, PARAMS, N_TRIALS, 7
-            )
+            ),
         )
         speedups[mechanism] = looped_s / batched_s
         rows.append(

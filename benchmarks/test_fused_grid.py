@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 
 from benchmarks.conftest import write_report
-from benchmarks.test_batched_trials import _best_of
+from benchmarks.test_batched_trials import _best_of_pair
 from benchmarks.test_sweep_engine import _merge_bench_json
 from repro.engine.executors import SerialExecutor
 from repro.engine.plan import figure_plan
@@ -43,13 +43,12 @@ def test_fused_grid_speedup(bench_config, context, out_dir, name):
     serial = run_plan(plan, context, executor=SerialExecutor(), merge_spend=False)
     fused = run_plan(plan, context, merge_spend=False, fused=True)
 
-    serial_s = _best_of(
+    serial_s, fused_s = _best_of_pair(
         lambda: run_plan(
             plan, context, executor=SerialExecutor(), merge_spend=False
-        )
-    )
-    fused_s = _best_of(
-        lambda: run_plan(plan, context, merge_spend=False, fused=True)
+        ),
+        lambda: run_plan(plan, context, merge_spend=False, fused=True),
+        repeats=5,
     )
     speedup = serial_s / fused_s
 

@@ -33,7 +33,7 @@ from repro.core.composition import MarginalBudget
 from repro.core.release import MarginalRelease
 from repro.engine.points import baseline_rank_stats, stratum_index_sets
 from repro.metrics.error import l1_error
-from repro.metrics.ranking import spearman_distinct_batch
+from repro.metrics.ranking import RankLayout, SetRanker
 
 
 def _json_float(value: float) -> float | None:
@@ -59,15 +59,17 @@ class EvaluationBaseline:
     first, then one set per place-population stratum (all empty when
     the marginal has no strata).  Per set, ``sdl_l1`` is the SDL
     baseline's L1 error and ``rank_stats`` its centered ranks and rank
-    sd; both are ``None`` without a baseline.  Every array is read-only,
-    so one record can be shared by every release whose mask has this
-    content.
+    sd; ``rank_layout`` lays the sets out in set order with those ranks
+    for the Spearman kernel.  All three are ``None`` without a baseline.
+    Every array is read-only, so one record can be shared by every
+    release whose mask has this content.
     """
 
     cells: np.ndarray
     index_sets: tuple[np.ndarray, ...]
     sdl_l1: tuple[float, ...] | None
     rank_stats: tuple[tuple[np.ndarray, float], ...] | None
+    rank_layout: RankLayout | None = None
 
     @classmethod
     def build(
@@ -88,11 +90,13 @@ class EvaluationBaseline:
         if sdl_noisy is None:
             return cls(cells, index_sets, None, None)
         true, sdl = true[cells], sdl_noisy[cells]
+        rank_stats = baseline_rank_stats(sdl, index_sets)
         return cls(
             cells,
             index_sets,
             tuple(l1_error(true[idx], sdl[idx]) for idx in index_sets),
-            baseline_rank_stats(sdl, index_sets),
+            rank_stats,
+            RankLayout.build(index_sets, rank_stats),
         )
 
 
@@ -199,17 +203,24 @@ class ReleaseResult:
         """Every set's metrics in one pass over the noisy trials.
 
         One gather of the evaluation cells feeds one |error| pass, whose
-        per-set row sums give the mean L1 and the L1 ratio, and one
-        Spearman call per set against the record's SDL ranks.  An
+        per-set row sums give the mean L1 and the L1 ratio.  An
         ``m[:, indices]`` gather is laid out like an ``m[:, mask]``
         slice, so each row sum adds the same values in the same order as
         slicing the marginal by that set's boolean mask; a set spanning
         every evaluation cell sums ``abs_err`` itself, which already has
         that layout.
+
+        For Spearman, one :class:`~repro.metrics.ranking.SetRanker` call
+        gathers those trials into the record's set order, block by
+        block, and ranks every set from one key build per block —
+        bit-identical, per trial and set, to the tie-averaging kernel on
+        that set's cells.
         """
         trials = self.trials()[:, evaluation.cells]
         abs_err = np.abs(trials - self.true[evaluation.cells])
         n_cells = evaluation.cells.size
+        layout = evaluation.rank_layout
+        rhos = None if layout is None else SetRanker(layout).rank_cells(trials)
         rows = []
         for j, idx in enumerate(evaluation.index_sets):
             mean_l1 = ratio = rho = float("nan")
@@ -223,13 +234,8 @@ class ReleaseResult:
                     ratio = mean_l1 / sdl_l1
                 elif mean_l1 > 0:
                     ratio = math.inf
-            if idx.size >= 2 and evaluation.rank_stats is not None:
-                values = spearman_distinct_batch(
-                    trials if whole else trials[:, idx],
-                    *evaluation.rank_stats[j],
-                )
-                if not np.all(np.isnan(values)):
-                    rho = float(np.nanmean(values))
+            if rhos is not None and not np.all(np.isnan(rhos[j])):
+                rho = float(np.nanmean(rhos[j]))
             rows.append((mean_l1, ratio, rho))
         return tuple(zip(*rows))
 

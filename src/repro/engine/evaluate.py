@@ -28,21 +28,32 @@ Two reduction strategies coexist:
   matrix per grid point and fold it chunk by chunk through
   :func:`_streamed_point_values` — one |error| pass per chunk, scattered
   into the overall + per-stratum sums through precomputed ascending index
-  sets, bit-identical to the historical per-stratum slicing.
+  sets, bit-identical to the historical per-stratum slicing; or one
+  gather of the chunk into the workload's Spearman set order, ranked
+  for the overall set and every stratum by one multi-set kernel call.
 - The **family** kernel (:func:`fused_family_points`) exploits the
   Theorem 8.4 release form ``q(x) + S(x,α)/a(ε) · Z``: the unit noise
   ``Z`` depends on neither α nor ε, so one unit matrix per (workload,
   mechanism) family serves every (α, ε) point of the grid via a scale
   multiply (linear mechanisms) or one transform pass (Log-Laplace).
+  Spearman members build their noisy rows one cache-sized block at a
+  time, in set order, straight into the multi-set kernel's buffer.
   The family stream is statistically identical but not bit-identical
   to the per-point streams, so it only runs behind
   ``run_plan(fused=True)``.
+
+Both rank through :class:`~repro.metrics.ranking.SetRanker` against
+the SDL ranks cached on
+:attr:`~repro.engine.points.WorkloadStatistics.sdl_rank_layout`; its
+values equal the tie-averaging kernel's bit for bit, so the pinned
+figures do not move.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,10 +66,7 @@ from repro.dp.truncation import TruncatedLaplace
 from repro.engine import profile
 from repro.engine.points import N_STRATA, SeriesPoint, WorkloadStatistics
 from repro.metrics.error import l1_error
-from repro.metrics.ranking import (
-    spearman_correlation_batch,
-    spearman_distinct_batch,
-)
+from repro.metrics.ranking import RankLayout, SetRanker
 from repro.util import as_generator
 
 if TYPE_CHECKING:  # annotation only; the session imports this module
@@ -204,6 +212,7 @@ def _streamed_point_values(
     metric: str,
     n_trials: int,
     index_sets: Sequence[np.ndarray],
+    layout: RankLayout | None = None,
 ) -> tuple[float, tuple[float, ...]]:
     """Reduce trial-chunk matrices to (overall, by-stratum) point values.
 
@@ -224,9 +233,17 @@ def _streamed_point_values(
     ``abs_err`` directly would shift the overall value by last-ULP
     reassociation.  Values are therefore bit-identical to the slicing
     reducer while the subtraction runs once instead of once per set.
+
+    The Spearman reduction gathers each chunk into the set order of
+    ``layout`` (the :attr:`WorkloadStatistics.sdl_rank_layout` cache,
+    required for this metric) once, block by block, and ranks the
+    overall set and every stratum through one
+    :class:`~repro.metrics.ranking.SetRanker` — bit-identical, per trial
+    and set, to the tie-averaging kernel on that set's cells.
     """
     sums = np.zeros(len(index_sets))
     counts = np.zeros(len(index_sets))
+    ranker = SetRanker(layout) if metric != "l1-ratio" else None
     if profile.active():
         chunk_iter = profile.timed_iter(chunk_iter)
     for chunk in chunk_iter:
@@ -237,13 +254,7 @@ def _streamed_point_values(
                     if idx.size:
                         sums[j] += abs_err[:, idx].sum(axis=1).sum()
             else:
-                for j, idx in enumerate(index_sets):
-                    if idx.size >= 2:
-                        values = spearman_correlation_batch(
-                            chunk[:, idx], sdl[idx]
-                        )
-                        sums[j] += np.nansum(values)
-                        counts[j] += np.count_nonzero(~np.isnan(values))
+                _fold_rhos(ranker.rank_cells(chunk), sums, counts)
     if metric == "l1-ratio":
         results = _l1_ratio_results(sums, n_trials, true, sdl, index_sets)
     else:
@@ -252,6 +263,19 @@ def _streamed_point_values(
             for j in range(len(index_sets))
         ]
     return results[0], tuple(results[1:])
+
+
+def _fold_rhos(rhos: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> None:
+    """Add one chunk's per-trial ρ, ``(n_sets, n_trials)``, to the running
+    per-set ``np.nansum`` totals and non-NaN counts.
+
+    ``np.nansum`` sums a NaN-zeroed contiguous copy, so a row without NaN
+    sums bit-identically as itself, without the copy.
+    """
+    valid = ~np.isnan(rhos)
+    counts += np.count_nonzero(valid, axis=1)
+    for j, values in enumerate(rhos):
+        sums[j] += values.sum() if valid[j].all() else np.nansum(values)
 
 
 def _infeasible_point(mechanism_name: str, params: EREEParams) -> SeriesPoint:
@@ -314,6 +338,7 @@ def spearman_point(
         "spearman",
         n_trials,
         index_sets=stats.stratum_cells,
+        layout=stats.sdl_rank_layout,
     )
     return SeriesPoint(
         mechanism=mechanism_name,
@@ -362,6 +387,7 @@ def truncated_laplace_point(
         metric,
         n_trials,
         index_sets=stats.stratum_cells,
+        layout=stats.sdl_rank_layout if metric == "spearman" else None,
     )
     return SeriesPoint(
         mechanism="truncated-laplace",
@@ -417,10 +443,17 @@ def fused_family_points(
       multiply plus a ``bincount`` scatter, the envelope coming from the
       per-α cache on ``stats`` shared by all mechanisms of the sweep.
     - Otherwise each member applies its transform to the shared unit
-      chunk; Spearman members reduce through the sorted-key ranking
-      kernel against the cached SDL rank statistics, which hands only
-      the rows it cannot rank from one value sort to the exact
-      tie-averaging kernel.
+      chunk.  Spearman members rank the overall set and every stratum
+      through one :class:`~repro.metrics.ranking.SetRanker` per family,
+      in the workload's cached set order
+      (:attr:`WorkloadStatistics.sdl_rank_layout`): each chunk's unit
+      matrix is permuted into that order once, and a member builds its
+      noisy rows one cache-sized block at a time, straight into the
+      ranker's buffer, so no member ever holds a full trials×cells noisy
+      matrix (``--profile`` counts that build under ``reduce``).  When
+      the L1 ratio is also asked for (Table 3's fused rows), the
+      member's full chunk is built in cell order for the L1 column sums
+      and the ranker gathers its blocks from it.
 
     ``evaluate`` masks which members to reduce (a resumed family
     recomputes only its missing members).  The unit draw never depends
@@ -527,24 +560,51 @@ def fused_family_points(
             )
         return results
 
-    rank_stats = stats.sdl_rank_stats if "spearman" in metrics else None
+    layout = stats.sdl_rank_layout if "spearman" in metrics else None
+    # Spearman members rank in the layout's set order, all through one
+    # ranker and its scratch.  Alone, they build their noisy rows block
+    # by block from a permuted unit chunk, straight into the ranker's
+    # cache-sized buffer; next to the L1 ratio, whose full-chunk column
+    # sums pin the goldens' summation order, the ranker gathers its
+    # blocks from that chunk instead.
+    blockwise = layout is not None and "l1-ratio" not in metrics
+    ranker = SetRanker(layout) if layout is not None else None
+    xv = xv if spec.needs_xv else None
+    if blockwise:
+        order = layout.order
+        true_set = true[order]
+        xv_set = None if xv is None else xv[order]
+        scales_set = [
+            None if scale is None else scale[order]
+            for _, _, scale in per_member
+        ]
     sums = np.zeros((len(per_member), len(metrics), n_sets))
     counts = np.zeros((len(per_member), len(metrics), n_sets))
     for chunk in _trial_chunks(n_trials, batch_size):
         with profile.stage("draw"):
             unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
+        if blockwise:
+            with profile.stage("reduce"):
+                unit = np.take(unit, order, axis=1)
         for e, (do_eval, (params, mechanism, scale)) in enumerate(
             zip(evaluate, per_member)
         ):
             if not do_eval or mechanism is None:
                 continue
-            with profile.stage("draw"):
-                if scale is not None:
-                    noisy = true + scale * unit
-                elif spec.needs_xv:
-                    noisy = mechanism.release_counts_from_unit(true, xv, unit)
-                else:
-                    noisy = mechanism.release_counts_from_unit(true, unit)
+            if blockwise:
+                rows = partial(
+                    _rows_from_unit,
+                    mechanism,
+                    scales_set[e],
+                    true_set,
+                    xv_set,
+                    unit,
+                )
+            else:
+                with profile.stage("draw"):
+                    noisy = _release_from_unit(
+                        mechanism, scale, true, xv, unit
+                    )
             with profile.stage("reduce"):
                 for m, metric in enumerate(metrics):
                     if metric == "l1-ratio":
@@ -554,13 +614,12 @@ def fused_family_points(
                             strata, weights=cell_tot, minlength=N_STRATA
                         )
                         continue
-                    _reduce_spearman_family(
-                        noisy,
-                        index_sets,
-                        rank_stats,
-                        sums[e, m],
-                        counts[e, m],
+                    rhos = (
+                        ranker.rank(chunk, rows)
+                        if blockwise
+                        else ranker.rank_cells(noisy)
                     )
+                    _fold_rhos(rhos, sums[e, m], counts[e, m])
 
     for do_eval, (e, (params, mechanism, scale)) in zip(
         evaluate, enumerate(per_member)
@@ -587,25 +646,22 @@ def fused_family_points(
     return results
 
 
-def _reduce_spearman_family(
-    noisy: np.ndarray,
-    index_sets,
-    rank_stats,
-    sums: np.ndarray,
-    counts: np.ndarray,
-) -> None:
-    """Fold one member-chunk's Spearman statistics into running sums.
+def _release_from_unit(mechanism, scale, true, xv, unit, out=None):
+    """A family member's noisy rows from unit-noise rows.
 
-    Every index set ranks through the sorted-key kernel against the
-    cached SDL rank statistics; rows it cannot rank from one value sort
-    (ties, ±inf, NaN) fall back to the tie-averaging kernel inside it,
-    so each row's ρ is the exact tie-averaging value.
+    ``true + scale · unit`` for linear mechanisms, written into ``out``
+    when given; otherwise the mechanism's own transform, with ``xv``
+    ``None`` unless the mechanism needs it.  Every operation is
+    per-cell, so permuting the cells of all inputs permutes the output.
     """
-    n_cells = noisy.shape[1]
-    for j, idx in enumerate(index_sets):
-        if idx.size < 2:
-            continue
-        sub = noisy if idx.size == n_cells else noisy[:, idx]
-        values = spearman_distinct_batch(sub, *rank_stats[j])
-        sums[j] += np.nansum(values)
-        counts[j] += np.count_nonzero(~np.isnan(values))
+    if scale is not None:
+        return np.add(np.multiply(unit, scale, out=out), true, out=out)
+    if xv is None:
+        return mechanism.release_counts_from_unit(true, unit)
+    return mechanism.release_counts_from_unit(true, xv, unit)
+
+
+def _rows_from_unit(mechanism, scale, true, xv, unit, start, stop, out):
+    """:meth:`SetRanker.rank` fill: a member's rows from set-order units."""
+    rows = unit[start:stop]
+    return _release_from_unit(mechanism, scale, true, xv, rows, out)

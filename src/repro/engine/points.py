@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.metrics.ranking import centered_rank_stats
+from repro.metrics.ranking import RankLayout, centered_rank_stats
 from repro.metrics.strata import STRATUM_LABELS
 
 if TYPE_CHECKING:  # annotation-only: neither layer is imported at runtime
@@ -158,11 +158,23 @@ class WorkloadStatistics:
         Aligned with :attr:`stratum_cells` (overall first, then one entry
         per stratum).  Spearman points compare every noisy ordering
         against the *same* SDL ordering, so ranking the baseline is
-        trial- and mechanism-invariant — the fused-family reducer reads
-        these instead of re-ranking the SDL answers per (mechanism, α,
-        ε, chunk).
+        trial- and mechanism-invariant — :attr:`sdl_rank_layout` permutes
+        them into set order once, instead of re-ranking the SDL answers
+        per (mechanism, α, ε, chunk).
         """
         return baseline_rank_stats(self.eval_sdl, self.stratum_cells)
+
+    @cached_property
+    def sdl_rank_layout(self) -> RankLayout:
+        """:attr:`stratum_cells` in set order, with :attr:`sdl_rank_stats`.
+
+        Built once, read-only: every Spearman reduction over this
+        workload — family members and per-point chunks alike — gathers
+        its rows into this order once and ranks the overall set and
+        every stratum from one key build per row block
+        (:class:`~repro.metrics.ranking.SetRanker`).
+        """
+        return RankLayout.build(self.stratum_cells, self.sdl_rank_stats)
 
     def stratum_masks(self) -> list[np.ndarray]:
         """Evaluation mask restricted to each place-population stratum."""

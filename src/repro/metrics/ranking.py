@@ -7,11 +7,25 @@ by the current SDL release's counts (Rankings 1 and 2, Figures 2 and 5).
 Implemented directly (average ranks for ties + Pearson on ranks) so the
 library has no hidden dependence on scipy for its core path; the test
 suite cross-checks against :func:`scipy.stats.spearmanr`.
+
+Two kernels compute the same values:
+
+- :func:`spearman_correlation_batch` is the exact tie-averaging kernel,
+  the reference for everything else.
+- :class:`SetRanker` is the fast multi-set kernel every sweep and
+  release result reduces through.  The paper reports ρ overall and per
+  place-size stratum, so a :class:`RankLayout` lays the evaluation
+  cells out in *set order* — each stratum one contiguous run — and the
+  kernel ranks the whole set and every stratum from one key build per
+  cache-sized block of rows.  Rows it cannot rank from sorted keys
+  (ties, ±0.0, ±inf, NaN) go through the exact kernel, so both agree
+  bit for bit.  :func:`spearman_distinct_batch` is its one-set call.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,67 +140,255 @@ def centered_rank_stats(y: np.ndarray) -> tuple[np.ndarray, float]:
     return ranks - ranks.mean(), float(ranks.std())
 
 
+# A kernel block holds about this many bytes of float64 values, so a
+# block's keys, sorted copy and gathered ranks stay in a core's L2 cache.
+BLOCK_BYTES = 1 << 19
+
+
+def block_rows(n_cells: int) -> int:
+    """Rows per :class:`SetRanker` block at ``n_cells`` columns."""
+    return max(1, BLOCK_BYTES // (8 * max(n_cells, 1)))
+
+
+@dataclass(frozen=True)
+class RankLayout:
+    """One evaluation set in *set order*, with its SDL ranks.
+
+    The set spans ``n`` cells and holds disjoint *segments* (the
+    place-population strata).  ``order`` maps set positions to cells:
+    segment ``s`` is the contiguous run ``bounds[s]:bounds[s + 1]`` in
+    ascending cell order, and cells in no segment come last.
+    ``centered`` holds the whole set's centered SDL ranks and
+    ``segment_centered`` each segment's own (zero outside every
+    segment), both permuted into set order; ``sd`` is the SDL rank sd of
+    the whole set, then of each segment.  The arrays are read-only, so
+    one layout serves every thread and every call.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    centered: np.ndarray
+    segment_centered: np.ndarray
+    sd: tuple[float, ...]
+
+    @classmethod
+    def build(cls, index_sets, rank_stats) -> "RankLayout":
+        """The layout of ``index_sets`` given their baseline rank stats.
+
+        ``index_sets[0]`` is every cell, ``0..n-1``; the rest are the
+        segments, ascending and disjoint.  ``rank_stats`` aligns with
+        ``index_sets``: each set's :func:`centered_rank_stats` in cell
+        order (an empty rank vector for a set under 2 cells).
+        """
+        n = index_sets[0].size
+        segments = index_sets[1:]
+        in_segment = np.zeros(n, dtype=bool)
+        for idx in segments:
+            in_segment[idx] = True
+        order = np.concatenate(
+            [*segments, np.flatnonzero(~in_segment)]
+        ).astype(np.int64)
+        if order.size != n:
+            raise ValueError("segments must be disjoint")
+        bounds = np.cumsum([0, *(idx.size for idx in segments)])
+        centered = np.zeros(n)
+        if n >= 2:
+            centered[:] = rank_stats[0][0][order]
+        segment_centered = np.zeros(n)
+        for s, (ranks, _) in enumerate(rank_stats[1:]):
+            if segments[s].size >= 2:
+                segment_centered[bounds[s] : bounds[s + 1]] = ranks
+        for array in (order, bounds, centered, segment_centered):
+            array.setflags(write=False)
+        return cls(
+            order,
+            bounds,
+            centered,
+            segment_centered,
+            tuple(float(sd) for _, sd in rank_stats),
+        )
+
+
+class SetRanker:
+    """Spearman ρ of row blocks against every set of one :class:`RankLayout`.
+
+    ``rank(n_rows, fill)`` returns ``(1 + n_segments, n_rows)``: the
+    whole set's ρ first, then each segment's.  Every value equals
+    :func:`spearman_correlation_batch` on that set's cells in ascending
+    cell order, bit for bit while n³ < 2⁵³ (n ≲ 2×10⁵).
+
+    Rows go through in blocks of :func:`block_rows` rows, each keyed
+    once: a value's set position replaces the low ``⌈log₂ n⌉`` bits of
+    its float64 mantissa.  One ``np.sort`` of a row's keys orders the
+    whole set, and sorting each segment of a copy in place orders every
+    segment; the low bits of the sorted keys then read each order back.
+    A row whose neighbouring sorted keys all differ in their remaining
+    value bits holds distinct values, so within every set its ranks are
+    a permutation of ``1..m``: the rank sd is ``sqrt((m²−1)/12)``
+    (rounded exactly like ``numpy.std``), and because the baseline's
+    centered ranks sum to zero, the covariance is one gather of them by
+    sorted position and one dot product with the positions.  Both this
+    and the tie-averaging kernel sum the same half-integer products
+    exactly, in whatever order.
+
+    A row where two sorted neighbours share their value bits — an exact
+    tie, ±0.0, or values that differ only in those low bits — or that
+    holds ±inf or NaN goes through :func:`spearman_correlation_batch`
+    for every set; a tie inside a segment is also a tie in the whole
+    row, so the whole-row check covers every segment.  The whole set is
+    ranked there in cell order (NaNs rank by position), and the centered
+    ranks stand in for the baseline, since ranking them reproduces the
+    baseline's average ranks exactly.  Sets under 2 cells, or whose
+    baseline ranks are constant, come back nan.
+
+    A ranker allocates its scratch blocks once and reuses them on every
+    call — a family sweep ranks all its members through one — because a
+    fresh block the allocator has returned to the OS costs a page fault
+    per 4 KiB touched.  The scratch belongs to whoever made the ranker:
+    make one per call, and never share one between threads.
+    """
+
+    def __init__(self, layout: RankLayout):
+        self.layout = layout
+        n = layout.order.size
+        bounds = layout.bounds
+        sizes = (n, *(int(b - a) for a, b in zip(bounds[:-1], bounds[1:])))
+        self.n_sets = len(sizes)
+        live = [
+            j
+            for j, size in enumerate(sizes)
+            if size >= 2 and layout.sd[j] != 0.0
+        ]
+        self.whole = bool(live) and live[0] == 0
+        self.segments = [
+            (j, int(bounds[j - 1]), int(bounds[j])) for j in live if j
+        ]
+        self.denominators = {
+            j: math.sqrt((sizes[j] * sizes[j] - 1) / 12.0) * layout.sd[j]
+            for j in live
+        }
+        self.low = (1 << (n - 1).bit_length()) - 1
+        self.columns = np.arange(n, dtype=np.int64)
+        self.positions = np.arange(1, n + 1, dtype=np.float64)
+        self.step = block_rows(n)
+        # Untouched pages cost nothing, so a full block is allocated
+        # even for callers that rank fewer rows.
+        shape = (self.step, n)
+        self.block = np.empty(shape)
+        self.keys = np.empty(shape, dtype=np.int64)
+        self.scratch = np.empty(shape)
+        self.segment_keys = np.empty(shape, dtype=np.int64)
+
+    def rank(self, n_rows: int, fill) -> np.ndarray:
+        """ρ of ``n_rows`` rows against every set.
+
+        ``fill(start, stop, out)`` returns rows ``start:stop`` in set
+        order, float64 — written into the scratch block ``out`` or taken
+        from anywhere — so a caller can build each block of noisy rows
+        just before it is ranked, while it is in cache.
+        """
+        layout, low = self.layout, self.low
+        n = layout.order.size
+        rho = np.full((self.n_sets, n_rows), np.nan)
+        if not self.denominators:
+            return rho
+        for start in range(0, n_rows, self.step):
+            stop = min(start + self.step, n_rows)
+            x = fill(start, stop, self.block[: stop - start])
+            bits = self.keys[: stop - start]
+            np.bitwise_and(x.view(np.int64), ~low, out=bits)
+            bits |= self.columns
+            if self.segments:
+                segment_bits = self.segment_keys[: stop - start]
+                np.copyto(segment_bits, bits)
+            sorted_keys = bits.view(np.float64)
+            sorted_keys.sort(axis=1)
+            # Comparing the value bits as floats makes -0.0 tie with
+            # +0.0; NaN keys sort last and -inf can only sort first.
+            gathered = self.scratch[: stop - start]
+            np.bitwise_and(bits, ~low, out=gathered.view(np.int64))
+            fallback = (gathered[:, 1:] == gathered[:, :-1]).any(axis=1)
+            ends = sorted_keys[:, [0, -1]]
+            fallback |= ~np.isfinite(ends).all(axis=1)
+            # Rank of the cell at sorted position p is p+1, so
+            # Σ_j rank_j · cy_j = Σ_p (p+1) · cy[order_p]; Σ cy = 0 makes
+            # the centering of the rank side vanish into the same dot
+            # product.  einsum, not ``@``: the sum is exact in any order,
+            # and on a 2-vCPU host OpenBLAS's threaded gemv took ~8 ms per
+            # 1500×503 family chunk against einsum's ~0.7 ms.  ``clip``
+            # only skips the bounds check: the indices are positions.
+            if self.whole:
+                bits &= low
+                np.take(layout.centered, bits, out=gathered, mode="clip")
+                covariance = np.einsum("ij,j->i", gathered, self.positions) / n
+                rho[0, start:stop] = covariance / self.denominators[0]
+            if self.segments:
+                segment_sorted = segment_bits.view(np.float64)
+                for _, a, b in self.segments:
+                    segment_sorted[:, a:b].sort(axis=1)
+                segment_bits &= low
+                ranks = layout.segment_centered
+                np.take(ranks, segment_bits, out=gathered, mode="clip")
+                for j, a, b in self.segments:
+                    positions = self.positions[: b - a]
+                    covariance = (
+                        np.einsum("ij,j->i", gathered[:, a:b], positions)
+                        / (b - a)
+                    )
+                    rho[j, start:stop] = covariance / self.denominators[j]
+            if fallback.any():
+                rows = np.flatnonzero(fallback)
+                tied = x[rows]
+                if self.whole:
+                    cells = np.empty_like(tied)
+                    cells[:, layout.order] = tied
+                    baseline = np.empty(n)
+                    baseline[layout.order] = layout.centered
+                    rho[0, start + rows] = spearman_correlation_batch(
+                        cells, baseline
+                    )
+                for j, a, b in self.segments:
+                    rho[j, start + rows] = spearman_correlation_batch(
+                        tied[:, a:b], layout.segment_centered[a:b]
+                    )
+        return rho
+
+    def rank_cells(self, x_trials: np.ndarray) -> np.ndarray:
+        """:meth:`rank` over a ``(n_trials, n)`` matrix in *cell* order.
+
+        Each block is gathered into set order inside the scratch block.
+        """
+        x_trials = np.asarray(x_trials, dtype=np.float64)
+        if x_trials.ndim != 2:
+            raise ValueError(
+                f"expected a 2-D trial matrix, got {x_trials.shape}"
+            )
+        order = self.layout.order
+        if x_trials.shape[1] != order.size:
+            raise ValueError(
+                f"shape mismatch: {x_trials.shape} vs {order.size} cells"
+            )
+        return self.rank(
+            x_trials.shape[0],
+            lambda start, stop, out: np.take(
+                x_trials[start:stop], order, axis=1, out=out, mode="clip"
+            ),
+        )
+
+
 def spearman_distinct_batch(
     x_trials: np.ndarray, centered_rank_y: np.ndarray, sd_y: float
 ) -> np.ndarray:
     """Row-wise Spearman ρ against a pre-ranked baseline, from one value sort.
 
-    Equals :func:`spearman_correlation_batch` against the baseline whose
+    The one-set call of :class:`SetRanker`: equals
+    :func:`spearman_correlation_batch` against the baseline whose
     :func:`centered_rank_stats` are ``(centered_rank_y, sd_y)``, bit for
-    bit while n³ < 2⁵³ (n ≲ 2×10⁵).  Each value's cell index replaces the
-    low ``⌈log₂ n⌉`` bits of its float64 mantissa, so one ``np.sort`` of
-    these keys orders every row and the low bits of the sorted keys read
-    the order back.  A row whose neighbouring sorted keys all differ in
-    their remaining value bits holds distinct values in that order: its
-    ranks are a permutation of ``1..n``, the rank sd is the constant
-    ``sqrt((n²−1)/12)`` (rounded exactly like ``numpy.std``), and because
-    the baseline's centered ranks sum to zero the covariance collapses to
-    a position dot product over the sorted-order gather.  Both kernels
-    then sum the same half-integer products exactly.
-
-    Rows where two neighbours share their value bits — exact ties, ±0.0,
-    or values that differ only in those low bits — and rows holding ±inf
-    or NaN go through :func:`spearman_correlation_batch` itself, row by
-    row; the centered ranks stand in for the baseline there, since
-    ranking them reproduces the baseline's average ranks exactly.
+    bit while n³ < 2⁵³.
     """
-    x_trials = np.asarray(x_trials, dtype=np.float64)
-    if x_trials.ndim != 2:
-        raise ValueError(f"expected a 2-D trial matrix, got {x_trials.shape}")
-    n_trials, n = x_trials.shape
-    if n != centered_rank_y.shape[-1]:
-        raise ValueError(
-            f"shape mismatch: {x_trials.shape} vs {centered_rank_y.shape}"
-        )
-    if n < 2 or sd_y == 0.0:
-        return np.full(n_trials, np.nan)
-    low = (1 << (n - 1).bit_length()) - 1
-    bits = x_trials.view(np.int64) & ~low
-    bits |= np.arange(n, dtype=np.int64)
-    keys = bits.view(np.float64)
-    keys.sort(axis=1)
-    # Comparing the value bits as floats makes -0.0 tie with +0.0; NaN
-    # keys sort last and -inf can only sort first.
-    value_bits = (bits & ~low).view(np.float64)
-    fallback = (value_bits[:, 1:] == value_bits[:, :-1]).any(axis=1)
-    fallback |= ~(np.isfinite(keys[:, 0]) & np.isfinite(keys[:, -1]))
-    del value_bits
-    # Rank of the cell at sorted position p is p+1, so
-    # Σ_j rank_j · cy_j = Σ_p (p+1) · cy[order_p]; Σ cy = 0 makes the
-    # centering of the rank side vanish into the same dot product.
-    # einsum, not ``@``: the sum is exact in any order, and on a 2-vCPU
-    # host OpenBLAS's threaded gemv took ~8 ms per 1500×503 family chunk
-    # against einsum's ~0.7 ms.
-    bits &= low
-    positions = np.arange(1, n + 1, dtype=np.float64)
-    covariance = np.einsum("ij,j->i", centered_rank_y[bits], positions) / n
-    sd_x = math.sqrt((n * n - 1) / 12.0)
-    rho = covariance / (sd_x * sd_y)
-    if fallback.any():
-        rho[fallback] = spearman_correlation_batch(
-            x_trials[fallback], centered_rank_y
-        )
-    return rho
+    n = centered_rank_y.shape[-1]
+    layout = RankLayout.build((np.arange(n),), ((centered_rank_y, sd_y),))
+    return SetRanker(layout).rank_cells(x_trials)[0]
 
 
 def rank_descending(values: np.ndarray) -> np.ndarray:

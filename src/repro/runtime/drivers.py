@@ -15,11 +15,13 @@ result.
   round-robin across worker processes, each of which builds its context
   **once** and streams its shard through the task function.  A worker
   that *crashes* (OOM-killed, segfaulted, ``kill -9``) does not abort
-  the run: the shards whose results never came back are resubmitted to
-  a fresh pool — bounded by ``max_shard_retries`` — and because tasks
-  are self-seeded the retried results are bit-identical to what the
-  dead worker would have produced.  Ordinary task *exceptions* are not
-  retried; they propagate (a deterministic error would just fail again).
+  the run: every shard runs in its own single-worker pool, so a crash
+  fails only the crashed shard, which is resubmitted to a fresh pool —
+  bounded by ``max_shard_retries`` — while its siblings finish
+  undisturbed.  Because tasks are self-seeded the retried results are
+  bit-identical to what the dead worker would have produced.  Ordinary
+  task *exceptions* are not retried; they propagate (a deterministic
+  error would just fail again).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import signal
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Protocol, runtime_checkable
@@ -170,15 +173,18 @@ class ProcessDriver:
     calling process, context built the same way, so callers get a
     single code path.
 
-    **Crash recovery**: a dead worker poisons the whole
+    **Crash recovery**: a dead worker poisons its whole
     :class:`~concurrent.futures.ProcessPoolExecutor`
-    (:class:`BrokenProcessPool`), so shards whose futures never
-    delivered are collected and resubmitted to a *fresh* pool.  Each
-    round of resubmission consumes one of ``max_shard_retries``; a
-    shard that dies again past the budget raises, because a task that
-    kills its worker every time is a bug, not bad luck.  Retried tasks
-    are bit-identical to their first attempt (self-seeded items,
-    content-derived seeds), so recovery is invisible in the results.
+    (:class:`BrokenProcessPool`), failing every future of that pool —
+    so each shard gets a single-worker pool of its own, and a crash
+    fails exactly the crashed shard.  Its siblings deliver normally
+    (``attempts`` stays 1 for their items); the crashed shard is
+    resubmitted to a *fresh* pool.  Each round of resubmission consumes
+    one of ``max_shard_retries``; a shard that dies again past the
+    budget raises, because a task that kills its worker every time is a
+    bug, not bad luck.  Retried tasks are bit-identical to their first
+    attempt (self-seeded items, content-derived seeds), so recovery is
+    invisible in the results.
     """
 
     name = "process"
@@ -221,23 +227,26 @@ class ProcessDriver:
                         self.stats.attempts.get(index, 0) + 1
                     )
             crashed = []
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(pending)),
-                mp_context=mp_context,
-            ) as pool:
-                submitted = [
-                    (
-                        shard,
-                        pool.submit(
-                            _run_task_shard,
-                            taskset.context.make,
-                            taskset.context.args,
-                            taskset.fn,
-                            shard,
-                        ),
+            with ExitStack() as pools:
+                # One pool per shard, so a crash breaks only its own pool.
+                # Under fork, later workers start while earlier pools'
+                # threads run; a worker touches only its own pool's queues,
+                # so it never waits on a lock those threads hold.
+                submitted = []
+                for shard in pending:
+                    pool = pools.enter_context(
+                        ProcessPoolExecutor(
+                            max_workers=1, mp_context=mp_context
+                        )
                     )
-                    for shard in pending
-                ]
+                    future = pool.submit(
+                        _run_task_shard,
+                        taskset.context.make,
+                        taskset.context.args,
+                        taskset.fn,
+                        shard,
+                    )
+                    submitted.append((shard, future))
                 for shard, future in submitted:
                     try:
                         for index, result in future.result():

@@ -1,0 +1,190 @@
+"""Family Spearman members against the per-set reducer they replaced.
+
+``fused_family_points`` ranks every Spearman member through the
+multi-set kernel: the chunk's unit matrix is permuted into set order
+once, each member builds its noisy rows block by block, and one key
+build per block ranks the overall set and all four strata.  The
+reference below is the earlier reducer, kept verbatim: it builds each
+member's full trials×cells noisy matrix and gathers, keys and sorts it
+once per index set.  Member values must agree bit for bit, including
+chunkings that split the kernel's row blocks, resumed subsets
+(``evaluate`` masks) and infeasible members.
+"""
+
+import numpy as np
+import pytest
+
+from repro.api.registry import create_mechanism, mechanism_spec
+from repro.core.params import EREEParams
+from repro.core.release import _trial_chunks
+from repro.engine.evaluate import (
+    _l1_ratio_results,
+    fused_family_points,
+    mechanism_is_feasible,
+    sample_unit_noise,
+)
+from repro.engine.points import N_STRATA, SeriesPoint, points_identical
+from repro.experiments.workloads import WORKLOAD_1, WORKLOAD_2
+from repro.metrics.ranking import block_rows, spearman_distinct_batch
+from repro.util import as_generator
+
+# (0.2, 0.5) is infeasible for both smooth mechanisms on this snapshot.
+MEMBERS = [(0.05, 0.5), (0.05, 2.0), (0.2, 0.5), (0.2, 2.0), (0.1, 1.0)]
+
+
+def _reduce_spearman_family(
+    noisy: np.ndarray,
+    index_sets,
+    rank_stats,
+    sums: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Fold one member-chunk's Spearman statistics into running sums.
+
+    Every index set ranks through the sorted-key kernel against the
+    cached SDL rank statistics; rows it cannot rank from one value sort
+    (ties, ±inf, NaN) fall back to the tie-averaging kernel inside it,
+    so each row's ρ is the exact tie-averaging value.
+    """
+    n_cells = noisy.shape[1]
+    for j, idx in enumerate(index_sets):
+        if idx.size < 2:
+            continue
+        sub = noisy if idx.size == n_cells else noisy[:, idx]
+        values = spearman_distinct_batch(sub, *rank_stats[j])
+        sums[j] += np.nansum(values)
+        counts[j] += np.count_nonzero(~np.isnan(values))
+
+
+def _reference_family(
+    stats, mechanism_name, *, members, delta, n_trials, seed, batch_size,
+    metrics, evaluate,
+):
+    """The generic family loop with one full noisy matrix per member."""
+    spec = mechanism_spec(mechanism_name)
+    true, sdl, strata = stats.eval_true, stats.eval_sdl, stats.eval_strata
+    index_sets, xv = stats.stratum_cells, stats.eval_xv
+    per_member = []
+    for alpha, epsilon in members:
+        params = EREEParams(alpha, epsilon, delta)
+        per_cell = stats.per_cell_params_of(params)
+        mechanism = (
+            create_mechanism(mechanism_name, per_cell)
+            if mechanism_is_feasible(mechanism_name, per_cell)
+            else None
+        )
+        scale = None
+        if mechanism is not None and spec.linear_unit_scale:
+            scale = stats.envelope(per_cell.alpha) / mechanism.distribution.a
+        per_member.append((params, mechanism, scale))
+    rng = as_generator(seed)
+    shape = (len(members), len(metrics), len(index_sets))
+    sums, counts = np.zeros(shape), np.zeros(shape)
+    for chunk in _trial_chunks(n_trials, batch_size):
+        unit = sample_unit_noise(spec.unit_noise, (chunk, true.size), rng)
+        for e, (params, mechanism, scale) in enumerate(per_member):
+            if not evaluate[e] or mechanism is None:
+                continue
+            if scale is not None:
+                noisy = true + scale * unit
+            elif spec.needs_xv:
+                noisy = mechanism.release_counts_from_unit(true, xv, unit)
+            else:
+                noisy = mechanism.release_counts_from_unit(true, unit)
+            for m, metric in enumerate(metrics):
+                if metric == "l1-ratio":
+                    cell_tot = np.abs(noisy - true).sum(axis=0)
+                    sums[e, m, 0] += cell_tot.sum()
+                    sums[e, m, 1:] += np.bincount(
+                        strata, weights=cell_tot, minlength=N_STRATA
+                    )
+                else:
+                    _reduce_spearman_family(
+                        noisy, index_sets, stats.sdl_rank_stats,
+                        sums[e, m], counts[e, m],
+                    )
+    results = {metric: [] for metric in metrics}
+    for e, (params, mechanism, _) in enumerate(per_member):
+        for m, metric in enumerate(metrics):
+            if not evaluate[e]:
+                results[metric].append(None)
+                continue
+            if mechanism is None:
+                results[metric].append("infeasible")
+                continue
+            if metric == "l1-ratio":
+                values = _l1_ratio_results(
+                    sums[e, m], n_trials, true, sdl, index_sets
+                )
+            else:
+                values = [
+                    float(sums[e, m, j] / counts[e, m, j])
+                    if counts[e, m, j]
+                    else float("nan")
+                    for j in range(len(index_sets))
+                ]
+            results[metric].append(
+                SeriesPoint(
+                    mechanism=mechanism_name,
+                    alpha=params.alpha,
+                    epsilon=params.epsilon,
+                    overall=values[0],
+                    by_stratum=tuple(values[1:]),
+                )
+            )
+    return results
+
+
+# (workload, n_trials, batch_size): chunks that end mid-block, one chunk
+# shorter than a block, and an unchunked draw several blocks long.
+SHAPES = [
+    (WORKLOAD_1, 1000, 500),
+    (WORKLOAD_2, 200, 130),
+    (WORKLOAD_2, 300, None),
+]
+
+
+class TestFamilySpearmanMatchesPerSetReducer:
+    @pytest.mark.parametrize(
+        "mechanism", ["smooth-laplace", "log-laplace", "smooth-gamma"]
+    )
+    @pytest.mark.parametrize(
+        "metrics", [("spearman",), ("l1-ratio", "spearman")], ids="+".join
+    )
+    @pytest.mark.parametrize(
+        "workload,n_trials,batch_size",
+        SHAPES,
+        ids=["w1-1000-by-500", "w2-200-by-130", "w2-300-unchunked"],
+    )
+    def test_member_values_bit_identical(
+        self, session, mechanism, metrics, workload, n_trials, batch_size
+    ):
+        stats = session.statistics(workload)
+        block = block_rows(stats.eval_true.size)
+        chunks = _trial_chunks(n_trials, batch_size)
+        assert any(chunk % block for chunk in chunks)
+        evaluate = [True, False, True, True, True]
+        kwargs = dict(
+            members=MEMBERS,
+            delta=0.05,
+            n_trials=n_trials,
+            seed=29,
+            batch_size=batch_size,
+            metrics=metrics,
+            evaluate=evaluate,
+        )
+        got = fused_family_points(stats, mechanism, **kwargs)
+        want = _reference_family(stats, mechanism, **kwargs)
+        assert set(got) == set(metrics)
+        for metric in metrics:
+            pairs = zip(got[metric], want[metric])
+            for e, (point, expected) in enumerate(pairs):
+                if expected is None:
+                    assert point is None
+                elif expected == "infeasible":
+                    assert not point.feasible
+                else:
+                    assert points_identical(point, expected), (metric, e)
+        if mechanism != "log-laplace":
+            infeasible = got["spearman"][2]
+            assert infeasible is not None and not infeasible.feasible

@@ -8,6 +8,8 @@ from scipy import stats
 
 from repro.metrics import rank_descending, spearman_correlation
 from repro.metrics.ranking import (
+    RankLayout,
+    SetRanker,
     average_ranks,
     centered_rank_stats,
     spearman_correlation_batch,
@@ -209,6 +211,66 @@ class TestSpearmanDistinctBatch:
         centered, sd = self._stats(np.arange(3.0))
         with pytest.raises(ValueError):
             spearman_distinct_batch(np.ones((2, 4)), centered, sd)
+
+
+class TestRankLayout:
+    """Set order: each segment contiguous and ascending, the rest last."""
+
+    @staticmethod
+    def _layout(y, strata):
+        sets = (
+            np.arange(len(strata)),
+            *(np.flatnonzero(strata == s) for s in range(3)),
+        )
+        stats = [
+            centered_rank_stats(y[idx])
+            if idx.size >= 2
+            else (np.empty(0), 0.0)
+            for idx in sets
+        ]
+        return RankLayout.build(sets, stats), sets
+
+    def test_order_bounds_and_permuted_ranks(self):
+        y = np.array([4.0, 1.0, 3.0, 9.0, 2.0, 7.0])
+        strata = np.array([1, -1, 0, 1, 0, 2])
+        layout, sets = self._layout(y, strata)
+        assert layout.order.tolist() == [2, 4, 0, 3, 5, 1]
+        assert layout.bounds.tolist() == [0, 2, 4, 5]
+        whole, _ = centered_rank_stats(y)
+        np.testing.assert_array_equal(layout.centered, whole[layout.order])
+        # Segment 2 holds one cell: no ranks, and ρ is undefined there.
+        np.testing.assert_array_equal(
+            layout.segment_centered, [0.5, -0.5, -0.5, 0.5, 0.0, 0.0]
+        )
+        assert layout.sd[3] == 0.0
+        for array in (layout.order, layout.bounds, layout.centered):
+            assert not array.flags.writeable
+
+    def test_sets_match_the_general_kernel(self):
+        rng = np.random.default_rng(22)
+        y = rng.normal(size=40)
+        strata = rng.integers(-1, 3, size=40)
+        layout, sets = self._layout(y, strata)
+        x = rng.normal(size=(9, 40))
+        x[4, 7] = x[4, 30]  # a tie: that row takes the exact kernel
+        rho = SetRanker(layout).rank_cells(x)
+        for j, idx in enumerate(sets):
+            np.testing.assert_array_equal(
+                rho[j], spearman_correlation_batch(x[:, idx], y[idx])
+            )
+
+    def test_overlapping_segments_are_refused(self):
+        sets = (np.arange(4), np.array([0, 1]), np.array([1, 2]))
+        stats = [(np.zeros(4), 1.0), (np.zeros(2), 0.5), (np.zeros(2), 0.5)]
+        with pytest.raises(ValueError, match="disjoint"):
+            RankLayout.build(sets, stats)
+
+    def test_shape_checks(self):
+        layout, _ = self._layout(np.arange(5.0), np.zeros(5, dtype=int))
+        with pytest.raises(ValueError):
+            SetRanker(layout).rank_cells(np.ones(5))
+        with pytest.raises(ValueError):
+            SetRanker(layout).rank_cells(np.ones((2, 4)))
 
 
 class TestCenteredRankStats:

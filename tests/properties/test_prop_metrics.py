@@ -12,7 +12,11 @@ from repro.metrics import (
     rank_descending,
     spearman_correlation,
 )
+from repro.engine.points import baseline_rank_stats
 from repro.metrics.ranking import (
+    RankLayout,
+    SetRanker,
+    block_rows,
     centered_rank_stats,
     spearman_correlation_batch,
     spearman_distinct_batch,
@@ -108,21 +112,11 @@ KEY_BIT_BOUNDARIES = (2, 3, 4, 5, 256, 257, 512, 513)
 SPECIAL_VALUES = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
 
-@st.composite
-def ranking_problems(draw):
-    """A noisy ``(rows, n)`` matrix and a baseline ``y`` seeded with
-    everything the sorted-key kernel must route to the exact kernel:
-    exact ties, one-ulp neighbours, signed zeros, ±inf/NaN and constant
-    rows — plus tied baselines."""
-    n = draw(st.sampled_from(KEY_BIT_BOUNDARIES) | st.integers(2, 40))
-    rows = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from((1e-315, 1e-300, 1e-3, 1.0, 1e6, 1e300)))
-    if draw(st.booleans()):
-        y = rng.integers(0, 4, size=n).astype(np.float64)
-    else:
-        y = rng.normal(size=n)
-    x = y * scale + rng.normal(size=(rows, n)) * scale
+def _perturb(draw, x, y):
+    """Seed ``x`` (and sometimes ``y``) with what the sorted-key kernel
+    must route to the exact kernel: exact ties, one-ulp neighbours,
+    signed zeros, ±inf/NaN and constant rows — plus odd baselines."""
+    rows, n = x.shape
     cell = st.integers(0, n - 1)
     row = st.integers(0, rows - 1)
     for _ in range(draw(st.integers(0, 4))):
@@ -145,6 +139,23 @@ def ranking_problems(draw):
             x[r] = draw(st.sampled_from((1.0, -0.0, np.inf)))
         else:
             y[i] = draw(st.sampled_from(SPECIAL_VALUES))
+
+
+@st.composite
+def ranking_problems(draw):
+    """A noisy ``(rows, n)`` matrix and a baseline ``y`` seeded with
+    everything the sorted-key kernel must route to the exact kernel
+    (:func:`_perturb`) — plus tied baselines."""
+    n = draw(st.sampled_from(KEY_BIT_BOUNDARIES) | st.integers(2, 40))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-315, 1e-300, 1e-3, 1.0, 1e6, 1e300)))
+    if draw(st.booleans()):
+        y = rng.integers(0, 4, size=n).astype(np.float64)
+    else:
+        y = rng.normal(size=n)
+    x = y * scale + rng.normal(size=(rows, n)) * scale
+    _perturb(draw, x, y)
     return x, y
 
 
@@ -163,6 +174,79 @@ class TestSpearmanDistinctBatchProperties:
         np.testing.assert_array_equal(
             fast[finite].view(np.int64), exact[finite].view(np.int64)
         )
+        np.testing.assert_array_equal(x, before)
+
+
+@st.composite
+def set_ranking_problems(draw):
+    """A :class:`RankLayout` ranking problem: ``(x, y, index_sets)``.
+
+    ``index_sets`` is every cell, then four disjoint ascending segments:
+    random strata; tiny segments (0, 1 and 2 cells, rest in none); or no
+    strata at all, so every cell is in no segment.  One segment may hold
+    a constant baseline.  The row count straddles the kernel's block:
+    1, block − 1, block or block + 1 rows, or a few.  ``x`` and ``y``
+    carry :func:`_perturb`'s ties, near-ties, signed zeros and ±inf/NaN,
+    and a row may hold several NaNs.
+    """
+    n = draw(st.sampled_from(KEY_BIT_BOUNDARIES) | st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("random", "tiny", "none")))
+    labels = np.full(n, -1)
+    if shape == "random":
+        labels = rng.integers(-1, 4, size=n)
+    elif shape == "tiny":
+        cells = rng.permutation(n)
+        labels[cells[:1]] = 1
+        labels[cells[1:3]] = 2
+        labels[cells[3 : 3 + n // 2]] = 3
+    index_sets = (
+        np.arange(n),
+        *(np.flatnonzero(labels == s) for s in range(4)),
+    )
+    block = block_rows(n)
+    rows = draw(
+        st.sampled_from((1, block - 1, block, block + 1)) | st.integers(1, 6)
+    )
+    scale = draw(st.sampled_from((1e-315, 1e-3, 1.0, 1e6, 1e300)))
+    if draw(st.booleans()):
+        y = rng.integers(0, 4, size=n).astype(np.float64)
+    else:
+        y = rng.normal(size=n)
+    if draw(st.booleans()):
+        y[index_sets[1 + draw(st.integers(0, 3))]] = 7.0  # constant SDL ranks
+    x = y * scale + rng.normal(size=(rows, n)) * scale
+    _perturb(draw, x, y)
+    if n >= 2 and draw(st.booleans()):
+        # Several NaNs in one row rank by position: set order must not
+        # reorder them against the cell-order reference.
+        x[draw(st.integers(0, rows - 1)), rng.permutation(n)[:3]] = np.nan
+    return x, y, index_sets
+
+
+class TestSpearmanSetsProperties:
+    @given(set_ranking_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_every_set_bit_identical_to_tie_averaging_kernel(self, problem):
+        """Per row and set: the multi-set kernel over set order equals
+        ``spearman_correlation_batch(x[:, idx], y[idx])`` bit for bit."""
+        x, y, index_sets = problem
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            stats = baseline_rank_stats(y, index_sets)
+            layout = RankLayout.build(index_sets, stats)
+            ranker = SetRanker(layout)
+            ranker.rank_cells(x[::-1])  # scratch reuse must not leak
+            fast = ranker.rank_cells(x)
+        assert fast.shape == (len(index_sets), x.shape[0])
+        for j, idx in enumerate(index_sets):
+            with np.errstate(all="ignore"):
+                exact = spearman_correlation_batch(x[:, idx], y[idx])
+            np.testing.assert_array_equal(np.isnan(fast[j]), np.isnan(exact))
+            finite = ~np.isnan(exact)
+            np.testing.assert_array_equal(
+                fast[j][finite].view(np.int64), exact[finite].view(np.int64)
+            )
         np.testing.assert_array_equal(x, before)
 
 

@@ -10,6 +10,7 @@ the retried tasks are bit-identical).
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -29,6 +30,13 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 def _scale(context, item):
     """Module-level task so process pools can pickle it by reference."""
+    return context * item
+
+
+def _slow_sibling(context, item):
+    """Item 1 sleeps, so its shard is still running when item 0's dies."""
+    if item == 1:
+        time.sleep(0.5)
     return context * item
 
 
@@ -174,6 +182,25 @@ class TestCrashRecovery:
         assert driver.stats.shard_retries == 1
         untouched = set(items) - set(driver.stats.retried_tasks)
         assert all(driver.stats.attempts[i] == 1 for i in untouched)
+
+    def test_crash_retries_only_the_crashed_shard(self, tmp_path, monkeypatch):
+        """A sibling shard still running when another shard's worker is
+        killed delivers normally: only the killed shard is resubmitted."""
+        items = tuple(range(4))
+        marker = tmp_path / "kill.marker"
+        monkeypatch.setenv(KILL_TASK_ENV, f"{marker}@0")
+        driver = ProcessDriver(workers=2)
+        context = ContextSpec.of_value(10)
+        results = driver.run(
+            TaskSet(fn=_slow_sibling, items=items, context=context)
+        )
+        assert results == [0, 10, 20, 30]
+        assert marker.exists(), "the injected crash must actually have fired"
+        assert driver.stats.shard_retries == 1
+        assert driver.stats.retried_tasks == (0, 2)
+        # Round-robin sharding puts items 1 and 3 on the sibling shard.
+        assert driver.stats.attempts[1] == driver.stats.attempts[3] == 1
+        assert driver.stats.attempts[0] == driver.stats.attempts[2] == 2
 
     def test_repeat_crasher_exhausts_the_budget_and_raises(
         self, tmp_path, monkeypatch
