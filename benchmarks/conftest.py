@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ReleaseSession
 from repro.data.generator import SyntheticConfig
 from repro.experiments import ExperimentConfig
-from repro.experiments.runner import ExperimentContext
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -29,8 +29,8 @@ def bench_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def context(bench_config) -> ExperimentContext:
-    return ExperimentContext(bench_config)
+def context(bench_config) -> ReleaseSession:
+    return ReleaseSession(bench_config)
 
 
 @pytest.fixture(scope="session")

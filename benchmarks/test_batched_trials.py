@@ -15,13 +15,13 @@ import numpy as np
 
 from benchmarks.conftest import write_report
 from repro.core import EREEParams
-from repro.engine.evaluate import _streamed_point_values
-from repro.experiments.runner import (
-    N_STRATA,
+from repro.engine.evaluate import (
+    _streamed_point_values,
     release_trials,
     release_trials_looped,
     spearman_point,
 )
+from repro.engine.points import N_STRATA
 from repro.experiments.workloads import WORKLOAD_1
 from repro.metrics.error import l1_error, l1_error_batch
 from repro.metrics.ranking import spearman_correlation

@@ -22,9 +22,9 @@ import pytest
 from benchmarks.conftest import write_report
 from benchmarks.test_batched_trials import _best_of_pair
 from benchmarks.test_sweep_engine import _merge_bench_json
-from repro.engine.executors import SerialExecutor
 from repro.engine.plan import figure_plan
 from repro.engine.sweep import run_plan
+from repro.runtime import SerialDriver
 from repro.util import format_table
 
 N_TRIALS = 100
@@ -40,12 +40,12 @@ def test_fused_grid_speedup(bench_config, context, out_dir, name):
     # Warm the workload-statistics caches (statistics, envelopes, SDL
     # rank stats) so both timings compare grid execution, not one-off
     # prologue work.
-    serial = run_plan(plan, context, executor=SerialExecutor(), merge_spend=False)
+    serial = run_plan(plan, context, executor=SerialDriver(), merge_spend=False)
     fused = run_plan(plan, context, merge_spend=False, fused=True)
 
     serial_s, fused_s = _best_of_pair(
         lambda: run_plan(
-            plan, context, executor=SerialExecutor(), merge_spend=False
+            plan, context, executor=SerialDriver(), merge_spend=False
         ),
         lambda: run_plan(plan, context, merge_spend=False, fused=True),
         repeats=5,

@@ -22,11 +22,11 @@ from pathlib import Path
 
 from benchmarks.conftest import write_report
 from repro.api.session import ReleaseSession
-from repro.engine.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.engine.plan import grid_plan, snapshot_fingerprint
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
+from repro.runtime import ProcessDriver, SerialDriver, ThreadDriver
 from repro.scenarios import SnapshotStore
 from repro.storage import FilesystemObjectStore, RemoteObjectBackend
 from repro.util import format_table
@@ -87,19 +87,19 @@ def test_sweep_engine_wall_clock(context, out_dir, tmp_path):
     # Warm the session's workload-statistics cache so the timings compare
     # grid execution, not one-off prologue work.
     serial_warm = run_plan(
-        plan, context, executor=SerialExecutor(), merge_spend=False
+        plan, context, executor=SerialDriver(), merge_spend=False
     )
 
     serial, serial_s = _timed(
         lambda: run_plan(
-            plan, context, executor=SerialExecutor(), merge_spend=False
+            plan, context, executor=SerialDriver(), merge_spend=False
         )
     )
     thread, thread_s = _timed(
         lambda: run_plan(
             plan,
             context,
-            executor=ThreadExecutor(workers=WORKERS),
+            executor=ThreadDriver(workers=WORKERS),
             merge_spend=False,
         )
     )
@@ -107,7 +107,7 @@ def test_sweep_engine_wall_clock(context, out_dir, tmp_path):
         lambda: run_plan(
             plan,
             context,
-            executor=ProcessExecutor(workers=WORKERS),
+            executor=ProcessDriver(workers=WORKERS),
             merge_spend=False,
         )
     )

@@ -15,7 +15,7 @@ Run:  python examples/onthemap_ranking.py
 import numpy as np
 
 from repro.api import ReleaseRequest, ReleaseSession
-from repro.experiments.runner import mechanism_is_feasible
+from repro.engine.evaluate import mechanism_is_feasible
 from repro.metrics import STRATUM_LABELS, spearman_correlation
 
 ATTRS = ("place", "naics", "ownership")

@@ -71,8 +71,8 @@ class LedgerEntry:
     ) -> "LedgerEntry":
         """The spend record of one marginal release's composed total.
 
-        Building an entry records nothing — executors return these from
-        workers and the parent ledger merges them, so accounting stays
+        Building an entry records nothing — sweep tasks return these
+        from workers and the parent ledger merges them, so accounting stays
         exact (and deterministic) under parallel sweep execution.
         """
         return cls(
@@ -129,7 +129,7 @@ class PrivacyLedger:
 
     The ledger is concurrency-safe: the overdraft check and the append
     are one atomic step under an internal lock, so threaded sweeps (the
-    engine's :class:`~repro.engine.executors.ThreadExecutor`, or any
+    engine on a :class:`~repro.runtime.ThreadDriver`, or any
     user threads sharing a session) can debit concurrently without
     losing entries or slipping past a budget.  Process-parallel sweeps
     instead return :class:`LedgerEntry` spend records from workers and
@@ -286,7 +286,7 @@ class PrivacyLedger:
     def merge(self, records) -> list[LedgerEntry]:
         """Record a sequence of spend records, in order.
 
-        This is how parallel executors settle up: workers evaluate
+        This is how parallel sweeps settle up: workers evaluate
         points against their own (budget-less) rebuilt sessions, return
         :class:`LedgerEntry` records, and the parent merges them in plan
         order — so the ledger trail is identical to a serial run no

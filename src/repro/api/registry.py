@@ -200,9 +200,5 @@ def mechanism_spec(name: str) -> MechanismSpec:
 
 
 def create_mechanism(name: str, params, **options):
-    """Instantiate a registered mechanism with per-cell parameters.
-
-    The single replacement for the historical ``make_mechanism`` if/elif
-    chain; ``repro.core.release.make_mechanism`` now delegates here.
-    """
+    """Instantiate a registered mechanism with per-cell parameters."""
     return mechanism_spec(name).create(params, **options)

@@ -8,7 +8,7 @@ has a fitted SDL system — the SDL baseline and place-population strata
 needed for the paper's Sec 10 metrics (L1 error ratio and Spearman rank
 correlation, overall and per stratum).
 
-Metric conventions match :mod:`repro.experiments.runner`: evaluation is
+Metric conventions match :mod:`repro.engine.evaluate`: evaluation is
 restricted to cells with positive true count that were released, the L1
 ratio is the mean private L1 over trials divided by the SDL L1, and
 Spearman compares each trial's ordering to the SDL ordering.
@@ -109,7 +109,7 @@ class ReleaseResult:
     ``evaluation`` is the session's shared record of their statistics
     over this release's evaluation mask (built from the arrays when
     absent).  The metric helpers return ``nan`` when a baseline is
-    unavailable or a stratum is empty, mirroring the figure runner.
+    unavailable or a stratum is empty, mirroring the figure kernels.
     """
 
     request: ReleaseRequest

@@ -19,7 +19,7 @@ Three execution surfaces:
 - :meth:`ReleaseSession.run_grid` fans a list of requests — typically a
   (mechanism × α × ε) product from :meth:`ReleaseRequest.grid` — through
   the batched trial engine, optionally in parallel through a
-  :mod:`repro.engine.executors` executor.
+  :mod:`repro.runtime` driver.
 - :meth:`ReleaseSession.evaluate_point` computes one figure point
   (L1-error ratio or Spearman correlation, overall + per stratum)
   through the streaming reducers of :mod:`repro.engine.evaluate`.
@@ -33,9 +33,13 @@ that is what the parallel sweep engine runs in worker processes, merging
 the records into the parent ledger afterwards so accounting stays exact
 under parallelism.
 
-The session's statistic caches are lock-guarded, so threads sharing one
-session (e.g. :class:`~repro.engine.executors.ThreadExecutor`) compute
-each trial-invariant statistic exactly once.
+A session crosses a process boundary as its own rebuild recipe
+(:meth:`ReleaseSession.__reduce__`): workers rebuild it from its config
+and snapshot-store spec once per process, without a budget, so they
+never debit.  The session's statistic caches are lock-guarded, so
+threads sharing one session (e.g. under a
+:class:`~repro.runtime.ThreadDriver`) compute each trial-invariant
+statistic exactly once.
 """
 
 from __future__ import annotations
@@ -64,12 +68,13 @@ from repro.db.query import Marginal, per_establishment_counts
 from repro.engine import evaluate as point_kernels
 from repro.engine.points import N_STRATA, SeriesPoint, WorkloadStatistics
 from repro.metrics.strata import cell_strata
+from repro.runtime.drivers import resolve_driver
 from repro.sdl.noise_infusion import InputNoiseInfusion
 from repro.util import derive_seed
 
 if TYPE_CHECKING:  # annotation-only: repro.experiments sits above this
-    # module (its package __init__ imports the session for the
-    # ExperimentContext shim), so importing it at runtime would cycle.
+    # module (its figure and table functions import the session), so
+    # importing it at runtime would cycle.
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.workloads import Workload
 
@@ -83,10 +88,10 @@ __all__ = [
 class ReleaseSession:
     """One snapshot, one SDL baseline, one ledger — many releases.
 
-    ``config`` seeds the synthetic snapshot and the SDL fit exactly like
-    the historical ``ExperimentContext`` (same derived seeds, so figures
-    regenerated through the session are bit-identical).  Pass ``dataset``
-    to wrap an existing snapshot instead of generating one.
+    ``config`` seeds the synthetic snapshot and the SDL fit (derived
+    seeds, so figures regenerated through any session over the same
+    config are bit-identical).  Pass ``dataset`` to wrap an existing
+    snapshot instead of generating one.
 
     ``budget``/``delta_budget`` arm the privacy ledger: every executed
     request debits its composed (ε, δ) total, and ``on_overdraft``
@@ -114,9 +119,9 @@ class ReleaseSession:
         self.config = config
         self.worker_attrs = tuple(worker_attrs)
         # Whether the snapshot can be rebuilt from config alone: a
-        # provided dataset cannot (ProcessExecutor refuses such
-        # sessions, and the snapshot fingerprint must not pretend the
-        # data came from config.data).  A store-loaded snapshot *is* the
+        # provided dataset cannot (such a session refuses to pickle,
+        # and the snapshot fingerprint must not pretend the data came
+        # from config.data).  A store-loaded snapshot *is* the
         # config dataset (same fingerprint, same bytes), just opened as
         # a read-only memory map instead of regenerated.
         self.dataset_provided = dataset is not None
@@ -149,7 +154,7 @@ class ReleaseSession:
         self._baseline_cache: dict = {}
         self._evaluation_cache: dict = {}
         # Guards the caches above: threads sharing this session (e.g. a
-        # ThreadExecutor sweep) must compute each trial-invariant
+        # ThreadDriver sweep) must compute each trial-invariant
         # statistic exactly once.  Reentrant because statistics() can
         # recurse into _baseline() on some paths.
         self._cache_lock = threading.RLock()
@@ -193,6 +198,35 @@ class ReleaseSession:
         }
         config = ExperimentConfig.for_scenario(name, **config_kwargs)
         return cls(config, snapshot_store=snapshot_store, **kwargs)
+
+    def __reduce__(self):
+        """Pickle as a rebuild recipe instead of the snapshot itself.
+
+        A process driver pickles its context once per shard; the worker
+        unpickles this into :func:`_worker_session`, which rebuilds the
+        session from config once per process — opening the parent's
+        persisted snapshot when there is a snapshot store — without a
+        budget, so workers never debit.  A session over a provided
+        dataset has no recipe: a worker would regenerate a different
+        (synthetic) snapshot and silently change results.
+        """
+        if self.dataset_provided:
+            raise ValueError(
+                "a session built over an explicitly provided dataset "
+                "cannot cross a process boundary: workers rebuild the "
+                "session from its config, which would regenerate a "
+                "different (synthetic) snapshot and silently change "
+                "results; use the thread or serial driver instead"
+            )
+        store = self.snapshot_store
+        return (
+            _worker_session,
+            (
+                self.config,
+                self.worker_attrs,
+                None if store is None else store.spec(),
+            ),
+        )
 
     @property
     def schema(self):
@@ -386,7 +420,7 @@ class ReleaseSession:
         """Execute one request *without* recording its privacy spend.
 
         Returns the result plus the detached spend record.  This is the
-        engine's worker entry point: parallel executors evaluate against
+        engine's worker entry point: process drivers evaluate against
         rebuilt (budget-less) sessions and hand the records back for the
         parent ledger to :meth:`~repro.api.ledger.PrivacyLedger.merge`
         in deterministic order.  Callers wanting the historical one-step
@@ -541,20 +575,18 @@ class ReleaseSession:
         marginal's true counts, mask and xv exactly once and each point
         only draws its ``(n_trials, n_cells)`` noise matrix.
 
-        ``executor``/``workers`` submit the grid to the sweep engine's
-        executors (:mod:`repro.engine.executors`): requests evaluate in
+        ``executor``/``workers`` resolve through
+        :func:`~repro.runtime.resolve_driver`: requests evaluate in
         parallel — each carries its own seed, so results are bit-identical
         to the serial path — and their spend records merge into this
         session's ledger in request order, keeping accounting exact and
         deterministic.  Without either knob the historical sequential
         path runs (each request debits as it executes).
         """
-        from repro.engine.executors import resolve_executor
-
-        resolved = resolve_executor(executor, workers)
-        if resolved is None:
+        driver = resolve_driver(executor, workers)
+        if driver is None:
             return [self.run(request) for request in requests]
-        outcomes = resolved.map(_execute_request, self, list(requests))
+        outcomes = driver.map(_execute_request, self, list(requests))
         self.ledger.merge([spend for _, spend in outcomes])
         return [result for result, _ in outcomes]
 
@@ -734,8 +766,44 @@ class ReleaseSession:
 
 
 def _execute_request(session: ReleaseSession, request: ReleaseRequest):
-    """Executor task: one request → (result, spend record), no debit.
+    """Driver task: one request → (result, spend record), no debit.
 
     Module-level so process pools can pickle it by reference.
     """
     return session.execute(request)
+
+
+def _worker_session(config, worker_attrs, store_spec) -> ReleaseSession:
+    """Rebuild (or reuse) this process's session from a pickled recipe.
+
+    One session per (config, worker_attrs, snapshot source) per process:
+    a worker that receives several shards of the same sweep regenerates
+    nothing.  With ``store_spec`` (the parent's
+    :meth:`~repro.scenarios.SnapshotStore.spec` — a plain picklable dict
+    naming the backend, so local roots reattach and remote backends
+    reconnect) the worker *opens* the parent's persisted snapshot as a
+    read-only memory map instead of regenerating it — the parent saved
+    it before the pool spun up, so workers share physical pages and pay
+    only the SDL fit.  Either way the session is bit-identical to the
+    parent's (same fingerprint ⇒ same bytes), and its ledger has no
+    budget and stays untouched — spend records flow back to the parent
+    for merging.
+    """
+    global _WORKER_SESSION
+    key = (repr(config), tuple(worker_attrs), repr(store_spec))
+    cached = _WORKER_SESSION
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    store = None
+    if store_spec is not None:
+        from repro.scenarios.store import SnapshotStore
+
+        store = SnapshotStore.from_spec(store_spec)
+    session = ReleaseSession(
+        config, worker_attrs=worker_attrs, snapshot_store=store
+    )
+    _WORKER_SESSION = (key, session)
+    return session
+
+
+_WORKER_SESSION: tuple | None = None

@@ -57,7 +57,6 @@ from repro.api.session import ReleaseSession
 from repro.data.generator import SyntheticConfig, generate
 from repro.data.io import save_dataset
 from repro.dp.composition import PrivacyBudgetExceeded
-from repro.engine.executors import EXECUTOR_NAMES, resolve_executor
 from repro.engine.plan import METRICS, grid_plan
 from repro.engine.store import DEFAULT_CACHE_DIR, ResultStore
 from repro.engine.sweep import encode_point, run_plan
@@ -73,6 +72,7 @@ from repro.experiments.figures import (
 from repro.experiments.report import render_figure
 from repro.experiments.tables import table1_text, table2_text, table3_text
 from repro.data.panel import PanelConfig
+from repro.runtime.drivers import DRIVER_NAMES, resolve_driver
 from repro.scenarios import (
     DEFAULT_SNAPSHOT_DIR,
     SnapshotStore,
@@ -203,7 +203,7 @@ def _add_engine_arguments(parser, *, claims: bool = True):
     )
     parser.add_argument(
         "--executor",
-        choices=EXECUTOR_NAMES,
+        choices=DRIVER_NAMES,
         default=None,
         help="worker pool kind (default: process when --workers > 1)",
     )
@@ -677,8 +677,8 @@ def _claim_options_from_args(args) -> dict:
 
 
 def _engine_from_args(args):
-    """Resolve the (executor, store) pair shared by figures/tables/sweep."""
-    executor = resolve_executor(args.executor, args.workers)
+    """Resolve the (driver, store) pair shared by figures/tables/sweep."""
+    executor = resolve_driver(args.executor, args.workers)
     if args.no_cache:
         return executor, None
     url = getattr(args, "store_url", None)

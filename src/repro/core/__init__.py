@@ -38,7 +38,6 @@ from repro.core.release import (
     MarginalRelease,
     ReleaseStatistics,
     compute_release_statistics,
-    make_mechanism,
     release_from_statistics,
     release_marginal,
     release_marginal_stack,
@@ -75,7 +74,6 @@ __all__ = [
     "release_from_statistics",
     "release_marginal",
     "release_marginal_stack",
-    "make_mechanism",
     "Product",
     "PublicationSuite",
     "PublicationResult",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.registry import MechanismSpec, create_mechanism, mechanism_spec
+from repro.api.registry import MechanismSpec, mechanism_spec
 from repro.core.composition import (
     MARGINAL,
     STRONG,
@@ -53,18 +53,6 @@ DEFAULT_WORKER_ATTRS: tuple[str, ...] = ("age", "sex", "race", "ethnicity", "edu
 # The paper's three calibrated mechanisms (kept for compatibility; the
 # authoritative list is repro.api.available_mechanisms()).
 MECHANISMS = ("log-laplace", "smooth-gamma", "smooth-laplace")
-
-
-def make_mechanism(name: str, params: EREEParams, **options):
-    """Instantiate a mechanism by name with per-cell parameters.
-
-    .. deprecated::
-        Thin shim over :func:`repro.api.registry.create_mechanism`; new
-        code should use the registry (or :class:`repro.api.ReleaseSession`)
-        directly.  Kept so downstream callers and the fixed-seed
-        equivalence tests continue to work unchanged.
-    """
-    return create_mechanism(name, params, **options)
 
 
 @dataclass(frozen=True)

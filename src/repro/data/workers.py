@@ -259,7 +259,7 @@ JOB_ARRAYS: tuple[str, ...] = ("job_worker", "job_establishment")
 class _ShardedBuildContext:
     """Everything a build worker needs, picklable in one piece.
 
-    Shipped once per worker shard by :func:`repro.runtime.run_sharded`:
+    Pickled once per worker shard by :class:`repro.runtime.ProcessDriver`:
     the O(establishments) plan arrays, the per-place mixes, the advanced
     chunk-0 generator (pickled with its exact bit-stream position) and
     the target ``.npy`` paths the chunk slices land in.
@@ -361,13 +361,7 @@ def build_workforce_sharded(
         base_seed=base_seed,
         paths=str_paths,
     )
-    from repro.runtime import run_sharded
+    from repro.runtime import ProcessDriver
 
-    written = run_sharded(
-        _write_chunk,
-        items,
-        workers=workers,
-        context_args=(context,),
-        start_method=start_method,
-    )
-    return int(sum(written))
+    driver = ProcessDriver(workers, start_method=start_method)
+    return int(sum(driver.map(_write_chunk, context, items)))

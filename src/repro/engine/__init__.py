@@ -14,25 +14,24 @@ that plans, executes and caches those sweeps:
   grid requests flattened into content-hashed, self-seeded point specs
   whose results are independent of execution order, split into work
   units (one per point, or one per fused family);
-- :mod:`repro.engine.executors` — pluggable ``SerialExecutor`` /
-  ``ThreadExecutor`` / ``ProcessExecutor`` (workers rebuild the session
-  from its config once and return spend records for exact ledger
-  accounting);
 - :mod:`repro.engine.store` — the content-addressed on-disk
   ``ResultStore`` (JSON/NPZ under ``reports/cache/``) that makes every
   sweep resumable;
-- :mod:`repro.engine.sweep` — ``run_plan``, tying the four together.
+- :mod:`repro.engine.sweep` — ``run_plan``, tying them together and
+  placing the work units on a :mod:`repro.runtime` driver (process
+  workers rebuild the session from its pickled recipe once and return
+  spend records for exact ledger accounting).
 
 Quickstart::
 
     from repro.api import ReleaseSession
-    from repro.engine import ProcessExecutor, ResultStore, figure_plan, run_plan
+    from repro.engine import ResultStore, figure_plan, run_plan
 
     session = ReleaseSession.from_synthetic(target_jobs=50_000, seed=1)
     plan = figure_plan("figure-1", session.config)
     outcome = run_plan(
         plan, session,
-        executor=ProcessExecutor(workers=4),
+        executor="process", workers=4,
         store=ResultStore("reports/cache"), resume=True,
     )
     print(outcome.computed, "computed,", outcome.cache_hits, "from cache")
@@ -40,13 +39,6 @@ Quickstart::
 
 from __future__ import annotations
 
-from repro.engine.executors import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
 from repro.engine.plan import (
     FIGURE_NAMES,
     PointSpec,
@@ -69,22 +61,17 @@ __all__ = [
     "N_STRATA",
     "DEFAULT_CACHE_DIR",
     "FIGURE_NAMES",
-    "Executor",
     "FigureSeries",
     "PointSpec",
-    "ProcessExecutor",
     "ResultStore",
-    "SerialExecutor",
     "SeriesPoint",
     "SweepOutcome",
     "SweepPlan",
-    "ThreadExecutor",
     "WorkloadStatistics",
     "evaluate_point_spec",
     "figure_plan",
     "grid_plan",
     "points_identical",
-    "resolve_executor",
     "run_plan",
     "snapshot_fingerprint",
 ]

@@ -8,13 +8,9 @@ point through the batched mechanism engine and stream-reduce it to the
 paper's Sec-10 metrics (L1 error ratio or Spearman correlation, overall
 and per place-population stratum).
 
-They moved here from :mod:`repro.experiments.runner` so the release
-session can call them through a module-level import — the runner used to
-sit *above* the session (it defines the deprecated ``ExperimentContext``
-alias) while also being imported lazily from inside
-:meth:`~repro.api.ReleaseSession.evaluate_point`, a cycle this module
-breaks: it depends only on the registry, the mechanism kernels and
-:mod:`repro.engine.points`, never on the session.
+This module depends only on the registry, the mechanism kernels and
+:mod:`repro.engine.points`, never on the session, so the release session
+imports it at module level without a cycle.
 
 Error ratios and Spearman correlations follow Sec 10's definitions: the
 ratio is mean private L1 over trials divided by SDL L1; Spearman compares

@@ -9,7 +9,7 @@ resumable execution:
 - **Order independence** — every point carries its own seed, derived via
   :func:`repro.util.derive_seed` from the base seed and the point's grid
   coordinates (the exact convention the figure generators have always
-  used), so results are bit-identical no matter which executor runs the
+  used), so results are bit-identical no matter which driver runs the
   points or in what order.
 - **Content addressing** — :meth:`PointSpec.key` hashes the snapshot
   fingerprint together with everything that determines the point's

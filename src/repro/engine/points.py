@@ -1,13 +1,9 @@
 """Neutral point/result dataclasses shared across the layer boundaries.
 
-These types used to be split between :mod:`repro.api.session`
-(``WorkloadStatistics``) and :mod:`repro.experiments.runner`
-(``SeriesPoint``/``FigureSeries``), which forced the session to import
-the runner lazily inside :meth:`~repro.api.ReleaseSession.evaluate_point`
-— an import cycle in disguise.  They now live here, below both layers:
-the session, the evaluation kernels (:mod:`repro.engine.evaluate`), the
-sweep engine and the experiment harness all import *down* into this
-module and never at each other.
+These types live below every layer that uses them: the session, the
+evaluation kernels (:mod:`repro.engine.evaluate`), the sweep engine and
+the experiment harness all import *down* into this module and never at
+each other.
 """
 
 from __future__ import annotations
@@ -218,7 +214,7 @@ def points_identical(a: SeriesPoint, b: SeriesPoint) -> bool:
     """Bit-level equality of two points, treating NaN as equal to NaN.
 
     Dataclass ``==`` fails on infeasible points (their values are NaN and
-    ``nan != nan``); the executor-equivalence tests and the result store
+    ``nan != nan``); the driver-equivalence tests and the result store
     use this instead.
     """
     if (a.mechanism, a.theta, a.feasible) != (b.mechanism, b.theta, b.feasible):

@@ -9,7 +9,7 @@ flag and skip every timer.
 
 Activation is process-wide (:func:`profiled` sets a module global), which
 matches how the sweep engine runs — one plan at a time per process.  The
-serial and thread executors therefore capture kernel stages directly.  A
+serial and thread drivers therefore capture kernel stages directly.  A
 process pool's workers run in other interpreters where the parent's
 module global is invisible, so the sweep engine wraps each shipped task
 in its own :func:`profiled` scope and sends the captured

@@ -12,15 +12,16 @@ family of a mechanism's α×ε grid) and runs them through one loop:
 2. with ``claim=True``, claim each pending unit on the store's
    :class:`~repro.runtime.ClaimBoard`, so concurrent drains of one plan
    partition it;
-3. fan the pending units through an
-   :class:`~repro.engine.executors.Executor` (serial by default; thread
-   or process pools for parallel sweeps) via the non-debiting
+3. fan the pending units through a :mod:`repro.runtime` driver
+   (serial by default; thread or process pools for parallel sweeps —
+   process workers get the session as its pickled rebuild recipe) via
+   the non-debiting
    :meth:`~repro.api.ReleaseSession.evaluate_point_outcome` and
    :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`, so
    workers never touch a ledger;
 4. record each **computed** point's spend on the parent session's
    ledger and then persist the point to the store, walking plan order
-   — accounting is exact and deterministic no matter which executor ran
+   — accounting is exact and deterministic no matter which driver ran
    the points, and a raise-mode overdraft aborts before the offending
    point is ever cached.  Cache hits debit nothing: re-serving a stored
    release consumes no new privacy budget (the noise was drawn, and
@@ -37,7 +38,6 @@ from functools import partial
 from repro.api.ledger import LedgerEntry
 from repro.core.params import EREEParams
 from repro.engine import profile as stage_profile
-from repro.engine.executors import SerialExecutor, resolve_executor
 from repro.engine.plan import (
     TRUNCATED_LAPLACE,
     PointSpec,
@@ -47,6 +47,7 @@ from repro.engine.plan import (
 )
 from repro.engine.points import FigureSeries, SeriesPoint
 from repro.engine.store import ResultStore, content_key
+from repro.runtime.drivers import SerialDriver, resolve_driver
 
 __all__ = [
     "SweepOutcome",
@@ -75,7 +76,7 @@ def resolve_workload(name: str):
 def evaluate_point_spec(session, spec: PointSpec):
     """Task function: one spec → ``(SeriesPoint, LedgerEntry | None)``.
 
-    Module-level (hence picklable by reference) so every executor — in
+    Module-level (hence picklable by reference) so every driver — in
     particular process pools — can run it.  The spend record is built
     but **not** debited; the parent merges it.
     """
@@ -132,7 +133,7 @@ def evaluate_work_unit(session, unit: WorkUnit):
 
 
 def _profiled_task(fn, session, item):
-    """Run one executor task under its own profiler scope.
+    """Run one driver task under its own profiler scope.
 
     Process-pool workers cannot see the parent's module-global profiler,
     so a profiled sweep ships each task wrapped in this: the worker
@@ -144,10 +145,10 @@ def _profiled_task(fn, session, item):
     return result, (os.getpid(), prof.as_dict())
 
 
-def _executor_map(executor, fn, session, items):
-    """``executor.map`` that keeps stage attribution across process pools.
+def _executor_map(driver, fn, session, items):
+    """``driver.map`` that keeps stage attribution across process pools.
 
-    Serial and thread executors run tasks in this process, where the
+    Serial and thread drivers run tasks in this process, where the
     active profiler already sees the kernels, so they map straight
     through (the per-task wrapper would also race on the module global
     under threads).  A process pool under an active profiler gets the
@@ -156,11 +157,11 @@ def _executor_map(executor, fn, session, items):
     """
     if not (
         stage_profile.active()
-        and getattr(executor, "name", None) == "process"
-        and getattr(executor, "workers", 1) > 1
+        and driver.name == "process"
+        and driver.workers > 1
     ):
-        return executor.map(fn, session, items)
-    outcomes = executor.map(partial(_profiled_task, fn), session, items)
+        return driver.map(fn, session, items)
+    outcomes = driver.map(partial(_profiled_task, fn), session, items)
     results = []
     for result, (pid, worker_profile) in outcomes:
         stage_profile.merge_worker(pid, worker_profile)
@@ -267,8 +268,9 @@ def run_plan(
     """Execute a sweep plan: resume from the store, fan out the rest.
 
     ``executor``/``workers`` resolve through
-    :func:`~repro.engine.executors.resolve_executor` (serial when
-    neither is given).  With a ``store``, newly computed points are
+    :func:`~repro.runtime.resolve_driver` (a driver instance, a name
+    from ``serial``/``thread``/``process``, or a worker count; serial
+    when neither is given).  With a ``store``, newly computed points are
     always persisted; they are *read back* only when ``resume=True``, so
     a default run stays a full recomputation while writing the cache a
     later ``--resume`` run will hit.  ``merge_spend=False`` skips the
@@ -320,7 +322,7 @@ def run_plan(
         _drain,
         plan,
         session,
-        executor=resolve_executor(executor, workers) or SerialExecutor(),
+        driver=resolve_driver(executor, workers) or SerialDriver(),
         store=store,
         resume=resume,
         merge_spend=merge_spend,
@@ -352,7 +354,7 @@ def _drain(
     plan: SweepPlan,
     session,
     *,
-    executor,
+    driver,
     store: ResultStore | None,
     resume: bool,
     merge_spend: bool,
@@ -367,7 +369,7 @@ def _drain(
        narrows its mask to the members still missing.
     2. Claim (with a ``board``): each round claims every unowned pending
        unit and defers the rest.
-    3. Compute the round's units through the executor.
+    3. Compute the round's units through the driver.
     4. Publish every computed member in plan order: record its spend on
        the ledger, *then* persist it — a raise-mode overdraft therefore
        aborts with every stored point paid for, and nothing a later
@@ -444,7 +446,7 @@ def _drain(
                         time.sleep(poll_s)
                     continue
             outcomes = _executor_map(
-                executor, evaluate_work_unit, session, batch
+                driver, evaluate_work_unit, session, batch
             )
             members = sorted(
                 (

@@ -2,8 +2,6 @@
 
 - :mod:`repro.experiments.config` — parameter grids matching the paper;
 - :mod:`repro.experiments.workloads` — Workloads 1–3 and Rankings 1–2;
-- :mod:`repro.experiments.runner` — cached workload statistics and the
-  trial loop producing error-ratio and Spearman series;
 - :mod:`repro.experiments.figures` — one function per figure (1–5), the
   Finding-6 Truncated-Laplace comparison, and the design ablations;
 - :mod:`repro.experiments.tables` — Tables 1 and 2, plus the empirical
@@ -11,10 +9,12 @@
 - :mod:`repro.experiments.report` — ASCII rendering of the series.
 
 The snapshot/caching machinery lives behind the
-:class:`repro.api.ReleaseSession` facade; ``ExperimentContext`` is a
-deprecated alias of it.
+:class:`repro.api.ReleaseSession` facade; the point/result dataclasses
+are in :mod:`repro.engine.points` and the trial loop producing
+error-ratio and Spearman series in :mod:`repro.engine.evaluate`.
 """
 
+from repro.engine.points import WorkloadStatistics
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
     figure1,
@@ -24,7 +24,6 @@ from repro.experiments.figures import (
     figure5,
     finding6,
 )
-from repro.experiments.runner import ExperimentContext, WorkloadStatistics
 from repro.experiments.tables import table1_text, table2_rows, table3_rows
 from repro.experiments.workloads import (
     RANKING_1,
@@ -38,7 +37,6 @@ from repro.experiments.workloads import (
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentContext",
     "WorkloadStatistics",
     "Workload",
     "Ranking",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments.runner import FigureSeries, SeriesPoint
+from repro.engine.points import FigureSeries, SeriesPoint
 from repro.metrics.strata import STRATUM_LABELS
 from repro.util import format_float, format_table
 

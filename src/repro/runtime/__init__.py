@@ -1,19 +1,19 @@
 """One runtime: task placement for sweeps, snapshot builds, and serve.
 
-This package owns *where work runs* for the whole codebase.  The three
-execution layers that grew independently — the sweep executors
-(:mod:`repro.engine.executors`), the sharded snapshot build
+This package owns *where work runs* for the whole codebase.  The sweep
+engine (:func:`repro.engine.run_plan`), request grids
+(:meth:`repro.api.ReleaseSession.run_grid`), the sharded snapshot build
 (:func:`repro.data.workers.build_workforce_sharded`), and the release
-service's compute pool (:mod:`repro.serve.pool`) — are all thin
-adapters over four pieces:
+service's compute pool (:mod:`repro.serve.pool`) all run on three
+pieces:
 
-- :mod:`~repro.runtime.taskset` — :class:`TaskSet`: content-keyed,
-  self-seeded tasks plus a picklable context spec; the unit of
-  placement.
 - :mod:`~repro.runtime.drivers` — :class:`SerialDriver` /
-  :class:`ThreadDriver` / :class:`ProcessDriver`: ordered, bit-identical
-  execution at any worker count, with bounded crash recovery on the
-  process path (a killed worker's shard is resubmitted, not fatal).
+  :class:`ThreadDriver` / :class:`ProcessDriver`:
+  ``driver.map(fn, context, items)`` over self-seeded items, ordered
+  and bit-identical at any worker count, with bounded crash recovery on
+  the process path (a killed worker's shard is resubmitted, not
+  fatal); :func:`resolve_driver` maps the ``executor``/``workers``
+  knobs onto them.
 - :mod:`~repro.runtime.claims` — :class:`ClaimBoard`: optimistic lease
   files (TTL + owner id) over any storage backend, so N processes or
   machines draining one plan *partition* the grid; last-writer-wins
@@ -31,13 +31,14 @@ from repro.runtime.claims import (
     default_owner,
 )
 from repro.runtime.drivers import (
+    DRIVER_NAMES,
     KILL_TASK_ENV,
     Driver,
     DriverStats,
     ProcessDriver,
     SerialDriver,
     ThreadDriver,
-    run_sharded,
+    resolve_driver,
 )
 from repro.runtime.policy import (
     MAX_WORKERS_ENV,
@@ -47,14 +48,13 @@ from repro.runtime.policy import (
     worker_cap,
 )
 from repro.runtime.pool import ComputePool
-from repro.runtime.taskset import ContextSpec, TaskSet
 
 __all__ = [
     "CLAIMS_PREFIX",
     "DEFAULT_LEASE_TTL_S",
     "ClaimBoard",
     "ComputePool",
-    "ContextSpec",
+    "DRIVER_NAMES",
     "Driver",
     "DriverStats",
     "KILL_TASK_ENV",
@@ -62,12 +62,11 @@ __all__ = [
     "MAX_WORKERS_ENV",
     "ProcessDriver",
     "SerialDriver",
-    "TaskSet",
     "ThreadDriver",
     "default_owner",
     "default_workers",
+    "resolve_driver",
     "resolve_workers",
-    "run_sharded",
     "serve_compute_workers",
     "worker_cap",
 ]

@@ -1,34 +1,55 @@
 """Task placement drivers: serial, thread pool, and crash-tolerant processes.
 
-A driver runs a :class:`~repro.runtime.taskset.TaskSet` and returns the
-results in item order.  Because every task is self-seeded and the
-context is rebuilt from a spec, *which* driver ran a task — and whether
-it ran once or was retried after a worker crash — cannot change the
-result.
+A driver maps a task function over an ordered item list against one
+context — ``driver.map(fn, context, items)`` — and returns the results
+in item order, whatever order the work actually ran in.  Three
+invariants make placement irrelevant to results:
 
-- :class:`SerialDriver` — the reference implementation: build the
-  context once, loop.  Every other driver must be bit-identical to it.
-- :class:`ThreadDriver` — a thread pool sharing one in-process context
+- **Task functions are module-level** callables of ``(context, item)``,
+  picklable by reference, so a process driver can ship them.
+- **Items carry their own seeds.**  Every stochastic item in this repo
+  (a :class:`~repro.engine.plan.WorkUnit`, a snapshot build chunk)
+  embeds a seed derived from its *content*
+  (:func:`repro.util.derive_seed`), never from its position in a
+  schedule.  Rerunning a task — on another worker, after a crash, on
+  another machine — therefore reproduces its result bit for bit.
+- **The context is picklable.**  In the calling process (the serial
+  and thread drivers, and the process driver's inline path) it is used
+  as it is; the process driver pickles it once per shard submission.
+  A context too heavy to ship pickles as its own rebuild recipe: a
+  :class:`~repro.api.session.ReleaseSession` crosses as its config plus
+  snapshot-store spec and is rebuilt (and cached) once per worker
+  process.
+
+The drivers:
+
+- :class:`SerialDriver` — the reference implementation: loop in the
+  calling thread.  Every other driver must be bit-identical to it.
+- :class:`ThreadDriver` — a thread pool sharing the in-process context
   (the repo's contexts are lock-guarded; the NumPy kernels release the
   GIL for large draws).
 - :class:`ProcessDriver` — true parallelism: items are sharded
-  round-robin across worker processes, each of which builds its context
-  **once** and streams its shard through the task function.  A worker
-  that *crashes* (OOM-killed, segfaulted, ``kill -9``) does not abort
-  the run: every shard runs in its own single-worker pool, so a crash
-  fails only the crashed shard, which is resubmitted to a fresh pool —
-  bounded by ``max_shard_retries`` — while its siblings finish
+  round-robin across worker processes, each of which unpickles its
+  context **once** and streams its shard through the task function.  A
+  worker that *crashes* (OOM-killed, segfaulted, ``kill -9``) does not
+  abort the run: every shard runs in its own single-worker pool, so a
+  crash fails only the crashed shard, which is resubmitted to a fresh
+  pool — bounded by ``max_shard_retries`` — while its siblings finish
   undisturbed.  Because tasks are self-seeded the retried results are
   bit-identical to what the dead worker would have produced.  Ordinary
   task *exceptions* are not retried; they propagate (a deterministic
-  error would just fail again).
+  error would just fail again).  A context that fails to unpickle in a
+  worker takes the worker down with it, so it counts as a crash.
+
+:func:`resolve_driver` turns the ``executor=``/``workers=`` knobs of
+the sweep engine, the figure functions and the CLI into a driver.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
@@ -36,16 +57,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Protocol, runtime_checkable
 
-from repro.runtime.taskset import ContextSpec, TaskSet
+from repro.runtime.policy import default_workers
 
 __all__ = [
+    "DRIVER_NAMES",
     "Driver",
     "DriverStats",
     "SerialDriver",
     "ThreadDriver",
     "ProcessDriver",
-    "run_sharded",
     "KILL_TASK_ENV",
+    "resolve_driver",
 ]
 
 # Deterministic fault injection for crash-recovery tests: when set to
@@ -59,7 +81,7 @@ KILL_TASK_ENV = "REPRO_RUNTIME_KILL_TASK"
 
 @dataclass
 class DriverStats:
-    """What the last :meth:`ProcessDriver.run` had to do to finish.
+    """What the last :meth:`ProcessDriver.map` had to do to finish.
 
     ``attempts`` counts submissions per item index (1 everywhere on a
     clean run); ``retried_tasks`` lists the indices that were
@@ -75,27 +97,24 @@ class DriverStats:
 
 @runtime_checkable
 class Driver(Protocol):
-    """The placement protocol: ordered execution of a TaskSet."""
+    """The placement protocol: an ordered map of a task over items."""
 
     name: str
     workers: int
 
-    def run(self, taskset: TaskSet) -> list:
-        """Run every task; results in item order."""
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        """Apply ``fn(context, item)`` to every item; results in order."""
         ...
 
 
 class SerialDriver:
-    """Run every task in the calling thread against one built context."""
+    """Run every task in the calling thread against the context."""
 
     name = "serial"
     workers = 1
 
-    def run(self, taskset: TaskSet) -> list:
-        if not taskset.items:
-            return []
-        context = taskset.context.build()
-        return [taskset.fn(context, item) for item in taskset.items]
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        return [fn(context, item) for item in items]
 
     def __repr__(self) -> str:
         return "SerialDriver()"
@@ -111,13 +130,12 @@ class ThreadDriver:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def run(self, taskset: TaskSet) -> list:
-        items = taskset.items
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        items = list(items)
         if len(items) <= 1 or self.workers == 1:
-            return SerialDriver().run(taskset)
-        context = taskset.context.build()
+            return SerialDriver().map(fn, context, items)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(partial(taskset.fn, context), items))
+            return list(pool.map(partial(fn, context), items))
 
     def __repr__(self) -> str:
         return f"ThreadDriver(workers={self.workers})"
@@ -145,15 +163,13 @@ def _maybe_injected_crash(index: int) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _run_task_shard(make_context, context_args, fn, indexed_items):
-    """Worker entry point: evaluate one shard against a rebuilt context.
+def _run_task_shard(context, fn, indexed_items):
+    """Worker entry point: stream one shard through ``fn(context, item)``.
 
-    ``make_context(*context_args)`` builds (or fetches this process's
-    cached) task context — a :class:`~repro.api.session.ReleaseSession`
-    for sweeps, a plain picklable build context for sharded snapshot
-    generation — and the shard streams through ``fn(context, item)``.
+    ``context`` arrives unpickled — a rebuilt (per-process cached)
+    :class:`~repro.api.session.ReleaseSession` for sweeps, a plain
+    picklable build context for sharded snapshot generation.
     """
-    context = make_context(*context_args)
     results = []
     for index, item in indexed_items:
         _maybe_injected_crash(index)
@@ -168,9 +184,9 @@ class ProcessDriver:
     uses the platform default — ``fork`` on Linux, which inherits the
     imported modules and makes worker start cheap).  Items are sharded
     round-robin so every worker gets an even slice in one submission,
-    amortizing whatever the context factory costs across its whole
+    amortizing whatever unpickling the context costs across its whole
     shard.  With one item or one worker the map runs inline in the
-    calling process, context built the same way, so callers get a
+    calling process against the context itself, so callers get a
     single code path.
 
     **Crash recovery**: a dead worker poisons its whole
@@ -203,15 +219,14 @@ class ProcessDriver:
         self.max_shard_retries = max_shard_retries
         self.stats = DriverStats()
 
-    def run(self, taskset: TaskSet) -> list:
-        items = taskset.items
+    def map(self, fn: Callable, context, items: Sequence) -> list:
+        items = list(items)
         self.stats = DriverStats()
         if not items:
             return []
         if len(items) == 1 or self.workers == 1:
-            context = taskset.context.build()
             self.stats.attempts = {i: 1 for i in range(len(items))}
-            return [taskset.fn(context, item) for item in items]
+            return [fn(context, item) for item in items]
         import multiprocessing
 
         mp_context = multiprocessing.get_context(self.start_method)
@@ -239,13 +254,7 @@ class ProcessDriver:
                             max_workers=1, mp_context=mp_context
                         )
                     )
-                    future = pool.submit(
-                        _run_task_shard,
-                        taskset.context.make,
-                        taskset.context.args,
-                        taskset.fn,
-                        shard,
-                    )
+                    future = pool.submit(_run_task_shard, context, fn, shard)
                     submitted.append((shard, future))
                 for shard, future in submitted:
                     try:
@@ -276,28 +285,36 @@ class ProcessDriver:
         return f"ProcessDriver(workers={self.workers})"
 
 
-def run_sharded(
-    fn: Callable,
-    items,
-    *,
-    workers: int,
-    make_context: Callable | None = None,
-    context_args: tuple = (),
-    start_method: str | None = None,
-) -> list:
-    """Ordered ``fn(context, item)`` map over a crash-tolerant process pool.
+DRIVER_NAMES = ("serial", "thread", "process")
 
-    The process-parallel core shared by the sweep engine's
-    :class:`~repro.engine.executors.ProcessExecutor` (whose context is
-    a per-process rebuilt session) and the sharded snapshot builder
-    (whose context is the picklable generation plan) — a thin wrapper
-    that describes the call as a :class:`TaskSet` and hands it to a
-    :class:`ProcessDriver`.
+
+def resolve_driver(executor=None, workers: int | None = None):
+    """Normalize the (executor, workers) knobs into a driver — or None.
+
+    ``None`` means "no parallelism requested": callers with a historical
+    serial path (e.g. :meth:`~repro.api.ReleaseSession.run_grid`) keep
+    it, and the sweep engine substitutes :class:`SerialDriver`.
+    Accepts a driver instance (returned as-is), one of
+    :data:`DRIVER_NAMES` (a pool name without a worker count gets
+    :func:`~repro.runtime.default_workers`), or just a worker count
+    (> 1 selects processes — the only driver with true CPU
+    parallelism).
     """
-    context = (
-        ContextSpec(make=make_context, args=tuple(context_args))
-        if make_context is not None
-        else ContextSpec(args=tuple(context_args))
-    )
-    driver = ProcessDriver(workers=workers, start_method=start_method)
-    return driver.run(TaskSet(fn=fn, items=tuple(items), context=context))
+    if executor is None:
+        if workers is None or workers <= 1:
+            return None
+        return ProcessDriver(workers=workers)
+    if isinstance(executor, str):
+        if executor not in DRIVER_NAMES:
+            raise ValueError(
+                f"unknown executor {executor!r}; choose from {DRIVER_NAMES}"
+            )
+        if executor == "serial":
+            return SerialDriver()
+        size = workers if workers and workers > 0 else default_workers()
+        return ThreadDriver(size) if executor == "thread" else ProcessDriver(size)
+    if not hasattr(executor, "map"):
+        raise TypeError(
+            f"executor must be a Driver, name or None, got {executor!r}"
+        )
+    return executor

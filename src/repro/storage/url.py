@@ -1,6 +1,6 @@
 """Backend resolution: one URL (or one picklable spec) → one backend.
 
-The CLI's ``--store-url`` and the process executors' worker bootstrap
+The CLI's ``--store-url`` and the process driver's worker bootstrap
 both need to turn a short description into a live backend; this module
 is the single place that mapping lives.
 

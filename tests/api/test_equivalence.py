@@ -1,11 +1,11 @@
 """Equivalence guard: the facade must reproduce the pre-redesign arrays.
 
-``ReleaseSession.run`` and the shimmed ``release_marginal`` /
-``make_mechanism`` path must produce *identical* noisy arrays for a
-fixed seed — the API redesign re-routes the plumbing but may not change
-a single published number.  These tests pin that bit-for-bit, per
-mechanism, for single and batched releases, and across the session's
-statistics cache (a cache hit must not shift the noise stream).
+``ReleaseSession.run`` and the ``release_marginal`` path must produce
+*identical* noisy arrays for a fixed seed — the API redesign re-routes
+the plumbing but may not change a single published number.  These tests
+pin that bit-for-bit, per mechanism, for single and batched releases,
+and across the session's statistics cache (a cache hit must not shift
+the noise stream).
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import pytest
 
 from repro.api import ReleaseRequest, ReleaseSession
 from repro.core import EREEParams, release_marginal
-from repro.core.release import make_mechanism
 from repro.data import SyntheticConfig
 from repro.experiments import ExperimentConfig
 
@@ -135,23 +134,3 @@ class TestBitForBit:
             trials_batch=2,
         )
         np.testing.assert_array_equal(chunked.noisy, whole.noisy)
-
-
-class TestShims:
-    def test_make_mechanism_still_constructs(self):
-        assert make_mechanism("log-laplace", PARAMS).name == "Log-Laplace"
-
-    def test_make_mechanism_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown mechanism"):
-            make_mechanism("gaussian", PARAMS)
-
-    def test_no_if_elif_left_in_make_mechanism(self):
-        """The acceptance criterion: make_mechanism is registry-only."""
-        import inspect
-
-        from repro.core import release
-
-        source = inspect.getsource(release.make_mechanism)
-        assert "create_mechanism" in source
-        assert "elif" not in source
-        assert "LogLaplace" not in source

@@ -1,15 +1,21 @@
 """Tests for the ReleaseSession facade: requests, caching, grids, and the
 figure-grid ledger accounting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import repro.api.session as session_module
 from repro.api import ReleaseRequest, ReleaseSession
 from repro.core import EREEParams, marginal_budget
+from repro.data import SyntheticConfig
 from repro.dp.composition import PrivacyBudgetExceeded
 from repro.experiments import WORKLOAD_1, figure1
 from repro.experiments.config import MECHANISM_NAMES, ExperimentConfig
-from repro.experiments.runner import mechanism_is_feasible
+from repro.engine.evaluate import mechanism_is_feasible
+from repro.runtime import ProcessDriver
+from repro.scenarios import SnapshotStore
 
 
 def _request(**overrides):
@@ -253,3 +259,52 @@ class TestSessionLedger:
         )
         assert not point.feasible
         assert session.ledger.spent_epsilon == 0.0
+
+
+def _context_of(context, item):
+    """Module-level driver task: the context it ran against."""
+    return context
+
+
+class TestSessionRecipe:
+    """A session crosses a process boundary as its own rebuild recipe."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_worker_cache(self, monkeypatch):
+        monkeypatch.setattr(session_module, "_WORKER_SESSION", None)
+
+    def test_store_backed_session_reopens_the_stored_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        config = ExperimentConfig(
+            data=SyntheticConfig(target_jobs=4_000, seed=31),
+            n_trials=2,
+            seed=31,
+        )
+        parent = ReleaseSession(
+            config,
+            snapshot_store=SnapshotStore(tmp_path / "snapshots"),
+            worker_attrs=("age", "sex"),
+            budget=5.0,
+        )
+        parent.run(_request(epsilon=2.0))
+        # The rebuilt session must open the stored snapshot: generating
+        # the economy again is an error from here on.
+        monkeypatch.setenv("REPRO_FORBID_GENERATE", "1")
+        clone = pickle.loads(pickle.dumps(parent))
+        assert clone is not parent
+        assert clone.snapshot_fingerprint == parent.snapshot_fingerprint
+        assert clone.worker_attrs == parent.worker_attrs
+        assert clone.ledger.entries == []
+        assert clone.ledger.epsilon_budget is None
+        # One rebuild per process: a second load reuses it.
+        assert pickle.loads(pickle.dumps(parent)) is clone
+
+    def test_provided_dataset_session_refuses_to_pickle(self, session):
+        wrapped = ReleaseSession(session.config, dataset=session.dataset)
+        with pytest.raises(ValueError, match="provided dataset"):
+            pickle.dumps(wrapped)
+
+    def test_inline_process_map_hands_over_the_session_itself(self, session):
+        [context] = ProcessDriver(workers=2).map(_context_of, session, [0])
+        assert context is session

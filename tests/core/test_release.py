@@ -5,28 +5,12 @@ import numpy as np
 import pytest
 
 from repro.core import EREEParams, release_marginal
-from repro.core.release import make_mechanism
 from repro.db import Marginal, per_establishment_counts
 
 
 @pytest.fixture()
 def params():
     return EREEParams(alpha=0.1, epsilon=2.0, delta=0.05)
-
-
-class TestMakeMechanism:
-    def test_known_names(self, params):
-        assert make_mechanism("log-laplace", params).name == "Log-Laplace"
-        assert make_mechanism("smooth-gamma", params).name == "Smooth Gamma"
-        assert make_mechanism("smooth-laplace", params).name == "Smooth Laplace"
-
-    def test_unknown_name(self, params):
-        with pytest.raises(ValueError, match="unknown mechanism"):
-            make_mechanism("gaussian", params)
-
-    def test_options_forwarded(self, params):
-        mechanism = make_mechanism("log-laplace", params, debias=True)
-        assert mechanism.debias
 
 
 class TestReleaseMarginal:

@@ -1,7 +1,7 @@
 """Shared fixtures for the sweep-engine tests.
 
 One module-scoped session over a deliberately tiny snapshot: the engine
-tests exercise planning, executor placement, storage and accounting —
+tests exercise planning, driver placement, storage and accounting —
 not statistical quality — so the grids stay small and the process-pool
 tests can afford to rebuild the snapshot in each worker.
 """
@@ -14,7 +14,7 @@ from repro.api.session import ReleaseSession
 from repro.data.generator import SyntheticConfig
 from repro.experiments import ExperimentConfig
 
-# Small enough that a ProcessExecutor worker rebuilds it in well under a
+# Small enough that a process-driver worker rebuilds it in well under a
 # second, big enough that every stratum is populated.
 ENGINE_CONFIG = ExperimentConfig(
     data=SyntheticConfig(target_jobs=4_000, seed=11),

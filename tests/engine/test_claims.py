@@ -24,12 +24,11 @@ import time
 
 import pytest
 
-from repro.engine.executors import ProcessExecutor, SerialExecutor
 from repro.engine.plan import figure_plan, fused_families
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
-from repro.runtime import KILL_TASK_ENV
+from repro.runtime import KILL_TASK_ENV, ProcessDriver, SerialDriver
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -54,7 +53,7 @@ def figure1_plan(engine_config):
 @pytest.fixture(scope="module")
 def serial_outcome(figure1_plan, session):
     return run_plan(
-        figure1_plan, session, executor=SerialExecutor(), merge_spend=False
+        figure1_plan, session, executor=SerialDriver(), merge_spend=False
     )
 
 
@@ -300,14 +299,14 @@ class TestCrashRecoveryMidPlan:
         """SIGKILL one process-pool worker mid-plan: the run still lands."""
         marker = tmp_path / "kill.marker"
         monkeypatch.setenv(KILL_TASK_ENV, f"{marker}@3")
-        executor = ProcessExecutor(workers=2)
+        driver = ProcessDriver(workers=2)
         outcome = run_plan(
-            figure1_plan, session, executor=executor, merge_spend=False
+            figure1_plan, session, executor=driver, merge_spend=False
         )
         assert marker.exists(), "the injected crash must actually have fired"
         assert_series_identical(serial_outcome.points, outcome.points)
         assert outcome.spends == serial_outcome.spends
-        stats = executor.driver.stats
+        stats = driver.stats
         # The victim was submitted exactly twice: the crash and one retry.
         assert stats.attempts[3] == 2
         assert 3 in stats.retried_tasks

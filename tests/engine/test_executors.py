@@ -1,10 +1,10 @@
-"""Executor equivalence: serial, thread and process runs are bit-identical.
+"""Driver equivalence: serial, thread and process runs are bit-identical.
 
-The acceptance gate of the sweep engine: every executor must produce the
-same point values as :class:`SerialExecutor` on a Figure-1 grid (each
-point's noise stream is self-seeded, so scheduling cannot change it),
-and parallel ``run_grid`` releases must match the serial noisy matrices
-with identical ledger accounting.
+The acceptance gate of the sweep engine: every driver must produce the
+same point values as :class:`~repro.runtime.SerialDriver` on a Figure-1
+grid (each point's noise stream is self-seeded, so scheduling cannot
+change it), and parallel ``run_grid`` releases must match the serial
+noisy matrices with identical ledger accounting.
 """
 
 import numpy as np
@@ -12,20 +12,17 @@ import pytest
 
 from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
-from repro.engine.executors import (
-    MAX_WORKERS_ENV,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    default_workers,
-    resolve_executor,
-    run_sharded,
-)
 from repro.engine.plan import figure_plan
 from repro.engine.points import points_identical
 from repro.engine.sweep import run_plan
 from repro.experiments.config import MECHANISM_NAMES
 from repro.experiments.workloads import WORKLOAD_1
+from repro.runtime import (
+    ProcessDriver,
+    SerialDriver,
+    ThreadDriver,
+    resolve_driver,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -44,7 +41,7 @@ def figure1_plan(engine_config):
 @pytest.fixture(scope="module")
 def serial_outcome(figure1_plan, session):
     return run_plan(
-        figure1_plan, session, executor=SerialExecutor(), merge_spend=False
+        figure1_plan, session, executor=SerialDriver(), merge_spend=False
     )
 
 
@@ -62,7 +59,7 @@ class TestFigureGridEquivalence:
         outcome = run_plan(
             figure1_plan,
             session,
-            executor=ThreadExecutor(workers=2),
+            executor=ThreadDriver(workers=2),
             merge_spend=False,
         )
         assert_series_identical(serial_outcome.points, outcome.points)
@@ -73,7 +70,7 @@ class TestFigureGridEquivalence:
         outcome = run_plan(
             figure1_plan,
             session,
-            executor=ProcessExecutor(workers=2),
+            executor=ProcessDriver(workers=2),
             merge_spend=False,
         )
         assert_series_identical(serial_outcome.points, outcome.points)
@@ -85,7 +82,7 @@ class TestFigureGridEquivalence:
         parallel = run_plan(
             figure1_plan,
             session,
-            executor=ProcessExecutor(workers=2),
+            executor=ProcessDriver(workers=2),
             merge_spend=False,
         )
         assert parallel.spends == serial_outcome.spends
@@ -114,9 +111,9 @@ class TestRunGridEquivalence:
         self, session, requests, serial_results, executor_kind
     ):
         executor = (
-            ThreadExecutor(workers=2)
+            ThreadDriver(workers=2)
             if executor_kind == "thread"
-            else ProcessExecutor(workers=2)
+            else ProcessDriver(workers=2)
         )
         before = len(session.ledger.entries)
         results = session.run_grid(requests, executor=executor)
@@ -136,35 +133,45 @@ class TestRunGridEquivalence:
 
 
 class TestProvidedDatasetGuard:
+    @pytest.fixture(scope="class")
+    def wrapped(self, engine_config):
+        from repro.data.generator import generate
+
+        return ReleaseSession(
+            engine_config, dataset=generate(engine_config.data)
+        )
+
     def test_process_executor_refuses_provided_dataset_sessions(
-        self, engine_config
+        self, engine_config, wrapped
     ):
         """Workers rebuild from config — a wrapped dataset can't ship."""
-        from repro.data.generator import generate
-
-        wrapped = ReleaseSession(
-            engine_config, dataset=generate(engine_config.data)
-        )
         assert wrapped.dataset_provided
+        plan = figure_plan("finding-6", engine_config)
         with pytest.raises(ValueError, match="provided dataset"):
-            ProcessExecutor(workers=2).map(
-                lambda session, item: item, wrapped, [1, 2]
+            run_plan(
+                plan, wrapped, executor="process", workers=2,
+                merge_spend=False,
             )
+        requests = ReleaseRequest.grid(
+            WORKLOAD_1.attrs,
+            ("smooth-laplace",),
+            alphas=(0.1,),
+            epsilons=(2.0, 4.0),
+            delta=0.05,
+            n_trials=2,
+            seed=engine_config.seed,
+        )
+        with pytest.raises(ValueError, match="provided dataset"):
+            wrapped.run_grid(requests, executor="process", workers=2)
+        assert wrapped.ledger.entries == []
 
     def test_thread_executor_accepts_provided_dataset_sessions(
-        self, engine_config
+        self, engine_config, wrapped
     ):
-        from repro.data.generator import generate
-        from repro.engine.plan import figure_plan
-        from repro.engine.sweep import run_plan
-
-        wrapped = ReleaseSession(
-            engine_config, dataset=generate(engine_config.data)
-        )
         plan = figure_plan("finding-6", engine_config)
         serial = run_plan(plan, wrapped, merge_spend=False)
         threaded = run_plan(
-            plan, wrapped, executor=ThreadExecutor(workers=2), merge_spend=False
+            plan, wrapped, executor=ThreadDriver(workers=2), merge_spend=False
         )
         assert_series_identical(serial.points, threaded.points)
 
@@ -187,112 +194,43 @@ class TestProvidedDatasetGuard:
         assert wrapped.snapshot_fingerprint == again.snapshot_fingerprint
 
 
-class TestDefaultWorkers:
-    """default_workers scales with the machine; the env var bounds it."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
-
-    def test_scales_with_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 64)
-        assert default_workers() == 64
-
-    def test_floor_of_two_on_small_machines(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 1)
-        assert default_workers() == 2
-        monkeypatch.setattr(
-            "repro.engine.executors.os.cpu_count", lambda: None
-        )
-        assert default_workers() == 2
-
-    def test_env_override_caps_the_count(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 64)
-        monkeypatch.setenv(MAX_WORKERS_ENV, "8")
-        assert default_workers() == 8
-        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-        assert default_workers() == 1
-
-    def test_env_override_never_raises_the_count(self, monkeypatch):
-        monkeypatch.setattr("repro.engine.executors.os.cpu_count", lambda: 2)
-        monkeypatch.setenv(MAX_WORKERS_ENV, "128")
-        assert default_workers() == 2
-
-    def test_invalid_env_override_rejected(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV, "many")
-        with pytest.raises(ValueError, match=MAX_WORKERS_ENV):
-            default_workers()
-
-
-def _add_context(context, item):
-    """Module-level task so process pools can pickle it by reference."""
-    return context + item
-
-
-class TestRunSharded:
-    """The generic process-map core: ordered, inline fallback, validated."""
-
-    def test_inline_when_one_worker(self):
-        result = run_sharded(
-            _add_context, [1, 2, 3], workers=1, context_args=(10,)
-        )
-        assert result == [11, 12, 13]
-
-    def test_process_pool_preserves_item_order(self):
-        result = run_sharded(
-            _add_context, list(range(7)), workers=3, context_args=(100,)
-        )
-        assert result == [100 + i for i in range(7)]
-
-    def test_empty_items(self):
-        assert run_sharded(_add_context, [], workers=4, context_args=(0,)) == []
-
-    def test_single_item_runs_inline(self):
-        assert run_sharded(
-            _add_context, [5], workers=4, context_args=(1,)
-        ) == [6]
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            run_sharded(_add_context, [1], workers=0, context_args=(0,))
-
-
-class TestResolveExecutor:
+class TestResolveDriver:
     def test_none_means_no_parallelism(self):
-        assert resolve_executor(None, None) is None
-        assert resolve_executor(None, 1) is None
+        assert resolve_driver(None, None) is None
+        assert resolve_driver(None, 1) is None
 
     def test_pool_name_without_workers_gets_a_default_pool(self):
         """`--executor process` alone must not silently run serial."""
-        executor = resolve_executor("process", None)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.workers >= 2
-        assert resolve_executor("thread", None).workers >= 2
+        driver = resolve_driver("process", None)
+        assert isinstance(driver, ProcessDriver)
+        assert driver.workers >= 2
+        assert resolve_driver("thread", None).workers >= 2
 
     def test_worker_count_selects_processes(self):
-        executor = resolve_executor(None, 3)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.workers == 3
+        driver = resolve_driver(None, 3)
+        assert isinstance(driver, ProcessDriver)
+        assert driver.workers == 3
 
     def test_names(self):
-        assert isinstance(resolve_executor("serial", 4), SerialExecutor)
-        assert resolve_executor("thread", 4).workers == 4
-        assert resolve_executor("process", 2).workers == 2
+        assert isinstance(resolve_driver("serial", 4), SerialDriver)
+        assert isinstance(resolve_driver("thread", 4), ThreadDriver)
+        assert resolve_driver("thread", 4).workers == 4
+        assert resolve_driver("process", 2).workers == 2
 
     def test_instances_pass_through(self):
-        executor = ThreadExecutor(workers=5)
-        assert resolve_executor(executor, 2) is executor
+        driver = ThreadDriver(workers=5)
+        assert resolve_driver(driver, 2) is driver
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("gpu")
+            resolve_driver("gpu")
 
     def test_invalid_type_rejected(self):
         with pytest.raises(TypeError):
-            resolve_executor(42)
+            resolve_driver(42)
 
     def test_worker_counts_validated(self):
         with pytest.raises(ValueError):
-            ThreadExecutor(workers=0)
+            ThreadDriver(workers=0)
         with pytest.raises(ValueError):
-            ProcessExecutor(workers=0)
+            ProcessDriver(workers=0)

@@ -503,7 +503,7 @@ class TestWorkerProfile:
     its stage profile back and the parent merges a per-worker view."""
 
     def test_process_pool_profile_has_per_worker(self, session):
-        from repro.engine.executors import ProcessExecutor
+        from repro.runtime import ProcessDriver
 
         plan = family_plan(session, n_trials=2)
         outcome = run_plan(
@@ -511,7 +511,7 @@ class TestWorkerProfile:
             session,
             merge_spend=False,
             fused="family",
-            executor=ProcessExecutor(workers=2),
+            executor=ProcessDriver(workers=2),
             profile=True,
         )
         prof = outcome.profile

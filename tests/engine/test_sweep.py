@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.params import EREEParams
-from repro.engine.executors import ProcessExecutor, ThreadExecutor
 from repro.engine.plan import figure_plan
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
@@ -12,6 +11,7 @@ from repro.experiments.config import MECHANISM_NAMES
 from repro.experiments.figures import figure1, finding6
 from repro.experiments.tables import table3_rows
 from repro.experiments.workloads import WORKLOAD_1, WORKLOAD_3
+from repro.runtime import ProcessDriver, ThreadDriver
 from repro.util import derive_seed
 
 
@@ -164,7 +164,7 @@ class TestResume:
 class TestParallelFigures:
     """The full figure path under workers=2, threads and processes."""
 
-    @pytest.mark.parametrize("executor_factory", [ThreadExecutor, ProcessExecutor])
+    @pytest.mark.parametrize("executor_factory", [ThreadDriver, ProcessDriver])
     def test_figure1_parallel_matches_serial(self, session, executor_factory):
         serial = figure1(session)
         parallel = figure1(session, executor=executor_factory(workers=2))
@@ -172,7 +172,7 @@ class TestParallelFigures:
 
     def test_finding6_parallel_matches_serial(self, session):
         serial = finding6(session)
-        parallel = finding6(session, executor=ThreadExecutor(workers=2))
+        parallel = finding6(session, executor=ThreadDriver(workers=2))
         assert_series_identical(serial.points, parallel.points)
 
 

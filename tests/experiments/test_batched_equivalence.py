@@ -10,15 +10,15 @@ Everything is bit-for-bit reproducible for a fixed seed.
 import numpy as np
 import pytest
 
+from repro.api import ReleaseSession
 from repro.core import EREEParams, release_marginal
-from repro.experiments import ExperimentConfig, WORKLOAD_1
-from repro.experiments.runner import (
-    ExperimentContext,
+from repro.engine.evaluate import (
     error_ratio_point,
     release_trials,
     release_trials_looped,
     spearman_point,
 )
+from repro.experiments import ExperimentConfig, WORKLOAD_1
 from repro.extensions import release_marginal_weighted
 
 PARAMS = EREEParams(alpha=0.1, epsilon=2.0, delta=0.05)
@@ -27,7 +27,7 @@ GAMMA_PARAMS = EREEParams(alpha=0.05, epsilon=2.0, delta=0.05)
 
 @pytest.fixture(scope="module")
 def context():
-    return ExperimentContext(ExperimentConfig().small())
+    return ReleaseSession(ExperimentConfig().small())
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +129,7 @@ class TestReproducibility:
         """Chunking the Finding-6 draws consumes the same Laplace stream,
         so the point matches the single-draw path (exactly up to float
         summation order in the streamed reduction)."""
-        from repro.experiments.runner import truncated_laplace_point
+        from repro.engine.evaluate import truncated_laplace_point
 
         whole = truncated_laplace_point(
             context, stats, theta=50, epsilon=4.0, n_trials=6, seed=110

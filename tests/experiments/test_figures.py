@@ -4,14 +4,14 @@ import math
 
 import pytest
 
+from repro.api import ReleaseSession
 from repro.experiments import ExperimentConfig, figure1, figure2, figure4, finding6
 from repro.experiments.report import render_figure, render_panel, summarize_finding
-from repro.experiments.runner import ExperimentContext
 
 
 @pytest.fixture(scope="module")
 def context():
-    return ExperimentContext(ExperimentConfig().small())
+    return ReleaseSession(ExperimentConfig().small())
 
 
 @pytest.fixture(scope="module")

@@ -6,22 +6,22 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import ReleaseSession
 from repro.core import EREEParams
-from repro.experiments import ExperimentConfig, WORKLOAD_1, WORKLOAD_2, WORKLOAD_3
-from repro.experiments.runner import (
-    ExperimentContext,
+from repro.engine.evaluate import (
     error_ratio_point,
     mechanism_is_feasible,
     release_trials,
     spearman_point,
     truncated_laplace_point,
 )
+from repro.experiments import ExperimentConfig, WORKLOAD_1, WORKLOAD_2, WORKLOAD_3
 from repro.experiments.workloads import RANKING_2
 
 
 @pytest.fixture(scope="module")
 def context():
-    return ExperimentContext(ExperimentConfig().small())
+    return ReleaseSession(ExperimentConfig().small())
 
 
 class TestStatistics:

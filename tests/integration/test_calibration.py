@@ -9,8 +9,8 @@ formulas, so the bookkeeping between the math and the pipeline is right.
 import numpy as np
 import pytest
 
+from repro.api import create_mechanism
 from repro.core import EREEParams, release_marginal
-from repro.core.release import make_mechanism
 
 
 class TestReleaseCalibration:
@@ -28,7 +28,7 @@ class TestReleaseCalibration:
         ]
         first = releases[0]
         mask = first.released
-        mechanism = make_mechanism(mechanism_name, first.budget.per_cell)
+        mechanism = create_mechanism(mechanism_name, first.budget.per_cell)
         predicted = mechanism.expected_l1_error(first.max_single[mask]).mean()
         empirical = np.mean(
             [np.abs(r.noisy[mask] - r.true[mask]).mean() for r in releases]
@@ -62,7 +62,7 @@ class TestReleaseCalibration:
             )
             for t in range(40)
         ]
-        mechanism = make_mechanism("log-laplace", params)
+        mechanism = create_mechanism("log-laplace", params)
         bound = mechanism.squared_relative_error_bound()
         mask = releases[0].true > 0
         squared_relative = np.mean(
@@ -78,26 +78,26 @@ class TestDeterminism:
     def test_figure_series_deterministic(self):
         """The experiment harness derives all per-point seeds from the
         config seed, so two contexts produce identical series."""
+        from repro.api import ReleaseSession
         from repro.experiments import ExperimentConfig, figure1
-        from repro.experiments.runner import ExperimentContext
 
         config = ExperimentConfig().small()
-        a = figure1(ExperimentContext(config))
-        b = figure1(ExperimentContext(config))
+        a = figure1(ReleaseSession(config))
+        b = figure1(ReleaseSession(config))
         for point_a, point_b in zip(a.points, b.points):
             if point_a.feasible:
                 assert point_a.overall == point_b.overall
                 assert point_a.by_stratum == point_b.by_stratum
 
     def test_different_config_seed_changes_noise(self):
+        from repro.api import ReleaseSession
         from repro.experiments import ExperimentConfig, figure1
-        from repro.experiments.runner import ExperimentContext
         import dataclasses
 
         base = ExperimentConfig().small()
         other = dataclasses.replace(base, seed=base.seed + 1)
-        a = figure1(ExperimentContext(base))
-        b = figure1(ExperimentContext(other))
+        a = figure1(ReleaseSession(base))
+        b = figure1(ReleaseSession(other))
         differs = any(
             pa.feasible and pa.overall != pb.overall
             for pa, pb in zip(a.points, b.points)

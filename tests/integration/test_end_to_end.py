@@ -6,21 +6,21 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import ReleaseSession
 from repro.core import EREEParams
-from repro.experiments import ExperimentConfig, WORKLOAD_1, WORKLOAD_2
-from repro.experiments.runner import (
-    ExperimentContext,
+from repro.engine.evaluate import (
     error_ratio_point,
     spearman_point,
     truncated_laplace_point,
 )
+from repro.experiments import ExperimentConfig, WORKLOAD_1, WORKLOAD_2
 
 
 @pytest.fixture(scope="module")
 def context():
     # Bigger than the unit-test snapshot, more trials: findings need signal.
     config = ExperimentConfig().small()
-    return ExperimentContext(
+    return ReleaseSession(
         ExperimentConfig(
             data=config.data.__class__(target_jobs=40_000, seed=20),
             n_trials=8,

@@ -50,6 +50,8 @@ class TestWorkerCap:
         monkeypatch.setenv(MAX_WORKERS_ENV, "many")
         with pytest.raises(ValueError, match=MAX_WORKERS_ENV):
             worker_cap()
+        with pytest.raises(ValueError, match=MAX_WORKERS_ENV):
+            default_workers()
 
 
 class TestDefaultWorkers:
@@ -67,6 +69,8 @@ class TestDefaultWorkers:
         _cpus(monkeypatch, 64)
         monkeypatch.setenv(MAX_WORKERS_ENV, "8")
         assert default_workers() == 8
+        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+        assert default_workers() == 1
         _cpus(monkeypatch, 2)
         monkeypatch.setenv(MAX_WORKERS_ENV, "128")
         assert default_workers() == 2

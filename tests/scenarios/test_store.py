@@ -15,10 +15,10 @@ import pytest
 
 from repro.api.session import ReleaseSession
 from repro.data.generator import SyntheticConfig, generate
-from repro.engine.executors import ProcessExecutor, SerialExecutor
 from repro.engine.plan import grid_plan
 from repro.engine.sweep import run_plan
 from repro.experiments.config import ExperimentConfig
+from repro.runtime import ProcessDriver, SerialDriver
 from repro.scenarios import SnapshotStore, dataset_fingerprint
 
 SMALL = SyntheticConfig(target_jobs=5_000, seed=5)
@@ -212,8 +212,8 @@ class TestSessionIntegration:
             n_trials=2,
             seed=11,
         )
-        points_plain = run_plan(plan, plain, executor=SerialExecutor()).points
-        points_mapped = run_plan(plan, mapped, executor=SerialExecutor()).points
+        points_plain = run_plan(plan, plain, executor=SerialDriver()).points
+        points_mapped = run_plan(plan, mapped, executor=SerialDriver()).points
         assert _same_points(points_plain, points_mapped)
 
     def test_from_scenario_uses_store(self, store):
@@ -414,7 +414,7 @@ class TestWorkerBootstrap:
             n_trials=2,
             seed=11,
         )
-        serial = run_plan(plan, session, executor=SerialExecutor())
+        serial = run_plan(plan, session, executor=SerialDriver())
 
         monkeypatch.setattr("repro.data.generator.generate", _boom)
         monkeypatch.setattr("repro.api.session.generate", _boom)
@@ -422,7 +422,7 @@ class TestWorkerBootstrap:
         parallel = run_plan(
             plan,
             session,
-            executor=ProcessExecutor(workers=2, start_method="fork"),
+            executor=ProcessDriver(workers=2, start_method="fork"),
             merge_spend=False,
         )
 
