@@ -714,6 +714,7 @@ class ReleaseSession:
         seed=None,
         batch_size: int | None = None,
         evaluate: Sequence[bool] | None = None,
+        threads: int = 1,
     ) -> tuple[dict[str, list[SeriesPoint | None]], list[LedgerEntry | None]]:
         """Every (α, ε) point of one mechanism's α×ε family, one draw.
 
@@ -725,6 +726,9 @@ class ReleaseSession:
         ``{metric: [SeriesPoint | None, ...]}`` aligned with ``members``.
         ``evaluate`` masks which members to reduce (resume support);
         masked-out members return ``None`` points and ``None`` spends.
+        ``threads`` lets a Spearman-only family rank its members on that
+        many threads; the values do not depend on it.  The sweep engine
+        passes :func:`~repro.runtime.kernel_threads` of its drain width.
         Nothing is debited here — spends come back detached, one per
         member, and equal the unfused point spends: sharing the draw
         changes which bits are drawn, not the composed (ε, δ) total.
@@ -744,6 +748,7 @@ class ReleaseSession:
             batch_size=batch_size,
             metrics=metrics,
             evaluate=evaluate,
+            threads=threads,
         )
         spends: list[LedgerEntry | None] = []
         for point in values[tuple(metrics)[0]]:

@@ -112,7 +112,7 @@ class LogLaplace:
         return noisy
 
     def release_counts_from_unit(
-        self, counts: np.ndarray, unit: np.ndarray
+        self, counts: np.ndarray, unit: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Algorithm 1 release from an externally drawn Laplace(1) matrix.
 
@@ -120,20 +120,31 @@ class LogLaplace:
         so the fused sweep path can share one unit draw across an α
         group's ε points; unlike the smooth mechanisms the transform is
         nonlinear (the exp), so each ε still pays its own apply pass.
+        Every step runs in place in ``out`` (allocated when not given,
+        never ``unit``), which is returned; the values do not depend on
+        whether ``out`` was passed.
         """
         counts = np.asarray(counts, dtype=np.float64)
+        unit = np.asarray(unit, dtype=np.float64)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(counts.shape, unit.shape))
         gamma = self.gamma
-        eta = self.scale * np.asarray(unit, dtype=np.float64)
-        noisy = np.exp(np.log(counts + gamma) + eta) - gamma
+        np.multiply(self.scale, unit, out=out)
+        out += np.log(counts + gamma)
+        np.exp(out, out=out)
+        out -= gamma
         if self.debias:
-            noisy = self.debiased(noisy)
-        return noisy
+            self.debiased(out, out=out)
+        return out
 
-    def debiased(self, noisy: np.ndarray) -> np.ndarray:
+    def debiased(
+        self, noisy: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Exact multiplicative bias correction from Lemma 8.2.
 
         E[ñ + γ] = (n + γ)/(1 - λ²), so (ñ + γ)(1 - λ²) - γ is unbiased.
-        Only valid when the mean is bounded (λ < 1).
+        Only valid when the mean is bounded (λ < 1).  Written into
+        ``out`` when given.
         """
         scale = self.scale
         if scale >= 1.0:
@@ -141,9 +152,10 @@ class LogLaplace:
                 f"Log-Laplace mean is unbounded at scale {scale:.4g} >= 1; "
                 "debiasing undefined (Lemma 8.2)"
             )
-        return (np.asarray(noisy, dtype=np.float64) + self.gamma) * (
-            1.0 - scale**2
-        ) - self.gamma
+        out = np.add(np.asarray(noisy, dtype=np.float64), self.gamma, out=out)
+        out *= 1.0 - scale**2
+        out -= self.gamma
+        return out
 
     def expected_value(self, count: float) -> float:
         """E[ñ] for a true count (Lemma 8.2); inf when λ >= 1."""

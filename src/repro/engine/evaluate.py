@@ -33,10 +33,12 @@ Two reduction strategies coexist:
   mechanism) family serves every (α, ε) point of the grid via a scale
   multiply (linear mechanisms) or one transform pass (Log-Laplace).
   Spearman members build their noisy rows one cache-sized block at a
-  time, in set order, straight into the multi-set kernel's buffer.
-  The family stream is statistically identical but not bit-identical
-  to the per-point streams, so it only runs behind
-  ``run_plan(fused=True)``.
+  time, in set order, straight into the multi-set kernel's buffer; a
+  Spearman-only family ranks shares of its members on ``threads``
+  threads, each share through its own ranker, with values that do not
+  depend on the thread count.  The family stream is statistically
+  identical but not bit-identical to the per-point streams, so it only
+  runs behind ``run_plan(fused=True)``.
 
 Both rank through :class:`~repro.metrics.ranking.SetRanker` against
 the SDL ranks cached on
@@ -63,6 +65,7 @@ from repro.engine import profile
 from repro.engine.points import N_STRATA, SeriesPoint, WorkloadStatistics
 from repro.metrics.error import l1_error
 from repro.metrics.ranking import RankLayout, SetRanker
+from repro.runtime.drivers import ThreadDriver
 from repro.util import as_generator
 
 if TYPE_CHECKING:  # annotation only; the session imports this module
@@ -425,6 +428,7 @@ def fused_family_points(
     batch_size: int | None = None,
     metrics: Sequence[str] = ("l1-ratio",),
     evaluate: Sequence[bool] | None = None,
+    threads: int = 1,
 ) -> dict[str, list[SeriesPoint | None]]:
     """Every (α, ε) point of one mechanism's whole grid from one draw.
 
@@ -450,6 +454,17 @@ def fused_family_points(
       the L1 ratio is also asked for (Table 3's fused rows), the
       member's full chunk is built in cell order for the L1 column sums
       and the ranker gathers its blocks from it.
+
+    ``threads`` ranks a Spearman-only family's members in parallel: each
+    chunk's live members are dealt round-robin into up to ``threads``
+    shares, and each share ranks through its own ranker on a
+    :class:`~repro.runtime.ThreadDriver` thread (the sorts, gathers and
+    transforms release the GIL).  A member's sums are written by its
+    share alone, and the unit draw, the set-order permutation and the
+    chunk loop stay in the calling thread, so every member folds its
+    chunks in the same order and the values are bit-identical at any
+    thread count.  The analytic L1 reduction and the mixed-metric path
+    ignore ``threads``.
 
     ``evaluate`` masks which members to reduce (a resumed family
     recomputes only its missing members).  The unit draw never depends
@@ -557,50 +572,53 @@ def fused_family_points(
         return results
 
     layout = stats.sdl_rank_layout if "spearman" in metrics else None
-    # Spearman members rank in the layout's set order, all through one
-    # ranker and its scratch.  Alone, they build their noisy rows block
-    # by block from a permuted unit chunk, straight into the ranker's
-    # cache-sized buffer; next to the L1 ratio, whose full-chunk column
-    # sums pin the goldens' summation order, the ranker gathers its
-    # blocks from that chunk instead.
-    blockwise = layout is not None and "l1-ratio" not in metrics
+    # Spearman members rank in the layout's set order.  Alone, they
+    # build their noisy rows block by block from a permuted unit chunk,
+    # straight into a ranker's cache-sized buffer, one ranker per share
+    # of members; next to the L1 ratio, whose full-chunk column sums pin
+    # the goldens' summation order, one ranker gathers its blocks from
+    # that chunk instead.
+    blockwise = metrics == ("spearman",)
     ranker = SetRanker(layout) if layout is not None else None
     xv = xv if spec.needs_xv else None
-    if blockwise:
-        order = layout.order
-        true_set = true[order]
-        xv_set = None if xv is None else xv[order]
-        scales_set = [
-            None if scale is None else scale[order]
-            for _, _, scale in per_member
-        ]
     sums = np.zeros((len(per_member), len(metrics), n_sets))
     counts = np.zeros((len(per_member), len(metrics), n_sets))
+    if blockwise:
+        order = layout.order
+        live = [
+            (e, mechanism, None if scale is None else scale[order])
+            for e, (do_eval, (_, mechanism, scale)) in enumerate(
+                zip(evaluate, per_member)
+            )
+            if do_eval and mechanism is not None
+        ]
+        n_shares = max(1, min(threads, len(live)))
+        shares = [
+            (ranker if s == 0 else SetRanker(layout), live[s::n_shares])
+            for s in range(n_shares)
+        ]
+        fan_out = ThreadDriver(n_shares)
+        true_set = true[order]
+        xv_set = None if xv is None else xv[order]
     for chunk in _trial_chunks(n_trials, batch_size):
         with profile.stage("draw"):
             unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
         if blockwise:
             with profile.stage("reduce"):
                 unit = np.take(unit, order, axis=1)
+                fan_out.map(
+                    _rank_share,
+                    (chunk, unit, true_set, xv_set, sums[:, 0], counts[:, 0]),
+                    shares,
+                )
+            continue
         for e, (do_eval, (params, mechanism, scale)) in enumerate(
             zip(evaluate, per_member)
         ):
             if not do_eval or mechanism is None:
                 continue
-            if blockwise:
-                rows = partial(
-                    _rows_from_unit,
-                    mechanism,
-                    scales_set[e],
-                    true_set,
-                    xv_set,
-                    unit,
-                )
-            else:
-                with profile.stage("draw"):
-                    noisy = _release_from_unit(
-                        mechanism, scale, true, xv, unit
-                    )
+            with profile.stage("draw"):
+                noisy = _release_from_unit(mechanism, scale, true, xv, unit)
             with profile.stage("reduce"):
                 for m, metric in enumerate(metrics):
                     if metric == "l1-ratio":
@@ -610,12 +628,9 @@ def fused_family_points(
                             strata, weights=cell_tot, minlength=N_STRATA
                         )
                         continue
-                    rhos = (
-                        ranker.rank(chunk, rows)
-                        if blockwise
-                        else ranker.rank_cells(noisy)
+                    _fold_rhos(
+                        ranker.rank_cells(noisy), sums[e, m], counts[e, m]
                     )
-                    _fold_rhos(rhos, sums[e, m], counts[e, m])
 
     for do_eval, (e, (params, mechanism, scale)) in zip(
         evaluate, enumerate(per_member)
@@ -645,15 +660,16 @@ def fused_family_points(
 def _release_from_unit(mechanism, scale, true, xv, unit, out=None):
     """A family member's noisy rows from unit-noise rows.
 
-    ``true + scale · unit`` for linear mechanisms, written into ``out``
-    when given; otherwise the mechanism's own transform, with ``xv``
-    ``None`` unless the mechanism needs it.  Every operation is
-    per-cell, so permuting the cells of all inputs permutes the output.
+    ``true + scale · unit`` for linear mechanisms; otherwise the
+    mechanism's own transform, with ``xv`` ``None`` unless the mechanism
+    needs it.  Written into ``out`` when given, except by a transform
+    that needs ``xv``.  Every operation is per-cell, so permuting the
+    cells of all inputs permutes the output.
     """
     if scale is not None:
         return np.add(np.multiply(unit, scale, out=out), true, out=out)
     if xv is None:
-        return mechanism.release_counts_from_unit(true, unit)
+        return mechanism.release_counts_from_unit(true, unit, out=out)
     return mechanism.release_counts_from_unit(true, xv, unit)
 
 
@@ -661,3 +677,20 @@ def _rows_from_unit(mechanism, scale, true, xv, unit, start, stop, out):
     """:meth:`SetRanker.rank` fill: a member's rows from set-order units."""
     rows = unit[start:stop]
     return _release_from_unit(mechanism, scale, true, xv, rows, out)
+
+
+def _rank_share(chunk_state, share) -> None:
+    """:class:`~repro.runtime.ThreadDriver` task: rank one share of members.
+
+    ``chunk_state`` is ``(n_rows, set-order unit chunk, set-order true
+    counts, set-order xv or None, sums, counts)``; ``share`` is
+    ``(ranker, [(member index, mechanism, set-order scale), ...])``.
+    Each member's ρ fold into its own rows of ``sums``/``counts``, so
+    shares write disjoint memory.  Nothing here touches
+    :mod:`repro.engine.profile`, whose state is a process global.
+    """
+    n_rows, unit, true_set, xv_set, sums, counts = chunk_state
+    ranker, members = share
+    for e, mechanism, scale in members:
+        rows = partial(_rows_from_unit, mechanism, scale, true_set, xv_set, unit)
+        _fold_rhos(ranker.rank(n_rows, rows), sums[e], counts[e])

@@ -18,7 +18,11 @@ family of a mechanism's α×ε grid) and runs them through one loop:
    the non-debiting
    :meth:`~repro.api.ReleaseSession.evaluate_point_outcome` and
    :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`, so
-   workers never touch a ledger;
+   workers never touch a ledger.  Each unit's kernel may use the cores
+   the driver's concurrent units leave idle
+   (:func:`~repro.runtime.kernel_threads` of the round's width): a
+   serial drain ranks a Spearman family's members on every core, a
+   pool that covers the machine keeps single-threaded kernels;
 4. record each **computed** point's spend on the parent session's
    ledger and then persist the point to the store, walking plan order
    — accounting is exact and deterministic no matter which driver ran
@@ -48,6 +52,7 @@ from repro.engine.plan import (
 from repro.engine.points import FigureSeries, SeriesPoint
 from repro.engine.store import ResultStore, content_key
 from repro.runtime.drivers import SerialDriver, resolve_driver
+from repro.runtime.policy import kernel_threads
 
 __all__ = [
     "SweepOutcome",
@@ -104,15 +109,15 @@ def evaluate_point_spec(session, spec: PointSpec):
     )
 
 
-def evaluate_work_unit(session, unit: WorkUnit):
+def evaluate_work_unit(session, unit: WorkUnit, *, threads: int = 1):
     """Task function: one work unit → aligned (points, spends) lists.
 
     Module-level (picklable by reference) like
     :func:`evaluate_point_spec`, which evaluates a point unit.  A family
     unit reduces the members its mask marks from one unit draw through
-    :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`;
-    masked-out slots come back ``None``.  Spends come back detached —
-    the parent merges them.
+    :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`, ranking
+    Spearman members on ``threads`` threads; masked-out slots come back
+    ``None``.  Spends come back detached — the parent merges them.
     """
     if unit.family is None:
         point, spend = evaluate_point_spec(session, unit.spec)
@@ -128,6 +133,7 @@ def evaluate_work_unit(session, unit: WorkUnit):
         seed=family.family_seed,
         batch_size=family.batch_size,
         evaluate=unit.mask,
+        threads=threads,
     )
     return values[family.metric], spends
 
@@ -445,9 +451,13 @@ def _drain(
                     if pending:
                         time.sleep(poll_s)
                     continue
-            outcomes = _executor_map(
-                driver, evaluate_work_unit, session, batch
+            # The cores the driver's concurrent tasks leave idle go to
+            # each task's kernel: all of them under a serial drain.
+            task = partial(
+                evaluate_work_unit,
+                threads=kernel_threads(min(driver.workers, len(batch))),
             )
+            outcomes = _executor_map(driver, task, session, batch)
             members = sorted(
                 (
                     (index, unit, point, spend)

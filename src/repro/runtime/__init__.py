@@ -20,7 +20,8 @@ pieces:
   result puts remain the correctness safety net.
 - :mod:`~repro.runtime.policy` — the one worker-count policy
   (``default_workers`` / ``serve_compute_workers`` /
-  ``REPRO_MAX_WORKERS``) every layer resolves through.
+  ``kernel_threads`` / ``REPRO_MAX_WORKERS``) every layer resolves
+  through.
 """
 
 from repro.runtime.claims import (
@@ -43,6 +44,7 @@ from repro.runtime.drivers import (
 from repro.runtime.policy import (
     MAX_WORKERS_ENV,
     default_workers,
+    kernel_threads,
     resolve_workers,
     serve_compute_workers,
     worker_cap,
@@ -65,6 +67,7 @@ __all__ = [
     "ThreadDriver",
     "default_owner",
     "default_workers",
+    "kernel_threads",
     "resolve_driver",
     "resolve_workers",
     "serve_compute_workers",

@@ -15,8 +15,10 @@ invariants make placement irrelevant to results:
   another machine — therefore reproduces its result bit for bit.
 - **The context is picklable.**  In the calling process (the serial
   and thread drivers, and the process driver's inline path) it is used
-  as it is; the process driver pickles it once per shard submission.
-  A context too heavy to ship pickles as its own rebuild recipe: a
+  as it is; the process driver pickles it once per ``map``, in the
+  calling process, before it starts any worker — a context that
+  refuses to pickle raises there.  A context too heavy to ship pickles
+  as its own rebuild recipe: a
   :class:`~repro.api.session.ReleaseSession` crosses as its config plus
   snapshot-store spec and is rebuilt (and cached) once per worker
   process.
@@ -27,19 +29,27 @@ The drivers:
   calling thread.  Every other driver must be bit-identical to it.
 - :class:`ThreadDriver` — a thread pool sharing the in-process context
   (the repo's contexts are lock-guarded; the NumPy kernels release the
-  GIL for large draws).
+  GIL for large draws).  Each task runs in its own copy of the caller's
+  :mod:`contextvars` context, so context variables the caller set are
+  visible to every task and a task's own ``set`` stays in that task.
 - :class:`ProcessDriver` — true parallelism: items are sharded
   round-robin across worker processes, each of which unpickles its
-  context **once** and streams its shard through the task function.  A
-  worker that *crashes* (OOM-killed, segfaulted, ``kill -9``) does not
-  abort the run: every shard runs in its own single-worker pool, so a
-  crash fails only the crashed shard, which is resubmitted to a fresh
-  pool — bounded by ``max_shard_retries`` — while its siblings finish
-  undisturbed.  Because tasks are self-seeded the retried results are
-  bit-identical to what the dead worker would have produced.  Ordinary
-  task *exceptions* are not retried; they propagate (a deterministic
-  error would just fail again).  A context that fails to unpickle in a
-  worker takes the worker down with it, so it counts as a crash.
+  context **once**, inside its first task, and streams its shard
+  through the task function.  A worker that *crashes* (OOM-killed,
+  segfaulted, ``kill -9``) does not abort the run: every shard runs in
+  its own single-worker pool, so a crash fails only the crashed shard,
+  which is resubmitted to a fresh pool — bounded by
+  ``max_shard_retries`` — while its siblings finish undisturbed.
+  Because tasks are self-seeded the retried results are bit-identical
+  to what the dead worker would have produced.  Ordinary task
+  *exceptions* are not retried; they propagate (a deterministic error
+  would just fail again).  That includes an exception raised while the
+  context rebuilds in the worker (say its snapshot store vanished): it
+  comes back as the task's own error, not as a crash.
+
+The pool machinery (:mod:`concurrent.futures.process`,
+:mod:`multiprocessing`) is imported on the process driver's pool path
+only, so importing this module stays cheap.
 
 :func:`resolve_driver` turns the ``executor=``/``workers=`` knobs of
 the sweep engine, the figure functions and the CLI into a driver.
@@ -47,14 +57,14 @@ the sweep engine, the figure functions and the CLI into a driver.
 
 from __future__ import annotations
 
+import contextvars
 import os
+import pickle
 import signal
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Protocol, runtime_checkable
 
 from repro.runtime.policy import default_workers
@@ -121,7 +131,13 @@ class SerialDriver:
 
 
 class ThreadDriver:
-    """A thread pool over one shared in-process context."""
+    """A thread pool over one shared in-process context.
+
+    Every task runs in its own :func:`contextvars.copy_context` of the
+    calling thread, taken at submission, so whatever the caller's
+    context variables hold (a tracer's current span, say) is what each
+    task sees, and nothing a task sets leaks out of it.
+    """
 
     name = "thread"
 
@@ -135,7 +151,11 @@ class ThreadDriver:
         if len(items) <= 1 or self.workers == 1:
             return SerialDriver().map(fn, context, items)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return list(pool.map(partial(fn, context), items))
+            futures = [
+                pool.submit(contextvars.copy_context().run, fn, context, item)
+                for item in items
+            ]
+            return [future.result() for future in futures]
 
     def __repr__(self) -> str:
         return f"ThreadDriver(workers={self.workers})"
@@ -163,13 +183,16 @@ def _maybe_injected_crash(index: int) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _run_task_shard(context, fn, indexed_items):
+def _run_task_shard(payload: bytes, fn, indexed_items):
     """Worker entry point: stream one shard through ``fn(context, item)``.
 
-    ``context`` arrives unpickled — a rebuilt (per-process cached)
+    ``payload`` is the pickled context, unpickled here, inside the task
+    — a rebuilt (per-process cached)
     :class:`~repro.api.session.ReleaseSession` for sweeps, a plain
-    picklable build context for sharded snapshot generation.
+    picklable build context for sharded snapshot generation — so an
+    error while rebuilding it travels back as this task's exception.
     """
+    context = pickle.loads(payload)
     results = []
     for index, item in indexed_items:
         _maybe_injected_crash(index)
@@ -227,7 +250,12 @@ class ProcessDriver:
         if len(items) == 1 or self.workers == 1:
             self.stats.attempts = {i: 1 for i in range(len(items))}
             return [fn(context, item) for item in items]
+        # Pickled once, here: a context that refuses to cross a process
+        # boundary raises before any worker starts.
+        payload = pickle.dumps(context)
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         mp_context = multiprocessing.get_context(self.start_method)
         n_workers = min(self.workers, len(items))
@@ -254,7 +282,7 @@ class ProcessDriver:
                             max_workers=1, mp_context=mp_context
                         )
                     )
-                    future = pool.submit(_run_task_shard, context, fn, shard)
+                    future = pool.submit(_run_task_shard, payload, fn, shard)
                     submitted.append((shard, future))
                 for shard, future in submitted:
                     try:

@@ -24,6 +24,14 @@ Now every layer resolves through here:
   passing a positive count gets exactly that count (operators override
   policy); ``None`` or a non-positive count falls back to the given
   policy default.
+- :func:`kernel_threads` — how many threads one task's kernel may use
+  inside a drain of a given parallel width: the CPUs this process may
+  run on, split evenly across the drain's concurrent tasks, capped by
+  :data:`MAX_WORKERS_ENV`.  A serial drain gets every core; an N-wide
+  pool gets ``cores // N`` per task (1 once the pool covers the
+  machine), so the two levels of parallelism never oversubscribe.
+  Derived, never configured: ``REPRO_MAX_WORKERS=1`` is the one switch
+  back to single-threaded kernels.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "default_workers",
     "serve_compute_workers",
     "resolve_workers",
+    "kernel_threads",
 ]
 
 # Caps the *derived* worker counts regardless of the machine's core
@@ -90,6 +99,23 @@ def serve_compute_workers() -> int:
     every other pool.
     """
     return _capped(max(2, min(4, os.cpu_count() or 2)))
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, if any)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def kernel_threads(width: int) -> int:
+    """Threads per kernel when ``width`` tasks of a drain run at once.
+
+    :func:`_available_cpus` integer-divided by ``width``, capped by
+    :data:`MAX_WORKERS_ENV`, and at least 1.
+    """
+    return max(1, _capped(_available_cpus() // max(1, width)))
 
 
 def resolve_workers(

@@ -9,7 +9,6 @@ in-memory state and the noise kernels release the GIL inside NumPy.
 
 from __future__ import annotations
 
-import asyncio
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.runtime.policy import resolve_workers, serve_compute_workers
@@ -45,6 +44,10 @@ class ComputePool:
 
     async def run(self, fn, /, *args):
         """Run blocking work on the pool, off the running event loop."""
+        # Imported here: only the release service runs an event loop,
+        # and the CLI's import path should not load asyncio.
+        import asyncio
+
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self.executor, fn, *args)
 

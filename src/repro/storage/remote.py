@@ -40,9 +40,7 @@ import json
 import os
 import shutil
 import tempfile
-import urllib.error
 import urllib.parse
-import urllib.request
 import warnings
 from collections.abc import Callable
 from pathlib import Path
@@ -202,6 +200,8 @@ class HTTPObjectStore:
     :class:`repro.storage.httpd.ObjectServer` in tests and CI, or a
     real blob gateway in a deployment.  Listing uses the ``/_list``
     endpoint (query ``prefix=``), which returns a JSON array of keys.
+    :mod:`urllib.request` loads on the first request, so a process that
+    never speaks HTTP never imports the network stack.
     """
 
     def __init__(self, url: str, *, timeout: float = 30.0):
@@ -214,6 +214,9 @@ class HTTPObjectStore:
     def _request(
         self, key: str, *, method: str, data: bytes | None = None
     ) -> bytes | None:
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             f"{self.url}/{urllib.parse.quote(key)}", data=data, method=method
         )
@@ -243,6 +246,9 @@ class HTTPObjectStore:
         precondition under its object-table lock), so this is a real
         fleet-wide conditional create, not exists-then-put.
         """
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             f"{self.url}/{urllib.parse.quote(key)}",
             data=data,
@@ -268,6 +274,9 @@ class HTTPObjectStore:
             return False
 
     def list(self, prefix: str = "") -> list[str]:
+        import urllib.error
+        import urllib.request
+
         query = urllib.parse.urlencode({"prefix": prefix})
         request = urllib.request.Request(
             f"{self.url}/_list?{query}", method="GET"

@@ -36,6 +36,23 @@ class TestBasics:
         np.testing.assert_array_equal(a, b)
 
 
+class TestReleaseFromUnit:
+    @pytest.mark.parametrize("debias", [False, True])
+    def test_out_matches_the_allocating_call_bit_for_bit(self, debias):
+        """The family kernel writes rows into a ranker's scratch block."""
+        mechanism = LogLaplace(EREEParams(alpha=0.1, epsilon=2.0), debias=debias)
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 500, size=40).astype(np.float64)
+        unit = rng.laplace(size=(7, 40))
+        unit_before = unit.copy()
+        expected = mechanism.release_counts_from_unit(counts, unit)
+        out = np.full_like(unit, np.nan)
+        got = mechanism.release_counts_from_unit(counts, unit, out=out)
+        assert got is out
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(unit, unit_before)
+
+
 class TestPrivacyInequality:
     """Theorem 8.1 at density level: for strong α-neighbor counts n, n'
     the output density ratio is bounded by e^eps everywhere."""

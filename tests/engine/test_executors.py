@@ -7,6 +7,8 @@ change it), and parallel ``run_grid`` releases must match the serial
 noisy matrices with identical ledger accounting.
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.runtime import (
     ProcessDriver,
     SerialDriver,
     ThreadDriver,
+    drivers,
     resolve_driver,
 )
 
@@ -164,6 +167,26 @@ class TestProvidedDatasetGuard:
         with pytest.raises(ValueError, match="provided dataset"):
             wrapped.run_grid(requests, executor="process", workers=2)
         assert wrapped.ledger.entries == []
+
+    def test_refusal_raises_before_any_worker_starts(
+        self, engine_config, wrapped, monkeypatch
+    ):
+        """The process driver pickles its context before it makes a pool."""
+
+        def no_pool(*args, **kwargs):
+            pytest.fail("a process pool was created for an unshippable session")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # Also any binding made at import, however the driver imports it.
+        monkeypatch.setattr(
+            drivers, "ProcessPoolExecutor", no_pool, raising=False
+        )
+        plan = figure_plan("finding-6", engine_config)
+        with pytest.raises(ValueError, match="provided dataset"):
+            run_plan(
+                plan, wrapped, executor="process", workers=2,
+                merge_spend=False,
+            )
 
     def test_thread_executor_accepts_provided_dataset_sessions(
         self, engine_config, wrapped

@@ -6,18 +6,27 @@ The family path rides the same content-addressed store and ledger
 machinery as the default path, so these tests focus on what sharing the
 draw adds: the shared envelope cache, two-way key disjointness (default
 / ``family``), member-precise resume, ``--trials-batch`` chunking of the
-family draw, and the per-worker profile breakdown that ships back from
-process pools.
+family draw, the per-worker profile breakdown that ships back from
+process pools, and the kernel threads a drain hands its family units.
 """
+
+import os
 
 import numpy as np
 import pytest
 
+from repro.engine import evaluate
 from repro.engine.evaluate import fused_family_points
 from repro.engine.plan import fused_families, grid_plan, work_units
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
+from repro.runtime import (
+    MAX_WORKERS_ENV,
+    SerialDriver,
+    ThreadDriver,
+    kernel_threads,
+)
 
 from .test_fused import FIGURE_GOLDEN, run_figure_plan, same_float
 
@@ -531,3 +540,56 @@ class TestWorkerProfile:
         )
         assert "per_worker" not in outcome.profile
         assert outcome.profile["total_s"] > 0
+
+
+class TestMemberThreads:
+    """A drain hands its family kernels the cores its own concurrent
+    units leave idle: ``kernel_threads`` of the round's width."""
+
+    @pytest.fixture
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The ``threads`` of every family kernel call."""
+        calls = []
+        kernel = evaluate.fused_family_points
+
+        def spy(*args, threads=1, **kwargs):
+            calls.append(threads)
+            return kernel(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(evaluate, "fused_family_points", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "driver,width", [(SerialDriver(), 1), (ThreadDriver(2), 2)]
+    )
+    def test_drain_passes_the_threads_its_width_leaves(
+        self, session, eight_cpus, kernel_calls, driver, width
+    ):
+        plan = family_plan(session, n_trials=2, metric="spearman")
+        assert len(work_units(plan, True)) == 3
+        run_plan(plan, session, merge_spend=False, fused="family", executor=driver)
+        assert kernel_threads(width) == 8 // width
+        assert kernel_calls == [kernel_threads(width)] * 3
+
+    def test_threaded_profile_stays_within_the_wall_clock(
+        self, session, eight_cpus, kernel_calls
+    ):
+        """Only the calling thread times stages, so the stage seconds
+        of a threaded Spearman drain still fit inside its total."""
+        plan = family_plan(session, n_trials=300, metric="spearman")
+        outcome = run_plan(
+            plan, session, merge_spend=False, fused="family", profile=True
+        )
+        assert kernel_calls and all(threads > 1 for threads in kernel_calls)
+        prof = outcome.profile
+        assert prof["reduce_s"] > 0.0
+        staged = prof["draw_s"] + prof["reduce_s"] + prof["store_s"]
+        assert staged <= prof["total_s"]

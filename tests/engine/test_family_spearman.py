@@ -8,8 +8,11 @@ reference below is the earlier reducer, kept verbatim: it builds each
 member's full trials×cells noisy matrix and gathers, keys and sorts it
 once per index set.  Member values must agree bit for bit, including
 chunkings that split the kernel's row blocks, resumed subsets
-(``evaluate`` masks) and infeasible members.
+(``evaluate`` masks), infeasible members, and members ranked in shares
+on several threads.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -156,8 +159,12 @@ class TestFamilySpearmanMatchesPerSetReducer:
         SHAPES,
         ids=["w1-1000-by-500", "w2-200-by-130", "w2-300-unchunked"],
     )
+    # 3 threads is more than a 2-core host has, and than the 4 live
+    # members split evenly into.
+    @pytest.mark.parametrize("threads", [1, 3])
     def test_member_values_bit_identical(
-        self, session, mechanism, metrics, workload, n_trials, batch_size
+        self, session, mechanism, metrics, workload, n_trials, batch_size,
+        threads,
     ):
         stats = session.statistics(workload)
         block = block_rows(stats.eval_true.size)
@@ -173,7 +180,7 @@ class TestFamilySpearmanMatchesPerSetReducer:
             metrics=metrics,
             evaluate=evaluate,
         )
-        got = fused_family_points(stats, mechanism, **kwargs)
+        got = fused_family_points(stats, mechanism, threads=threads, **kwargs)
         want = _reference_family(stats, mechanism, **kwargs)
         assert set(got) == set(metrics)
         for metric in metrics:
@@ -188,3 +195,42 @@ class TestFamilySpearmanMatchesPerSetReducer:
         if mechanism != "log-laplace":
             infeasible = got["spearman"][2]
             assert infeasible is not None and not infeasible.feasible
+
+
+# Seven members, so eight threads leave one share empty.
+STRESS_MEMBERS = [
+    (0.05, 0.5), (0.05, 1.0), (0.05, 2.0),
+    (0.1, 1.0), (0.1, 2.0), (0.2, 0.5), (0.2, 2.0),
+]
+
+
+@pytest.mark.parametrize("mechanism", ["smooth-laplace", "log-laplace"])
+def test_threaded_shares_match_one_thread_under_fast_switching(
+    session, mechanism
+):
+    """Eight threads switching every microsecond fold every member's ρ
+    exactly as one thread does; a lost update on the shared sums, or a
+    share ranking through another's scratch, would show in the bits."""
+    stats = session.statistics(WORKLOAD_2)
+    kwargs = dict(
+        members=STRESS_MEMBERS,
+        delta=0.05,
+        n_trials=400,
+        seed=31,
+        batch_size=150,
+        metrics=("spearman",),
+        evaluate=[True, True, False, True, True, True, True],
+    )
+    want = fused_family_points(stats, mechanism, threads=1, **kwargs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = fused_family_points(stats, mechanism, threads=8, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got["spearman"][2] is None
+    for point, expected in zip(got["spearman"], want["spearman"]):
+        if expected is None:
+            assert point is None
+        else:
+            assert points_identical(point, expected)

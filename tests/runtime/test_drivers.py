@@ -1,15 +1,18 @@
 """Placement drivers: serial is the reference, the rest must match.
 
 Covers ``driver.map(fn, context, items)`` — ordered equivalence of the
-thread and process drivers against the serial reference, contexts that
-cross process boundaries as rebuild recipes — and the process driver's
-bounded crash recovery (a SIGKILL'd worker's shard is resubmitted and
-the retried tasks are bit-identical).
+thread and process drivers against the serial reference, context
+variables inside thread tasks, contexts that cross process boundaries
+as rebuild recipes (and rebuild errors that come back as task errors)
+— and the process driver's bounded crash recovery (a SIGKILL'd
+worker's shard is resubmitted and the retried tasks are bit-identical).
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
+import threading
 import time
 
 import pytest
@@ -56,6 +59,30 @@ def _offset_tag(context, item):
     return (os.getpid(), context.built_in, context.base + item)
 
 
+def _missing_snapshot():
+    raise FileNotFoundError("the snapshot store vanished")
+
+
+class _VanishedStore:
+    """A context whose rebuild recipe raises in the worker."""
+
+    def __reduce__(self):
+        return (_missing_snapshot, ())
+
+
+_TAG = contextvars.ContextVar("test_drivers_tag", default=None)
+
+
+def _read_then_set_tag(barrier, item):
+    """Report the tag this task starts with, after setting its own."""
+    seen = _TAG.get()
+    _TAG.set(f"task-{item}")
+    # Both pool threads hold a task here at once, so the next tasks run
+    # on threads whose earlier task already set the tag.
+    barrier.wait(timeout=10)
+    return seen, _TAG.get()
+
+
 ITEMS = (1, 2, 3, 4, 5)
 
 
@@ -83,6 +110,19 @@ class TestThreadDriver:
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             ThreadDriver(workers=0)
+
+    def test_tasks_run_in_copies_of_the_callers_context(self):
+        barrier = threading.Barrier(2)
+        token = _TAG.set("caller")
+        try:
+            results = ThreadDriver(workers=2).map(
+                _read_then_set_tag, barrier, range(6)
+            )
+            assert _TAG.get() == "caller"
+        finally:
+            _TAG.reset(token)
+        assert [seen for seen, _ in results] == ["caller"] * 6
+        assert [own for _, own in results] == [f"task-{i}" for i in range(6)]
 
 
 class TestProcessDriver:
@@ -120,6 +160,14 @@ class TestProcessDriver:
 
         with pytest.raises(Exception):
             ProcessDriver(workers=2).map(will_not_pickle, None, (1, 2))
+
+    def test_rebuild_error_comes_back_as_the_task_error(self):
+        """A context that fails to rebuild in a worker is a task error,
+        not a crash: it propagates as itself and is not retried."""
+        driver = ProcessDriver(workers=2)
+        with pytest.raises(FileNotFoundError, match="vanished"):
+            driver.map(_scale, _VanishedStore(), (1, 2))
+        assert driver.stats.shard_retries == 0
 
 
 class TestCrashRecovery:

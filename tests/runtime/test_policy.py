@@ -1,18 +1,22 @@
-"""The one worker-count policy: every pool sizes through these three knobs.
+"""The one worker-count policy: every pool sizes through these knobs.
 
 What ships here is the unification contract: ``default_workers`` (sweep
-and build pools) and ``serve_compute_workers`` (the service's compute
-pool) both bow to ``REPRO_MAX_WORKERS``, while an explicit operator
-request resolved through ``resolve_workers`` is never capped.
+and build pools), ``serve_compute_workers`` (the service's compute
+pool) and ``kernel_threads`` (threads inside one drain task) all bow to
+``REPRO_MAX_WORKERS``, while an explicit operator request resolved
+through ``resolve_workers`` is never capped.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.runtime import (
     MAX_WORKERS_ENV,
     default_workers,
+    kernel_threads,
     resolve_workers,
     serve_compute_workers,
     worker_cap,
@@ -108,3 +112,48 @@ class TestResolveWorkers:
         _cpus(monkeypatch, 6)
         assert resolve_workers(0) == 6
         assert resolve_workers(-2) == 6
+
+
+def _affinity(monkeypatch, count):
+    """This process may run on ``count`` CPUs (of a larger machine)."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+    _cpus(monkeypatch, 2 * count)
+
+
+class TestKernelThreads:
+    def test_width_one_gets_every_cpu(self, monkeypatch):
+        _affinity(monkeypatch, 6)
+        assert kernel_threads(1) == 6
+
+    def test_cpus_split_across_the_width(self, monkeypatch):
+        _affinity(monkeypatch, 6)
+        assert kernel_threads(2) == 3
+        assert kernel_threads(4) == 1
+
+    def test_width_at_or_past_the_cpus_gets_one(self, monkeypatch):
+        _affinity(monkeypatch, 2)
+        assert kernel_threads(2) == 1
+        assert kernel_threads(5) == 1
+
+    def test_cpu_count_without_an_affinity_api(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        _cpus(monkeypatch, 4)
+        assert kernel_threads(1) == 4
+        _cpus(monkeypatch, None)
+        assert kernel_threads(1) == 1
+
+    def test_env_cap_of_one_restores_single_threaded_kernels(
+        self, monkeypatch
+    ):
+        _affinity(monkeypatch, 8)
+        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+        assert kernel_threads(1) == 1
+        monkeypatch.setenv(MAX_WORKERS_ENV, "3")
+        assert kernel_threads(1) == 3
+
+    def test_garbage_cap_names_the_env_var(self, monkeypatch):
+        monkeypatch.setenv(MAX_WORKERS_ENV, "many")
+        with pytest.raises(ValueError, match=MAX_WORKERS_ENV):
+            kernel_threads(1)

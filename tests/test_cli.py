@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -414,15 +415,17 @@ class TestStorageCommand:
 
 
 class TestImportCost:
-    def test_cli_import_loads_no_scipy(self):
-        """scipy loads only inside the functions that use it, so
-        ``import repro.cli`` alone must leave it out of ``sys.modules``."""
+    """``import repro.cli`` loads only what every command needs; the
+    rest loads inside the functions that use it."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        """The modules ``import repro.cli`` leaves in ``sys.modules``."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
         probe = (
-            "import sys, repro.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))"
+            "import sys, repro.cli; names = sorted(sys.modules); "
+            "import json; print(json.dumps(names))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe],
@@ -432,4 +435,19 @@ class TestImportCost:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr[-2000:]
-        assert result.stdout.strip() == "[]"
+        return set(json.loads(result.stdout))
+
+    def test_cli_import_loads_no_scipy(self, loaded):
+        scipy = [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+        assert scipy == []
+
+    def test_cli_import_loads_no_network_or_async_stack(self, loaded):
+        """The HTTP store, the service's event loop and process pools
+        import what they need when they first run."""
+        lazy = {
+            "asyncio",
+            "urllib.request",
+            "http.client",
+            "concurrent.futures.process",
+        }
+        assert sorted(lazy & loaded) == []
