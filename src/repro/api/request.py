@@ -11,7 +11,8 @@ execute through :meth:`repro.api.ReleaseSession.run`.
 :meth:`ReleaseRequest.grid` expands a (mechanism × α × ε) product into a
 request list for :meth:`repro.api.ReleaseSession.run_grid`, deriving a
 distinct per-point seed from one base seed the way the figure runner
-does.
+does (:func:`repro.engine.plan.grid_specs` derives the same seeds, which
+is how Table 3's request units keep their historical streams).
 
 :meth:`ReleaseRequest.to_dict` / :meth:`ReleaseRequest.from_dict` give
 requests an exact JSON round-trip — the wire format of the release
@@ -23,7 +24,7 @@ offending field*, so a remote caller learns exactly which key to fix.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.api.registry import (
     BASELINE,
@@ -89,9 +90,6 @@ class ReleaseRequest:
         if self.label is not None:
             return self.label
         return f"{self.mechanism}:{'x'.join(self.attrs)}"
-
-    def with_seed(self, seed: int | None) -> "ReleaseRequest":
-        return replace(self, seed=seed)
 
     # -- JSON round-trip ------------------------------------------------
 

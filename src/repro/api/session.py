@@ -16,10 +16,9 @@ Three execution surfaces:
   bit-for-bit identical to the historical
   :func:`repro.core.release.release_marginal` for the same seed (pinned
   by the equivalence tests).
-- :meth:`ReleaseSession.run_grid` fans a list of requests — typically a
-  (mechanism × α × ε) product from :meth:`ReleaseRequest.grid` — through
-  the batched trial engine, optionally in parallel through a
-  :mod:`repro.runtime` driver.
+- :meth:`ReleaseSession.run_grid` runs a list of requests — typically a
+  (mechanism × α × ε) product from :meth:`ReleaseRequest.grid` — one
+  after another through the batched trial engine.
 - :meth:`ReleaseSession.evaluate_point` computes one figure point
   (L1-error ratio or Spearman correlation, overall + per stratum)
   through the streaming reducers of :mod:`repro.engine.evaluate`.
@@ -27,11 +26,15 @@ Three execution surfaces:
 Every execution debits the session's :class:`~repro.api.ledger.PrivacyLedger`
 with the Sec-4 composition total of its release (infeasible grid points
 release nothing and debit nothing).  The non-debiting variants
-(:meth:`ReleaseSession.execute` / :meth:`ReleaseSession.evaluate_point_outcome`)
-return the spend as a detached :class:`~repro.api.ledger.LedgerEntry` —
-that is what the parallel sweep engine runs in worker processes, merging
-the records into the parent ledger afterwards so accounting stays exact
-under parallelism.
+(:meth:`ReleaseSession.execute`,
+:meth:`ReleaseSession.evaluate_point_outcome` and
+:meth:`ReleaseSession.evaluate_family_outcome`) return the spend as a
+detached :class:`~repro.api.ledger.LedgerEntry` — they are what the
+sweep engine's work units run, in worker processes or not, and the
+engine merges the records into the parent ledger afterwards so
+accounting stays exact under parallelism.  Parallel request grids go
+through the engine too: Table 3 drains its releases as request work
+units (:func:`repro.experiments.tables.table3_rows`).
 
 A session crosses a process boundary as its own rebuild recipe
 (:meth:`ReleaseSession.__reduce__`): workers rebuild it from its config
@@ -68,7 +71,6 @@ from repro.db.query import Marginal, per_establishment_counts
 from repro.engine import evaluate as point_kernels
 from repro.engine.points import N_STRATA, SeriesPoint, WorkloadStatistics
 from repro.metrics.strata import cell_strata
-from repro.runtime.drivers import resolve_driver
 from repro.sdl.noise_infusion import InputNoiseInfusion
 from repro.util import derive_seed
 
@@ -562,33 +564,17 @@ class ReleaseSession:
         return self._result(request, weighted.release, entry), entry
 
     def run_grid(
-        self,
-        requests: Sequence[ReleaseRequest],
-        *,
-        executor=None,
-        workers: int | None = None,
+        self, requests: Sequence[ReleaseRequest]
     ) -> list[ReleaseResult]:
         """Execute a request list (e.g. a ``ReleaseRequest.grid`` product).
 
         Trial-invariant statistics are shared across points through the
         session caches, so an m-point grid over one marginal computes the
         marginal's true counts, mask and xv exactly once and each point
-        only draws its ``(n_trials, n_cells)`` noise matrix.
-
-        ``executor``/``workers`` resolve through
-        :func:`~repro.runtime.resolve_driver`: requests evaluate in
-        parallel — each carries its own seed, so results are bit-identical
-        to the serial path — and their spend records merge into this
-        session's ledger in request order, keeping accounting exact and
-        deterministic.  Without either knob the historical sequential
-        path runs (each request debits as it executes).
+        only draws its ``(n_trials, n_cells)`` noise matrix.  Requests
+        run in order, each debiting as it executes.
         """
-        driver = resolve_driver(executor, workers)
-        if driver is None:
-            return [self.run(request) for request in requests]
-        outcomes = driver.map(_execute_request, self, list(requests))
-        self.ledger.merge([spend for _, spend in outcomes])
-        return [result for result, _ in outcomes]
+        return [self.run(request) for request in requests]
 
     # -- figure-point evaluation ---------------------------------------
 
@@ -768,14 +754,6 @@ class ReleaseSession:
                 )
             )
         return values, spends
-
-
-def _execute_request(session: ReleaseSession, request: ReleaseRequest):
-    """Driver task: one request → (result, spend record), no debit.
-
-    Module-level so process pools can pickle it by reference.
-    """
-    return session.execute(request)
 
 
 def _worker_session(config, worker_attrs, store_spec) -> ReleaseSession:

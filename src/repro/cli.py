@@ -172,13 +172,8 @@ def _add_session_arguments(
         )
 
 
-def _add_engine_arguments(parser, *, claims: bool = True):
-    """The sweep-engine knobs shared by figures/tables/sweep.
-
-    ``claims=False`` omits the cooperative-drain flags for commands
-    whose compute does not go through ``run_plan`` (Table 3 drains a
-    request grid, not a sweep plan).
-    """
+def _add_engine_arguments(parser):
+    """The sweep-engine knobs shared by figures/tables/sweep."""
     parser.add_argument(
         "--snapshot-dir",
         type=Path,
@@ -224,26 +219,25 @@ def _add_engine_arguments(parser, *, claims: bool = True):
         "the bare flag means; statistically equivalent to per-point "
         "evaluation, different RNG streams, cached under distinct keys)",
     )
-    if claims:
-        parser.add_argument(
-            "--claim",
-            action="store_true",
-            help="coordinate with other drains of the same plan through "
-            "lease files on the result store: each missing point is "
-            "claimed before it is computed, so N concurrent processes "
-            "(or machines, via --store-url) partition the grid instead "
-            "of each computing all of it; implies --resume and "
-            "requires the result store",
-        )
-        parser.add_argument(
-            "--claim-ttl",
-            type=_positive_seconds,
-            default=None,
-            metavar="SECONDS",
-            help="lease time-to-live for --claim; a claim whose owner "
-            "crashed is taken over by another drain after this long "
-            "(default 300)",
-        )
+    parser.add_argument(
+        "--claim",
+        action="store_true",
+        help="coordinate with other drains of the same plan through "
+        "lease files on the result store: each missing point is "
+        "claimed before it is computed, so N concurrent processes "
+        "(or machines, via --store-url) partition the grid instead "
+        "of each computing all of it; implies --resume and "
+        "requires the result store",
+    )
+    parser.add_argument(
+        "--claim-ttl",
+        type=_positive_seconds,
+        default=None,
+        metavar="SECONDS",
+        help="lease time-to-live for --claim; a claim whose owner "
+        "crashed is taken over by another drain after this long "
+        "(default 300)",
+    )
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -334,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_arguments(
         tables, jobs_default=20_000, trials_default=3, scenario=True
     )
-    _add_engine_arguments(tables, claims=False)
+    _add_engine_arguments(tables)
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -666,14 +660,14 @@ def _out_dir_from_args(args) -> Path:
 
 
 def _claim_options_from_args(args) -> dict:
-    """The ``run_plan`` claim kwargs for a command with ``--claim`` flags."""
-    if not getattr(args, "claim", False):
+    """The ``run_plan`` claim kwargs of a figures/tables/sweep invocation."""
+    if not args.claim:
         return {}
     if args.no_cache:
         raise SystemExit(
             "--claim coordinates through the result store; drop --no-cache"
         )
-    return {"claim": True, "claim_ttl_s": getattr(args, "claim_ttl", None)}
+    return {"claim": True, "claim_ttl_s": args.claim_ttl}
 
 
 def _engine_from_args(args):
@@ -741,6 +735,7 @@ def run_tables(args, session: ReleaseSession | None = None) -> list[Path]:
     if session is None:
         session = _session_from_args(args)
     executor, store = _engine_from_args(args)
+    claim_options = _claim_options_from_args(args)
     out = _out_dir_from_args(args)
     written = []
     artifacts = (
@@ -755,6 +750,7 @@ def run_tables(args, session: ReleaseSession | None = None) -> list[Path]:
                 store=store,
                 resume=args.resume,
                 fused=args.fused,
+                **claim_options,
             ),
         ),
     )

@@ -59,10 +59,6 @@ class LODESDataset:
             self.job_establishment, minlength=self.n_establishments
         ).astype(np.int64)
 
-    def place_of_establishment(self) -> np.ndarray:
-        """Place code per establishment (codes into the place domain)."""
-        return self.workplace.column("place")
-
     def place_population(self, place_code: int) -> int:
         """2010-Census-style total population of place ``place_code``."""
         return int(self.geography.place_populations[place_code])

@@ -87,9 +87,6 @@ class LODESPanel:
     def year(self, t: int) -> LODESDataset:
         return self.years[t]
 
-    def active_mask(self, t: int) -> np.ndarray:
-        return self.sizes_by_year[t] > 0
-
     def survivors(self) -> np.ndarray:
         """Establishments active in every year (stable panel members)."""
         return (self.sizes_by_year > 0).all(axis=0)

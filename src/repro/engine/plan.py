@@ -21,19 +21,29 @@ resumable execution:
 :func:`work_units` splits a plan into the tasks the sweep engine runs:
 one per point by default, or — fused — one per :class:`FusedFamily`
 (every (α, ε) point of one mechanism, served by a single unit-noise
-draw) plus one per point no family can take.  Two key spaces follow: a
-point unit stores under :meth:`PointSpec.key`, a family member under
-:meth:`FusedFamily.member_key`, which adds the family token.
+draw) plus one per point no family can take.  A caller may build its
+own units instead: Table 3 drains one *request* unit per row — a
+:class:`~repro.api.request.ReleaseRequest` whose one release yields the
+row's L1-ratio and Spearman points.  Each unit kind stores under its
+own key space: a point unit under :meth:`PointSpec.key`, a family
+member under :meth:`FusedFamily.member_key`, which adds the family
+token, and a request member under the plain content plus a ``release``
+marker (the request's attrs, mode and budget style), so a release's
+values never pass for a point kernel's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.release import DEFAULT_WORKER_ATTRS
 from repro.engine.store import content_key
 from repro.util import derive_seed
+
+if TYPE_CHECKING:  # the api layer imports this package at load time
+    from repro.api.request import ReleaseRequest
 
 TRUNCATED_LAPLACE = "truncated-laplace"
 
@@ -212,7 +222,7 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class FusedFamily:
-    """One (workload, mechanism, metric) bucket of a plan's α×ε points.
+    """One (workload, mechanism) bucket of a plan's α×ε points.
 
     The fused evaluation path (``run_plan(fused=True)``) shares noise
     across the grid: Theorem 8.4 releases are ``q(x) + S(x,α)/a(ε) · Z``
@@ -220,10 +230,11 @@ class FusedFamily:
     only in the smooth-sensitivity envelope ``max(xv·α, 1)`` — so
     **one** unit draw serves the whole α×ε sub-grid of a mechanism.  A
     member's value depends on the family draw, hence on the family
-    composition: ``family_seed`` derives from the first member's seed
-    and the full (α, ε) member list, and :meth:`member_key` embeds both
-    into the member's content address.  Family results therefore never
-    collide with the default per-point keys.
+    composition: :func:`fused_families` derives ``family_seed`` from the
+    first member's seed and the full (α, ε) member list, and
+    :meth:`member_key` embeds the seed and the members into the
+    member's content address.  Family results therefore never collide
+    with the default per-point keys.
 
     The unit draw depends only on ``(family_seed, n_trials, n_cells)``
     — not on which members are reduced from it — so a resumed family
@@ -231,12 +242,15 @@ class FusedFamily:
     run's values bit-for-bit.
 
     ``indices`` are positions into the owning plan's ``points``, in plan
-    order; ``alphas`` and ``epsilons`` align with them.
+    order; ``alphas``, ``epsilons`` and ``metrics`` align with them.
+    :func:`fused_families` buckets by metric, so its families hold one
+    metric; Table 3's hold both metrics of each (α, ε) member, reduced
+    from the same draw.
     """
 
     workload: str
     mechanism: str
-    metric: str
+    metrics: tuple[str, ...]
     delta: float
     n_trials: int
     batch_size: int | None
@@ -343,7 +357,7 @@ def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
             FusedFamily(
                 workload=workload,
                 mechanism=mechanism,
-                metric=metric,
+                metrics=(metric,) * len(indices),
                 delta=delta,
                 n_trials=n_trials,
                 batch_size=batch_size,
@@ -358,28 +372,40 @@ def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One task of a sweep: a lone point, or one fused family.
+    """One task of a sweep: a lone point, one fused family, or one release.
 
     A point unit holds its :class:`PointSpec` and stores under the
     plain key; a family unit holds its :class:`FusedFamily` and stores
-    under the family member keys.  ``indices`` are the plan positions
-    the unit covers, in plan order, and ``mask`` marks which of them
-    still need computing — a resumed family reduces only its missing
-    members, bit-identical to the full run because the family's unit
-    draw never depends on the mask.
+    under the family member keys.  A request unit holds a
+    :class:`~repro.api.request.ReleaseRequest` and covers two plan
+    points, the release's L1 ratio and then its Spearman ρ; its members
+    store under the plain content plus the ``release`` marker.
+    ``indices`` are the plan positions the unit covers, in plan order,
+    and ``mask`` marks which of them still need computing — a resumed
+    family reduces only its missing members, bit-identical to the full
+    run because the family's unit draw never depends on the mask, and a
+    resumed request reruns its seeded release.
     """
 
     indices: tuple[int, ...]
     mask: tuple[bool, ...]
     spec: PointSpec | None = None
     family: FusedFamily | None = None
+    request: ReleaseRequest | None = None
 
     def member_content(self, plan: SweepPlan, index: int) -> dict:
         """The value-determining payload of member ``index`` (a plan position)."""
         spec = plan.points[index]
-        if self.family is None:
-            return spec.content(plan.fingerprint)
-        return self.family.member_content(spec, plan.fingerprint)
+        if self.family is not None:
+            return self.family.member_content(spec, plan.fingerprint)
+        payload = spec.content(plan.fingerprint)
+        if self.request is not None:
+            payload["release"] = {
+                "attrs": list(self.request.attrs),
+                "mode": self.request.mode,
+                "budget_style": self.request.budget_style,
+            }
+        return payload
 
     def member_key(self, plan: SweepPlan, index: int) -> str:
         """Content-address of member ``index`` in the result store."""

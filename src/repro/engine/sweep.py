@@ -3,7 +3,9 @@
 :func:`run_plan` is the engine's front door.  It splits a
 :class:`~repro.engine.plan.SweepPlan` into work units
 (:func:`~repro.engine.plan.work_units`: one per point, or one per fused
-family of a mechanism's α×ε grid) and runs them through one loop:
+family of a mechanism's α×ε grid) — or takes the units its caller
+built, as Table 3 does (one release request per row, or one two-metric
+family per mechanism) — and runs them through one loop:
 
 1. consult the :class:`~repro.engine.store.ResultStore` (when resuming)
    and keep every already-computed member — a resumed figure recomputes
@@ -16,9 +18,10 @@ family of a mechanism's α×ε grid) and runs them through one loop:
    (serial by default; thread or process pools for parallel sweeps —
    process workers get the session as its pickled rebuild recipe) via
    the non-debiting
-   :meth:`~repro.api.ReleaseSession.evaluate_point_outcome` and
-   :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`, so
-   workers never touch a ledger.  Each unit's kernel may use the cores
+   :meth:`~repro.api.ReleaseSession.evaluate_point_outcome`,
+   :meth:`~repro.api.ReleaseSession.evaluate_family_outcome` and
+   :meth:`~repro.api.ReleaseSession.execute`, so workers never touch a
+   ledger.  Each unit's kernel may use the cores
    the driver's concurrent units leave idle
    (:func:`~repro.runtime.kernel_threads` of the round's width): a
    serial drain ranks a Spearman family's members on every core, a
@@ -51,7 +54,7 @@ from repro.engine.plan import (
 )
 from repro.engine.points import FigureSeries, SeriesPoint
 from repro.engine.store import ResultStore, content_key
-from repro.runtime.drivers import SerialDriver, resolve_driver
+from repro.runtime.drivers import resolve_driver
 from repro.runtime.policy import kernel_threads
 
 __all__ = [
@@ -117,25 +120,60 @@ def evaluate_work_unit(session, unit: WorkUnit, *, threads: int = 1):
     unit reduces the members its mask marks from one unit draw through
     :meth:`~repro.api.ReleaseSession.evaluate_family_outcome`, ranking
     Spearman members on ``threads`` threads; masked-out slots come back
-    ``None``.  Spends come back detached — the parent merges them.
+    ``None``.  A request unit executes its release once and reads both
+    of its points off the result.  Spends come back detached — the
+    parent merges them — and ride on the points of the unit's first
+    metric only: a second metric is post-processing of the same release.
     """
+    request = unit.request
+    if request is not None:
+        result, spend = session.execute(request)
+        points = [
+            SeriesPoint(
+                mechanism=request.mechanism,
+                alpha=request.alpha,
+                epsilon=request.epsilon,
+                overall=overall,
+                by_stratum=by_stratum,
+            )
+            for overall, by_stratum in (
+                (result.l1_ratio(), result.l1_ratio_by_stratum()),
+                (result.spearman(), result.spearman_by_stratum()),
+            )
+        ]
+        return points, [spend, None]
     if unit.family is None:
         point, spend = evaluate_point_spec(session, unit.spec)
         return [point], [spend]
     family = unit.family
+    # The kernel takes each distinct (α, ε) member and metric once; a
+    # member is reduced when any of its points is pending.
+    slot_of = {
+        member: slot
+        for slot, member in enumerate(dict.fromkeys(family.members))
+    }
+    slots = [slot_of[member] for member in family.members]
+    evaluate = [False] * len(slot_of)
+    for slot, todo in zip(slots, unit.mask):
+        evaluate[slot] |= todo
+    metrics = tuple(dict.fromkeys(family.metrics))
     values, spends = session.evaluate_family_outcome(
         resolve_workload(family.workload),
         family.mechanism,
-        members=family.members,
+        members=list(slot_of),
         delta=family.delta,
-        metrics=(family.metric,),
+        metrics=metrics,
         n_trials=family.n_trials,
         seed=family.family_seed,
         batch_size=family.batch_size,
-        evaluate=unit.mask,
+        evaluate=evaluate,
         threads=threads,
     )
-    return values[family.metric], spends
+    pairs = list(zip(family.metrics, slots))
+    return (
+        [values[metric][slot] for metric, slot in pairs],
+        [spends[slot] if metric == metrics[0] else None for metric, slot in pairs],
+    )
 
 
 def _profiled_task(fn, session, item):
@@ -270,6 +308,7 @@ def run_plan(
     claim_owner: str | None = None,
     claim_ttl_s: float | None = None,
     claim_poll_s: float = 0.2,
+    units: list[WorkUnit] | None = None,
 ) -> SweepOutcome:
     """Execute a sweep plan: resume from the store, fan out the rest.
 
@@ -291,7 +330,9 @@ def run_plan(
     paths never serve each other's cached points; points no family can
     take (truncated-laplace) evaluate per point under their plain keys.
     The default ``fused=False`` path is bit-identical to what it always
-    produced.
+    produced.  ``units`` replaces :func:`~repro.engine.plan.work_units`
+    with the caller's own split of the plan (Table 3's request units and
+    two-metric families); ``fused`` is then ignored.
 
     ``claim=True`` turns the drain cooperative: before computing a
     missing work unit this run *claims* it on the store's
@@ -328,11 +369,11 @@ def run_plan(
         _drain,
         plan,
         session,
-        driver=resolve_driver(executor, workers) or SerialDriver(),
+        work_units(plan, fused) if units is None else units,
+        driver=resolve_driver(executor, workers),
         store=store,
         resume=resume,
         merge_spend=merge_spend,
-        fused=fused,
         board=board,
         poll_s=claim_poll_s or 0.2,
     )
@@ -359,12 +400,12 @@ def _store_point(store, content: dict, point, spend) -> None:
 def _drain(
     plan: SweepPlan,
     session,
+    pending: list[WorkUnit],
     *,
     driver,
     store: ResultStore | None,
     resume: bool,
     merge_spend: bool,
-    fused: bool,
     board,
     poll_s: float,
 ) -> SweepOutcome:
@@ -417,7 +458,6 @@ def _drain(
     def lease_key(unit: WorkUnit) -> str:
         return unit.member_key(plan, unit.indices[0])
 
-    pending = work_units(plan, fused)
     if store is not None and resume:
         pending = [unit for unit in map(restore, pending) if unit is not None]
     try:

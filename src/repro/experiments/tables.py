@@ -8,12 +8,17 @@ comparison (the published δ = .05 column is internally consistent with
 δ ≈ .005; see EXPERIMENTS.md).
 
 Table 3 is not in the paper: it is an empirical per-mechanism accuracy
-summary of the Workload-1 marginal on one snapshot, produced through the
-:class:`repro.api.ReleaseSession` facade (one shared snapshot, the
-batched trial engine, and ledger accounting) so the ``tables`` CLI
-exercises the same path as ``figures``.  With ``--fused`` its rows come
-from one unit-noise family draw per mechanism, both metrics from the
-same draw, like a fused figure sweep.
+summary of the Workload-1 marginal on one snapshot.  It is a
+:class:`~repro.engine.plan.SweepPlan` of two points per feasible row —
+the row's L1 ratio, then its Spearman ρ — drained by
+:func:`repro.engine.sweep.run_plan` like every figure, so it shares the
+engine's drivers, result store, member-precise resume, claims and
+ledger accounting.  By default each row is one request work unit: a
+:class:`~repro.api.request.ReleaseRequest` executed through
+:meth:`repro.api.ReleaseSession.execute`, both metrics read off the
+release.  With ``--fused`` each mechanism is one two-metric family:
+one unit-noise draw serves both metrics of all its rows, like a fused
+figure sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ from dataclasses import replace
 from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
 from repro.core.definitions import table1_rows
-from repro.core.params import min_epsilon
+from repro.core.params import EREEParams, min_epsilon
+from repro.engine.evaluate import mechanism_is_feasible
+from repro.engine.plan import FusedFamily, SweepPlan, WorkUnit, grid_specs
+from repro.engine.sweep import _normalize_fused, run_plan
+from repro.experiments.config import MECHANISM_NAMES
 from repro.experiments.workloads import WORKLOAD_1
 from repro.util import derive_seed, format_table
 
@@ -93,111 +102,54 @@ TABLE3_EPSILONS: tuple[float, ...] = (1.0, 2.0, 4.0)
 TABLE3_DELTA: float = 0.05
 
 
-def _table3_row_key(
-    fingerprint: str, request: ReleaseRequest, family: dict | None = None
-) -> str:
-    """Content-address of one Table-3 row for the result store.
+def _request_units(plan: SweepPlan) -> list[WorkUnit]:
+    """One release request per row: its (L1, Spearman) point pair.
 
-    ``family`` carries the fused-evaluation token (family seed + the
-    family's (α, ε) members): fused rows come from a different noise
-    stream than per-request rows, so their cache keys must never
-    collide.
+    The request's seed is the row's point seed — the one
+    :meth:`ReleaseRequest.grid` derives for tag ``table3`` — and its
+    ledger label is the point label the family path's spends carry.
     """
-    from repro.engine.store import content_key
-
-    payload = {
-        "kind": "table3-row",
-        "fingerprint": fingerprint,
-        "attrs": list(request.attrs),
-        "mechanism": request.mechanism,
-        "alpha": request.alpha,
-        "epsilon": request.epsilon,
-        "delta": request.delta,
-        "budget_style": request.budget_style,
-        "n_trials": request.n_trials,
-        "seed": request.seed,
-    }
-    if family is not None:
-        payload["family"] = family
-    return content_key(payload)
-
-
-def _table3_rows_fused(
-    session: ReleaseSession,
-    requests,
-    rows: list,
-    fingerprint: str,
-    delta: float,
-    n_trials: int,
-    store,
-    resume: bool,
-) -> list[dict]:
-    """Fill the pending Table-3 rows family-at-a-time with shared draws.
-
-    One mechanism's feasible rows share one unit-noise draw serving
-    *both* metrics of every (α, ε) row (L1 ratio and Spearman reduce
-    from the same noisy matrices), debiting once per feasible row — the
-    same spend, under the same label, the per-request path debits.
-    Resume is member-precise: cached rows keep their stored values and
-    debit nothing, and only the missing rows reduce from the draw.
-    """
-    families: dict[str, list[int]] = {}
-    for index, request in enumerate(requests):
-        if rows[index] is None:  # prefiltered infeasible rows need no draw
-            families.setdefault(request.mechanism, []).append(index)
-
-    for mechanism, indices in families.items():
-        members = [(requests[i].alpha, requests[i].epsilon) for i in indices]
-        family_seed = derive_seed(
-            session.config.seed, f"table3-family:{mechanism}"
+    units = []
+    for index in range(0, len(plan.points), 2):
+        spec = plan.points[index]
+        request = ReleaseRequest(
+            attrs=WORKLOAD_1.attrs,
+            mechanism=spec.mechanism,
+            alpha=spec.alpha,
+            epsilon=spec.epsilon,
+            delta=spec.delta,
+            n_trials=spec.n_trials,
+            seed=spec.seed,
+            label=spec.label,
         )
-        token = {
-            "family_seed": family_seed,
-            "members": [list(member) for member in members],
-        }
-        keys = [
-            _table3_row_key(fingerprint, requests[i], family=token)
-            for i in indices
-        ]
-        evaluate = [True] * len(indices)
-        if store is not None and resume:
-            for pos, (i, key) in enumerate(zip(indices, keys)):
-                payload = store.get(key)
-                if payload is not None and "row" in payload:
-                    rows[i] = payload["row"]
-                    evaluate[pos] = False
-        if not any(evaluate):
-            continue
-        values, spends = session.evaluate_family_outcome(
-            WORKLOAD_1,
-            mechanism,
-            members=members,
-            delta=delta,
-            metrics=("l1-ratio", "spearman"),
-            n_trials=n_trials,
-            seed=family_seed,
-            evaluate=evaluate,
+        units.append(WorkUnit((index, index + 1), (True, True), request=request))
+    return units
+
+
+def _family_units(plan: SweepPlan, seed: int) -> list[WorkUnit]:
+    """One two-metric family per mechanism, seeded per mechanism."""
+    indices: dict[str, list[int]] = {}
+    for index, spec in enumerate(plan.points):
+        indices.setdefault(spec.mechanism, []).append(index)
+    units = []
+    for mechanism, positions in indices.items():
+        specs = [plan.points[index] for index in positions]
+        family = FusedFamily(
+            workload=WORKLOAD_1.name,
+            mechanism=mechanism,
+            metrics=tuple(spec.metric for spec in specs),
+            delta=specs[0].delta,
+            n_trials=specs[0].n_trials,
+            batch_size=None,
+            indices=tuple(positions),
+            alphas=tuple(spec.alpha for spec in specs),
+            epsilons=tuple(spec.epsilon for spec in specs),
+            family_seed=derive_seed(seed, f"table3-family:{mechanism}"),
         )
-        for pos, (i, key) in enumerate(zip(indices, keys)):
-            if not evaluate[pos]:
-                continue
-            l1_point = values["l1-ratio"][pos]
-            row = {
-                "mechanism": mechanism,
-                "alpha": requests[i].alpha,
-                "epsilon": requests[i].epsilon,
-                "feasible": l1_point.feasible,
-                "l1_ratio": l1_point.overall,
-                "spearman": values["spearman"][pos].overall,
-            }
-            rows[i] = row
-            if spends[pos] is not None:
-                session.ledger.record(
-                    replace(spends[pos], label=requests[i].ledger_label)
-                )
-            if store is not None:
-                store.put(key, {"row": row})
-    return rows
+        units.append(
+            WorkUnit(family.indices, (True,) * len(positions), family=family)
+        )
+    return units
 
 
 def table3_rows(
@@ -207,41 +159,37 @@ def table3_rows(
     delta: float = TABLE3_DELTA,
     n_trials: int | None = None,
     *,
-    executor=None,
-    workers: int | None = None,
-    store=None,
-    resume: bool = False,
     fused: bool | str = False,
+    **engine_options,
 ) -> list[dict]:
     """Empirical accuracy rows from one shared release session.
 
-    Every (mechanism, α, ε) point of the grid runs as a declarative
-    :class:`~repro.api.request.ReleaseRequest` against the *same* cached
-    snapshot (the marginal's true counts, mask and xv are computed once
-    for the whole table); infeasible points are reported, not skipped.
+    Every (mechanism, α, ε) row of the grid evaluates against the
+    *same* cached snapshot (the marginal's true counts, mask and xv are
+    computed once for the whole table); infeasible rows are reported
+    with NaN metrics, not skipped, and never reach the engine.
 
-    The feasible requests submit to :meth:`ReleaseSession.run_grid`, so
-    ``executor``/``workers`` parallelize the grid with exact ledger
-    accounting; with a ``store`` each computed row is cached under a
-    content hash and ``resume=True`` replays completed rows without
-    touching the data (cache hits debit nothing).
+    The feasible rows drain through :func:`~repro.engine.sweep.run_plan`
+    as two points each, so ``engine_options`` are its knobs:
+    ``executor``/``workers`` parallelize the rows, ``store`` caches each
+    point under its content hash, ``resume=True`` replays stored points
+    (cache hits debit nothing), and ``claim``/``claim_ttl_s`` split the
+    table between concurrent drains.  A row debits its release once,
+    with its L1 point.
 
     ``fused=True`` (or ``"family"``, as for the sweep engine) evaluates
-    each mechanism's (α, ε) rows from one shared unit-noise draw (both
-    metrics from the same matrices) instead of one release per row —
+    each mechanism's rows from one shared unit-noise draw (both metrics
+    from the same matrices) instead of one release per row —
     statistically equivalent, different RNG streams, distinct cache
     keys; the default path is unchanged.
     """
-    from repro.engine.evaluate import mechanism_is_feasible
-    from repro.engine.sweep import _normalize_fused
-    from repro.experiments.config import MECHANISM_NAMES
-
-    fused = _normalize_fused(fused)
     if n_trials is None:
         n_trials = session.config.n_trials
-
-    requests = ReleaseRequest.grid(
-        WORKLOAD_1.attrs,
+    stats = session.statistics(WORKLOAD_1)
+    rows, specs = [], []
+    for spec in grid_specs(
+        WORKLOAD_1.name,
+        "l1-ratio",
         MECHANISM_NAMES,
         alphas,
         epsilons,
@@ -249,74 +197,47 @@ def table3_rows(
         n_trials=n_trials,
         seed=session.config.seed,
         tag="table3",
-    )
-    fingerprint = session.snapshot_fingerprint
-    stats = session.statistics(WORKLOAD_1)
-    rows: list[dict | None] = [None] * len(requests)
-    pending: list[int] = []
-    for index, request in enumerate(requests):
-        per_cell = stats.per_cell_params_of(request.params)
-        if not mechanism_is_feasible(request.mechanism, per_cell):
-            rows[index] = {
-                "mechanism": request.mechanism,
-                "alpha": request.alpha,
-                "epsilon": request.epsilon,
-                "feasible": False,
+    ):
+        params = EREEParams(spec.alpha, spec.epsilon, delta)
+        feasible = mechanism_is_feasible(
+            spec.mechanism, stats.per_cell_params_of(params)
+        )
+        rows.append(
+            {
+                "mechanism": spec.mechanism,
+                "alpha": spec.alpha,
+                "epsilon": spec.epsilon,
+                "feasible": feasible,
                 "l1_ratio": float("nan"),
                 "spearman": float("nan"),
             }
-            continue
-        if fused:
-            continue  # the family path resumes per member key
-        if store is not None and resume:
-            payload = store.get(_table3_row_key(fingerprint, request))
-            if payload is not None and "row" in payload:
-                rows[index] = payload["row"]
-                continue
-        pending.append(index)
-
-    if fused:
-        return _table3_rows_fused(
-            session,
-            requests,
-            rows,
-            fingerprint,
-            delta,
-            n_trials,
-            store,
-            resume,
         )
+        if feasible:
+            specs += [spec, replace(spec, metric="spearman")]
 
-    results = session.run_grid(
-        [requests[index] for index in pending],
-        executor=executor,
-        workers=workers,
+    plan = SweepPlan(
+        name="table-3",
+        metric="l1-ratio",
+        fingerprint=session.snapshot_fingerprint,
+        points=tuple(specs),
     )
-    for index, result in zip(pending, results):
-        request = requests[index]
-        row = {
-            "mechanism": request.mechanism,
-            "alpha": request.alpha,
-            "epsilon": request.epsilon,
-            "feasible": True,
-            "l1_ratio": result.l1_ratio(),
-            "spearman": result.spearman(),
-        }
-        rows[index] = row
-        if store is not None:
-            store.put(_table3_row_key(fingerprint, request), {"row": row})
+    units = (
+        _family_units(plan, session.config.seed)
+        if _normalize_fused(fused)
+        else _request_units(plan)
+    )
+    points = iter(run_plan(plan, session, units=units, **engine_options).points)
+    for row in rows:
+        if row["feasible"]:
+            l1, rho = next(points), next(points)
+            row.update(
+                feasible=l1.feasible, l1_ratio=l1.overall, spearman=rho.overall
+            )
     return rows
 
 
 def table3_text(
-    session: ReleaseSession,
-    n_trials: int | None = None,
-    *,
-    executor=None,
-    workers: int | None = None,
-    store=None,
-    resume: bool = False,
-    fused: bool | str = False,
+    session: ReleaseSession, n_trials: int | None = None, **engine_options
 ) -> str:
     """The session accuracy summary rendered as text."""
     rows = [
@@ -328,15 +249,7 @@ def table3_text(
             row["l1_ratio"],
             row["spearman"],
         ]
-        for row in table3_rows(
-            session,
-            n_trials=n_trials,
-            executor=executor,
-            workers=workers,
-            store=store,
-            resume=resume,
-            fused=fused,
-        )
+        for row in table3_rows(session, n_trials=n_trials, **engine_options)
     ]
     summary = session.dataset.summary()
     return format_table(

@@ -1,8 +1,8 @@
 """One runtime: task placement for sweeps, snapshot builds, and serve.
 
 This package owns *where work runs* for the whole codebase.  The sweep
-engine (:func:`repro.engine.run_plan`), request grids
-(:meth:`repro.api.ReleaseSession.run_grid`), the sharded snapshot build
+engine (:func:`repro.engine.run_plan`, which drains every figure, Table
+3 and ad-hoc sweep), the sharded snapshot build
 (:func:`repro.data.workers.build_workforce_sharded`), and the release
 service's compute pool (:mod:`repro.serve.pool`) all run on three
 pieces:
@@ -13,7 +13,7 @@ pieces:
   and bit-identical at any worker count, with bounded crash recovery on
   the process path (a killed worker's shard is resubmitted, not
   fatal); :func:`resolve_driver` maps the ``executor``/``workers``
-  knobs onto them.
+  knobs onto them, serial when neither asks for a pool.
 - :mod:`~repro.runtime.claims` — :class:`ClaimBoard`: optimistic lease
   files (TTL + owner id) over any storage backend, so N processes or
   machines draining one plan *partition* the grid; last-writer-wins

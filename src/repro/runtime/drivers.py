@@ -52,7 +52,8 @@ The pool machinery (:mod:`concurrent.futures.process`,
 only, so importing this module stays cheap.
 
 :func:`resolve_driver` turns the ``executor=``/``workers=`` knobs of
-the sweep engine, the figure functions and the CLI into a driver.
+the sweep engine, the figure and table functions and the CLI into a
+driver, serial when neither knob asks for a pool.
 """
 
 from __future__ import annotations
@@ -317,20 +318,18 @@ DRIVER_NAMES = ("serial", "thread", "process")
 
 
 def resolve_driver(executor=None, workers: int | None = None):
-    """Normalize the (executor, workers) knobs into a driver — or None.
+    """Normalize the (executor, workers) knobs into a driver.
 
-    ``None`` means "no parallelism requested": callers with a historical
-    serial path (e.g. :meth:`~repro.api.ReleaseSession.run_grid`) keep
-    it, and the sweep engine substitutes :class:`SerialDriver`.
     Accepts a driver instance (returned as-is), one of
     :data:`DRIVER_NAMES` (a pool name without a worker count gets
     :func:`~repro.runtime.default_workers`), or just a worker count
     (> 1 selects processes — the only driver with true CPU
-    parallelism).
+    parallelism).  Neither knob, or a single worker, means
+    :class:`SerialDriver`.
     """
     if executor is None:
         if workers is None or workers <= 1:
-            return None
+            return SerialDriver()
         return ProcessDriver(workers=workers)
     if isinstance(executor, str):
         if executor not in DRIVER_NAMES:

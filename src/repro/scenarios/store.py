@@ -551,12 +551,6 @@ class SnapshotStore:
             return None
         return meta
 
-    def load_config(
-        self, config: SyntheticConfig, *, mmap: bool = True
-    ) -> LODESDataset | None:
-        """Open the snapshot ``config`` fingerprints to, if built."""
-        return self.load(dataset_fingerprint(config), mmap=mmap)
-
     def load_or_generate(
         self,
         config: SyntheticConfig,

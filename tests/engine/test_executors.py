@@ -3,22 +3,19 @@
 The acceptance gate of the sweep engine: every driver must produce the
 same point values as :class:`~repro.runtime.SerialDriver` on a Figure-1
 grid (each point's noise stream is self-seeded, so scheduling cannot
-change it), and parallel ``run_grid`` releases must match the serial
-noisy matrices with identical ledger accounting.
+change it), with identical ledger accounting.  Table 3's request
+releases get the same check in ``test_sweep.py``.
 """
 
 import concurrent.futures
 
-import numpy as np
 import pytest
 
-from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
 from repro.engine.plan import figure_plan
 from repro.engine.points import points_identical
 from repro.engine.sweep import run_plan
-from repro.experiments.config import MECHANISM_NAMES
-from repro.experiments.workloads import WORKLOAD_1
+from repro.experiments.tables import table3_rows
 from repro.runtime import (
     ProcessDriver,
     SerialDriver,
@@ -91,50 +88,6 @@ class TestFigureGridEquivalence:
         assert parallel.spends == serial_outcome.spends
 
 
-class TestRunGridEquivalence:
-    @pytest.fixture(scope="class")
-    def requests(self, engine_config):
-        return ReleaseRequest.grid(
-            WORKLOAD_1.attrs,
-            MECHANISM_NAMES,
-            alphas=(0.1,),
-            epsilons=(2.0, 4.0),
-            delta=0.05,
-            n_trials=2,
-            seed=engine_config.seed,
-            tag="grid-equiv",
-        )
-
-    @pytest.fixture(scope="class")
-    def serial_results(self, session, requests):
-        return session.run_grid(requests)
-
-    @pytest.mark.parametrize("executor_kind", ["thread", "process"])
-    def test_parallel_matches_serial(
-        self, session, requests, serial_results, executor_kind
-    ):
-        executor = (
-            ThreadDriver(workers=2)
-            if executor_kind == "thread"
-            else ProcessDriver(workers=2)
-        )
-        before = len(session.ledger.entries)
-        results = session.run_grid(requests, executor=executor)
-        assert len(results) == len(serial_results)
-        for serial, parallel in zip(serial_results, results):
-            np.testing.assert_array_equal(serial.noisy, parallel.noisy)
-            assert serial.ledger_entry == parallel.ledger_entry
-        # The grid's spends merged onto the parent ledger, in order.
-        merged = session.ledger.entries[before:]
-        assert merged == [r.ledger_entry for r in results]
-
-    def test_workers_knob_selects_processes(self, session, requests):
-        results = session.run_grid(requests[:2], workers=2)
-        serial = session.run_grid(requests[:2])
-        for a, b in zip(results, serial):
-            np.testing.assert_array_equal(a.noisy, b.noisy)
-
-
 class TestProvidedDatasetGuard:
     @pytest.fixture(scope="class")
     def wrapped(self, engine_config):
@@ -155,17 +108,8 @@ class TestProvidedDatasetGuard:
                 plan, wrapped, executor="process", workers=2,
                 merge_spend=False,
             )
-        requests = ReleaseRequest.grid(
-            WORKLOAD_1.attrs,
-            ("smooth-laplace",),
-            alphas=(0.1,),
-            epsilons=(2.0, 4.0),
-            delta=0.05,
-            n_trials=2,
-            seed=engine_config.seed,
-        )
         with pytest.raises(ValueError, match="provided dataset"):
-            wrapped.run_grid(requests, executor="process", workers=2)
+            table3_rows(wrapped, executor="process", workers=2)
         assert wrapped.ledger.entries == []
 
     def test_refusal_raises_before_any_worker_starts(
@@ -219,8 +163,8 @@ class TestProvidedDatasetGuard:
 
 class TestResolveDriver:
     def test_none_means_no_parallelism(self):
-        assert resolve_driver(None, None) is None
-        assert resolve_driver(None, 1) is None
+        assert isinstance(resolve_driver(None, None), SerialDriver)
+        assert isinstance(resolve_driver(None, 1), SerialDriver)
 
     def test_pool_name_without_workers_gets_a_default_pool(self):
         """`--executor process` alone must not silently run serial."""

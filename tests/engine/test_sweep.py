@@ -1,15 +1,23 @@
 """Tests for sweep orchestration: resume, accounting, legacy equivalence."""
 
+import json
+import threading
+
 import pytest
 
 from repro.core.params import EREEParams
-from repro.engine.plan import figure_plan
+from repro.engine.plan import figure_plan, fused_families, grid_plan
 from repro.engine.points import points_identical
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, content_key
 from repro.engine.sweep import evaluate_point_spec, resolve_workload, run_plan
 from repro.experiments.config import MECHANISM_NAMES
 from repro.experiments.figures import figure1, finding6
-from repro.experiments.tables import table3_rows
+from repro.experiments.tables import (
+    TABLE3_ALPHA,
+    TABLE3_DELTA,
+    TABLE3_EPSILONS,
+    table3_rows,
+)
 from repro.experiments.workloads import WORKLOAD_1, WORKLOAD_3
 from repro.runtime import ProcessDriver, ThreadDriver
 from repro.util import derive_seed
@@ -246,4 +254,168 @@ class TestTable3Engine:
         )
         assert_rows_equal(replayed, serial)
         feasible = sum(1 for row in serial if row["feasible"])
-        assert store.writes == feasible
+        # Two points per row: its L1 ratio and its Spearman rho.
+        assert store.writes == 2 * feasible
+
+
+# Table 3's two paths: request units, and two-metric families.
+TABLE3_PATHS = pytest.mark.parametrize(
+    "fused", [False, "family"], ids=["requests", "families"]
+)
+
+
+def new_entries(session, run):
+    """Run ``run()``; its result and the ledger entries it recorded."""
+    before = len(session.ledger.entries)
+    result = run()
+    return result, session.ledger.entries[before:]
+
+
+def stored_payloads(store: ResultStore) -> dict[str, dict]:
+    """Every point payload in a local store, by key."""
+    return {
+        path.stem: json.loads(path.read_text(encoding="utf-8"))
+        for path in store.root.rglob("*.json")
+    }
+
+
+class TestTable3Drain:
+    """Table 3 drains through ``run_plan``: two points per feasible row,
+    request units by default and two-metric families fused."""
+
+    @pytest.fixture(scope="class")
+    def claimless(self, session):
+        return {
+            fused: table3_rows(session, n_trials=2, fused=fused)
+            for fused in (False, "family")
+        }
+
+    @TABLE3_PATHS
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_drivers_match_serial(self, session, claimless, fused, executor):
+        rows = table3_rows(
+            session, n_trials=2, fused=fused, executor=executor, workers=2
+        )
+        assert_rows_equal(rows, claimless[fused])
+
+    @TABLE3_PATHS
+    def test_two_claimed_drains_write_each_point_once(
+        self, session, claimless, tmp_path, fused
+    ):
+        root = tmp_path / "shared"
+        stores = [ResultStore(root), ResultStore(root)]
+        rows: dict[int, list] = {}
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(2, timeout=60)
+
+        def drain(slot: int) -> None:
+            barrier.wait()
+            try:
+                rows[slot] = table3_rows(
+                    session,
+                    n_trials=2,
+                    fused=fused,
+                    store=stores[slot],
+                    claim=True,
+                    claim_poll_s=0.02,
+                )
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=drain, args=(slot,)) for slot in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert not errors
+        feasible = sum(row["feasible"] for row in claimless[fused])
+        assert stores[0].writes + stores[1].writes == 2 * feasible
+        assert_rows_equal(rows[0], claimless[fused])
+        assert_rows_equal(rows[1], claimless[fused])
+
+    @TABLE3_PATHS
+    def test_half_stored_row_recomputes_free(
+        self, session, claimless, tmp_path, fused
+    ):
+        """A row whose Spearman point is lost reruns its seeded release:
+        identical values, and no second debit for the paid release."""
+        store = ResultStore(tmp_path)
+        table3_rows(session, n_trials=2, fused=fused, store=store)
+        spearman = [
+            key
+            for key, payload in sorted(stored_payloads(store).items())
+            if payload["spec"]["metric"] == "spearman"
+        ]
+        store.path_for(spearman[0]).unlink()
+        resumed_store = ResultStore(tmp_path)
+        rows, spent = new_entries(
+            session,
+            lambda: table3_rows(
+                session,
+                n_trials=2,
+                fused=fused,
+                store=resumed_store,
+                resume=True,
+            ),
+        )
+        assert resumed_store.writes == 1
+        assert spent == []
+        assert_rows_equal(rows, claimless[fused])
+
+    @TABLE3_PATHS
+    def test_one_ledger_entry_per_feasible_row(self, session, claimless, fused):
+        rows, spent = new_entries(
+            session, lambda: table3_rows(session, n_trials=2, fused=fused)
+        )
+        feasible = [row for row in rows if row["feasible"]]
+        assert [entry.label for entry in spent] == [
+            f"workload-1:{row['mechanism']}:alpha={row['alpha']}"
+            f":eps={row['epsilon']}"
+            for row in feasible
+        ]
+
+    def test_row_keys_disjoint_from_sweep_keys(self, session, tmp_path):
+        """A row's release and a sweep's point kernel at the same
+        coordinates, trials and seed store under different keys."""
+        plan = grid_plan(
+            "workload-1",
+            "l1-ratio",
+            MECHANISM_NAMES,
+            (TABLE3_ALPHA,),
+            TABLE3_EPSILONS,
+            fingerprint=session.snapshot_fingerprint,
+            delta=TABLE3_DELTA,
+            n_trials=2,
+            seed=session.config.seed,
+            tag="table3",
+        )
+        families, _ = fused_families(plan)
+        family_keys = {
+            index: family.member_key(plan.points[index], plan.fingerprint)
+            for family in families
+            for index in family.indices
+        }
+        store = ResultStore(tmp_path)
+        table3_rows(session, n_trials=2, store=store)
+        for index, spec in enumerate(plan.points):
+            content = spec.content(plan.fingerprint)
+            content["release"] = {
+                "attrs": list(WORKLOAD_1.attrs),
+                "mode": None,
+                "budget_style": "marginal",
+            }
+            row_key = content_key(content)
+            assert store.contains(row_key)
+            assert row_key != spec.key(plan.fingerprint)
+            assert row_key != family_keys[index]
+        # A store holding the sweep's points serves no Table 3 row.
+        shared = ResultStore(tmp_path / "shared")
+        run_plan(plan, session, store=shared, merge_spend=False)
+        run_plan(plan, session, store=shared, fused=True, merge_spend=False)
+        resumed = ResultStore(tmp_path / "shared")
+        table3_rows(session, n_trials=2, store=resumed, resume=True)
+        assert resumed.hits == 0
+        assert resumed.writes == 2 * len(plan.points)

@@ -68,9 +68,12 @@ class TestParser:
                 build_parser().parse_args(base + ["--fused", gone])
             assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("command", ["sweep", "figures"])
+    @pytest.mark.parametrize("command", ["sweep", "figures", "tables"])
     def test_claim_ttl_accepts_positive_seconds(self, command):
-        args = build_parser().parse_args([command, "--claim-ttl", "30"])
+        args = build_parser().parse_args(
+            [command, "--claim", "--claim-ttl", "30"]
+        )
+        assert args.claim is True
         assert args.claim_ttl == 30.0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
@@ -100,6 +103,20 @@ class TestCommands:
         table3 = (tmp_path / "table-3.txt").read_text(encoding="utf-8")
         assert "smooth-laplace" in table3
         assert "L1 ratio" in table3
+
+    def test_tables_claim_needs_the_result_store(self, tmp_path):
+        with pytest.raises(SystemExit, match="drop --no-cache"):
+            main(
+                [
+                    "tables",
+                    "--out", str(tmp_path),
+                    "--jobs", "4000",
+                    "--trials", "2",
+                    "--no-snapshots",
+                    "--claim",
+                    "--no-cache",
+                ]
+            )
 
     def test_figures_subset(self, tmp_path):
         code = main(
