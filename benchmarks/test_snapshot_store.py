@@ -7,19 +7,20 @@ through the chunked generator):
 
 - one-shot generation wall clock (what every run used to pay, and what
   every *process worker* used to pay again);
-- persistence wall clock (paid once per economy, ever);
+- build wall clock (``SnapshotStore.build``, the one writer: paid once
+  per economy, ever);
 - store-open wall clock (what runs and workers pay now), with a
   ≥``MIN_LOAD_SPEEDUP``× gate over regeneration — the acceptance
   criterion that opening a snapshot beats rebuilding it by a wide
   margin even for the fastest generator configs;
 - **sharded build** wall clock (``SnapshotStore.build`` fanning the
   workforce chunks out to ``SHARD_WORKERS`` processes that write the
-  store files directly) vs the sequential ``generate + save`` it
-  replaces, with a byte-identity check of the two snapshot directories
-  and a ≥``MIN_SHARDED_SPEEDUP``× gate — enforced only on machines
-  with at least ``SHARD_WORKERS`` cores, since the speedup is a
-  physical impossibility below that (the measurement is still taken
-  and recorded).
+  store files directly) vs the same build run inline, with a
+  byte-identity check of the two snapshot directories and a
+  ≥``MIN_SHARDED_SPEEDUP``× gate — enforced only on machines with at
+  least ``SHARD_WORKERS`` cores, since the speedup is a physical
+  impossibility below that (the measurement is still taken and
+  recorded).
 
 Timings land in ``BENCH_snapshot.json`` at the repo root (companion of
 ``BENCH_trials.json`` and ``BENCH_grid.json``) so successive PRs can
@@ -82,7 +83,7 @@ def test_snapshot_store_wall_clock(out_dir, tmp_path):
     store = SnapshotStore(tmp_path / "snapshots")
 
     dataset, generate_s = _timed(lambda: generate(config))
-    _, save_s = _timed(lambda: store.save(dataset, config))
+    _, build_s = _timed(lambda: store.build(config))
 
     load_timings = []
     for _ in range(LOAD_TRIALS):
@@ -95,7 +96,7 @@ def test_snapshot_store_wall_clock(out_dir, tmp_path):
     speedup = generate_s / load_s
     rows = [
         ["generate", f"{generate_s:.3f}", "per run / per worker, historically"],
-        ["persist", f"{save_s:.3f}", "once per economy"],
+        ["build", f"{build_s:.3f}", "once per economy"],
         ["mmap open", f"{load_s:.4f}", f"{speedup:.1f}x faster than generate"],
     ]
     report = format_table(
@@ -117,7 +118,7 @@ def test_snapshot_store_wall_clock(out_dir, tmp_path):
             "n_establishments": int(dataset.n_establishments),
             "size_bytes": store.size_bytes(fingerprint),
             "generate_s": generate_s,
-            "save_s": save_s,
+            "build_s": build_s,
             "load_s": load_s,
             "load_speedup": speedup,
             "min_load_speedup_gate": MIN_LOAD_SPEEDUP,
@@ -150,7 +151,7 @@ def test_remote_open_wall_clock(out_dir, tmp_path):
         )
     )
     dataset, generate_s = _timed(lambda: generate(config))
-    _, publish_s = _timed(lambda: builder.save(dataset, config))
+    _, publish_s = _timed(lambda: builder.build(config))
 
     reader = SnapshotStore(
         backend=RemoteObjectBackend(
@@ -171,7 +172,7 @@ def test_remote_open_wall_clock(out_dir, tmp_path):
     warm_speedup = cold_open_s / warm_open_s
     rows = [
         ["generate", f"{generate_s:.3f}", "what machine B never pays"],
-        ["publish (save + upload)", f"{publish_s:.3f}", "once, machine A"],
+        ["publish (build + upload)", f"{publish_s:.3f}", "once, machine A"],
         [
             "cold-remote open",
             f"{cold_open_s:.3f}",
@@ -232,15 +233,15 @@ def _assert_snapshot_dirs_identical(a: Path, b: Path) -> int:
 
 
 def test_sharded_build_wall_clock(out_dir, tmp_path):
-    """Sharded store-build vs sequential generate+save at national scale.
+    """Sharded store-build vs the same build inline, at national scale.
 
     The sharded config is the ``national-1m`` economy scaled to ~3.7M
     realized jobs and chunked at 150k (~25 chunks), so
     ``SHARD_WORKERS`` round-robin shards stay balanced and the serial
     prologue (geography + establishment planning) plus pool start-up
-    amortize to a few percent of the build.  The chunk partition is
-    part of the fingerprint, so both paths build the *same* snapshot
-    and the directories must match byte for byte.
+    amortize to a few percent of the build.  Chunks are independently
+    seeded, so both builds write the *same* snapshot and the
+    directories must match byte for byte.
     """
     config = replace(
         scenario_config(SCENARIO), target_jobs=3_000_000, chunk_jobs=150_000
@@ -248,11 +249,8 @@ def test_sharded_build_wall_clock(out_dir, tmp_path):
     fingerprint = dataset_fingerprint(config)
 
     sequential = SnapshotStore(tmp_path / "sequential")
-    dataset, generate_s = _timed(lambda: generate(config))
-    _, save_s = _timed(lambda: sequential.save(dataset, config))
-    sequential_s = generate_s + save_s
-    n_jobs = int(dataset.n_jobs)
-    del dataset
+    _, sequential_s = _timed(lambda: sequential.build(config, workers=1))
+    n_jobs = int(sequential.info(fingerprint)["n_jobs"])
 
     sharded = SnapshotStore(tmp_path / "sharded")
     built, sharded_s = _timed(
@@ -265,7 +263,7 @@ def test_sharded_build_wall_clock(out_dir, tmp_path):
     speedup = sequential_s / sharded_s
     cpus = os.cpu_count() or 1
     rows = [
-        ["generate + save", f"{sequential_s:.3f}", "the sequential build"],
+        ["build (x1)", f"{sequential_s:.3f}", "the inline build"],
         [
             f"build (x{SHARD_WORKERS})",
             f"{sharded_s:.3f}",

@@ -604,17 +604,23 @@ def _selected_figures(only: str | None) -> dict:
     return {name: FIGURES[name] for name in names}
 
 
+def _backend_from_url(url, **options):
+    """:func:`backend_from_url`, with a bad ``--store-url`` as a usage error."""
+    try:
+        return backend_from_url(url, **options)
+    except (ValueError, NotImplementedError) as error:
+        raise SystemExit(str(error)) from None
+
+
 def _snapshot_store_from_args(args) -> SnapshotStore | None:
     if getattr(args, "no_snapshots", False):
         return None
     root = getattr(args, "snapshot_dir", DEFAULT_SNAPSHOT_DIR)
     url = getattr(args, "store_url", None)
     if url:
-        try:
-            backend = backend_from_url(url, cache_root=root, prefix="snapshots")
-        except (ValueError, NotImplementedError) as error:
-            raise SystemExit(str(error)) from None
-        return SnapshotStore(backend=backend)
+        return SnapshotStore(
+            backend=_backend_from_url(url, cache_root=root, prefix="snapshots")
+        )
     return SnapshotStore(root)
 
 
@@ -641,7 +647,7 @@ def _config_from_args(args, trials_batch: int | None = None) -> ExperimentConfig
 def _session_from_args(args, trials_batch: int | None = None) -> ReleaseSession:
     # --workers does double duty: grid points fan out to that many
     # executor workers, and a snapshot-store *miss* builds the economy
-    # sharded over the same count (byte-identical to sequential).
+    # over the same count of processes (the same bytes either way).
     workers = getattr(args, "workers", None)
     return ReleaseSession(
         _config_from_args(args, trials_batch),
@@ -677,13 +683,11 @@ def _engine_from_args(args):
         return executor, None
     url = getattr(args, "store_url", None)
     if url:
-        try:
-            backend = backend_from_url(
+        return executor, ResultStore(
+            backend=_backend_from_url(
                 url, cache_root=args.cache_dir, prefix="results"
             )
-        except (ValueError, NotImplementedError) as error:
-            raise SystemExit(str(error)) from None
-        return executor, ResultStore(backend=backend)
+        )
     return executor, ResultStore(args.cache_dir)
 
 
@@ -707,10 +711,11 @@ def _print_cache_summary(store: ResultStore | None) -> None:
 
 
 def run_figures(args, session: ReleaseSession | None = None) -> list[Path]:
-    if session is None:
-        session = _session_from_args(args, trials_batch=args.trials_batch)
+    # Flags are refused before the session opens its snapshot and fits.
     executor, store = _engine_from_args(args)
     claim_options = _claim_options_from_args(args)
+    if session is None:
+        session = _session_from_args(args, trials_batch=args.trials_batch)
     out = _out_dir_from_args(args)
     written = []
     for name, generator in _selected_figures(args.only).items():
@@ -732,10 +737,10 @@ def run_figures(args, session: ReleaseSession | None = None) -> list[Path]:
 
 def run_tables(args, session: ReleaseSession | None = None) -> list[Path]:
     """Write Tables 1-3; the data-backed table shares one session snapshot."""
-    if session is None:
-        session = _session_from_args(args)
     executor, store = _engine_from_args(args)
     claim_options = _claim_options_from_args(args)
+    if session is None:
+        session = _session_from_args(args)
     out = _out_dir_from_args(args)
     written = []
     artifacts = (
@@ -765,9 +770,10 @@ def run_tables(args, session: ReleaseSession | None = None) -> list[Path]:
 
 def run_sweep(args, session: ReleaseSession | None = None) -> list[Path]:
     """Run an ad-hoc grid through the sweep engine; write text + JSON."""
+    executor, store = _engine_from_args(args)
+    claim_options = _claim_options_from_args(args)
     if session is None:
         session = _session_from_args(args)
-    executor, store = _engine_from_args(args)
     plan = grid_plan(
         args.workload,
         args.metric,
@@ -788,7 +794,7 @@ def run_sweep(args, session: ReleaseSession | None = None) -> list[Path]:
         resume=args.resume,
         fused=args.fused,
         profile=args.profile,
-        **_claim_options_from_args(args),
+        **claim_options,
     )
     out = _out_dir_from_args(args)
     text_path = out / f"sweep-{args.tag}.txt"
@@ -1089,22 +1095,16 @@ def run_storage(args) -> int:
     stats = StoreStats()
     url = getattr(args, "store_url", None)
     if url:
-        try:
-            snapshots = SnapshotStore(
-                backend=backend_from_url(
-                    url,
-                    cache_root=args.snapshot_dir,
-                    prefix="snapshots",
-                    stats=stats,
-                )
+        snapshots = SnapshotStore(
+            backend=_backend_from_url(
+                url, cache_root=args.snapshot_dir, prefix="snapshots", stats=stats
             )
-            results = ResultStore(
-                backend=backend_from_url(
-                    url, cache_root=args.cache_dir, prefix="results", stats=stats
-                )
+        )
+        results = ResultStore(
+            backend=_backend_from_url(
+                url, cache_root=args.cache_dir, prefix="results", stats=stats
             )
-        except (ValueError, NotImplementedError) as error:
-            raise SystemExit(str(error)) from None
+        )
     else:
         from repro.storage import LocalFSBackend
 
@@ -1124,11 +1124,7 @@ def run_storage(args) -> int:
     result_keys = [
         key for key in results.backend.list_keys() if key.endswith(".json")
     ]
-    result_bytes = sum(
-        results.backend.size_bytes(key)
-        for key in results.backend.list_keys()
-        if key.endswith((".json", ".npz"))
-    )
+    result_bytes = sum(results.backend.size_bytes(key) for key in result_keys)
     rows = [
         [
             "snapshots",
@@ -1202,24 +1198,21 @@ def run_serve(args) -> int:
         DEFAULT_LEDGER_DIR if args.ledger_dir is None else args.ledger_dir
     )
     url = getattr(args, "store_url", None)
-    try:
-        ledger_backend = (
-            backend_from_url(url, cache_root=ledger_dir, prefix="ledgers")
-            if url
-            else None
-        )
-        if args.no_cache:
-            store = None
-        elif url:
-            store = ResultStore(
-                backend=backend_from_url(
-                    url, cache_root=args.cache_dir, prefix="results"
-                )
+    ledger_backend = (
+        _backend_from_url(url, cache_root=ledger_dir, prefix="ledgers")
+        if url
+        else None
+    )
+    if args.no_cache:
+        store = None
+    elif url:
+        store = ResultStore(
+            backend=_backend_from_url(
+                url, cache_root=args.cache_dir, prefix="results"
             )
-        else:
-            store = ResultStore(args.cache_dir)
-    except (ValueError, NotImplementedError) as error:
-        raise SystemExit(str(error)) from None
+        )
+    else:
+        store = ResultStore(args.cache_dir)
     try:
         if args.tenants_config is not None:
             tenants = TenantRegistry.from_config_file(

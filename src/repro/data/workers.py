@@ -10,6 +10,7 @@ profile.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -261,8 +262,9 @@ class _ShardedBuildContext:
 
     Pickled once per worker shard by :class:`repro.runtime.ProcessDriver`:
     the O(establishments) plan arrays, the per-place mixes, the advanced
-    chunk-0 generator (pickled with its exact bit-stream position) and
-    the target ``.npy`` paths the chunk slices land in.
+    chunk-0 generator (pickled with its exact bit-stream position), the
+    target ``.npy`` paths the chunk slices land in and the byte offset
+    of their data (one dtype and shape give every file one header).
     """
 
     sizes: np.ndarray
@@ -272,15 +274,16 @@ class _ShardedBuildContext:
     rng0: np.random.Generator
     base_seed: int
     paths: dict  # column/link name -> str path of a preallocated .npy
+    offset: int  # header length: where job 0's value starts in each file
 
 
 def _write_chunk(context: _ShardedBuildContext, item) -> int:
     """Build-worker task: draw one chunk and write its job slices.
 
     Each chunk owns the disjoint job range ``[job_lo, job_hi)``, so
-    concurrent workers write non-overlapping slices of the shared
-    ``.npy`` files — opened as ``mmap_mode="r+"`` views of the arrays
-    the parent preallocated with :func:`np.lib.format.open_memmap`.
+    concurrent workers write non-overlapping byte ranges of the shared
+    ``.npy`` files the parent preallocated — one positioned write per
+    file, no sync: the parent fsyncs every file once all chunks landed.
     """
     index, lo, hi, job_lo, job_hi = item
     rng = chunk_generator(index, context.rng0, context.base_seed)
@@ -296,10 +299,10 @@ def _write_chunk(context: _ShardedBuildContext, item) -> int:
         np.arange(lo, hi, dtype=np.int64), context.sizes[lo:hi]
     )
     for name, values in chunk.items():
-        out = np.load(context.paths[name], mmap_mode="r+")
-        out[job_lo:job_hi] = values
-        out.flush()
-        del out
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        with open(context.paths[name], "r+b") as handle:
+            handle.seek(context.offset + job_lo * values.itemsize)
+            handle.write(memoryview(values))
     return job_hi - job_lo
 
 
@@ -318,15 +321,19 @@ def build_workforce_sharded(
 ) -> int:
     """Write the workforce directly into ``.npy`` files, chunks in parallel.
 
-    The sharded counterpart of :func:`sample_workforce_chunked` for
-    snapshot *persistence*: instead of assembling in-memory columns, the
-    five worker columns plus the two job link arrays are preallocated on
-    disk via :func:`np.lib.format.open_memmap` and each chunk's slice is
-    drawn and written by a process-pool task (``workers=1`` runs the
-    same tasks inline).  Chunks are independently seeded through
-    :func:`chunk_generator`, so the files are **byte-identical** to what
-    ``np.save`` of the sequential build produces, whatever the worker
-    count or scheduling.  Returns the total number of jobs written.
+    The persisting counterpart of :func:`sample_workforce_chunked`, and
+    the only way worker columns reach a snapshot store: instead of
+    assembling in-memory columns, the five worker columns plus the two
+    job link arrays are preallocated on disk (header written, file
+    sized by :func:`np.lib.format.open_memmap`) and each chunk's slice
+    is drawn and written at its byte offset by a process-pool task
+    (``workers=1`` runs the same tasks inline).  Chunks are
+    independently seeded through :func:`chunk_generator`, so the files
+    are **byte-identical** to ``np.save`` of :func:`generate`'s
+    columns, whatever the worker count or scheduling — and a crashed,
+    retried shard rewrites the same bytes.  Every file is fsynced once
+    after the last chunk lands, so a build that returns is durable.
+    Returns the total number of jobs written.
 
     ``paths`` maps every :data:`WORKER_COLUMNS` name and both
     :data:`JOB_ARRAYS` names to its target file (typically a snapshot
@@ -343,15 +350,13 @@ def build_workforce_sharded(
         for index, (lo, hi) in enumerate(ranges)
     ]
     total = int(sizes.sum())
-    str_paths = {name: str(path) for name, path in paths.items()}
-    for name in (*WORKER_COLUMNS, *JOB_ARRAYS):
-        # Preallocate (and write the header of) every target file; the
-        # chunk tasks only fill disjoint slices.
-        out = np.lib.format.open_memmap(
-            str_paths[name], mode="w+", dtype=np.int64, shape=(total,)
-        )
-        out.flush()
-        del out
+    str_paths = {name: str(paths[name]) for name in (*WORKER_COLUMNS, *JOB_ARRAYS)}
+    for path in str_paths.values():
+        # Write the header and size the file; the chunk tasks fill
+        # disjoint byte ranges after ``offset``.
+        offset = np.lib.format.open_memmap(
+            path, mode="w+", dtype=np.int64, shape=(total,)
+        ).offset
     context = _ShardedBuildContext(
         sizes=sizes,
         sector_indices=np.asarray(sector_indices, dtype=np.int64),
@@ -360,8 +365,15 @@ def build_workforce_sharded(
         rng0=rng,
         base_seed=base_seed,
         paths=str_paths,
+        offset=offset,
     )
     from repro.runtime import ProcessDriver
 
     driver = ProcessDriver(workers, start_method=start_method)
-    return int(sum(driver.map(_write_chunk, context, items)))
+    n_jobs = int(sum(driver.map(_write_chunk, context, items)))
+    # An fsync from any process flushes the file's dirty pages, whoever
+    # wrote them: one sync per file makes the whole build durable.
+    for path in str_paths.values():
+        with open(path, "rb") as handle:
+            os.fsync(handle.fileno())
+    return n_jobs

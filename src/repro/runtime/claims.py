@@ -54,7 +54,7 @@ __all__ = [
 DEFAULT_LEASE_TTL_S = 300.0
 
 # Lease files live beside the payloads they guard, under their own
-# prefix, so result listings (which filter on .json/.npz) never see
+# prefix, so result listings (which filter on .json) never see
 # them and `clear()` never deletes them out from under a live drain.
 CLAIMS_PREFIX = "claims"
 

@@ -74,8 +74,9 @@ class ScenarioSpec:
     ):
         """Persist this scenario's snapshot into ``store``; returns its path.
 
-        ``workers > 1`` fans the workforce chunks out to a process pool
-        (:meth:`~repro.scenarios.store.SnapshotStore.build`); the
+        Goes through the store's one writer,
+        :meth:`~repro.scenarios.store.SnapshotStore.build`: ``workers >
+        1`` fans the workforce chunks out to a process pool, and the
         installed directory is byte-identical either way.  An existing
         loadable snapshot is kept unless ``overwrite=True``.
         """

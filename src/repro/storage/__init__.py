@@ -4,7 +4,8 @@ See :mod:`repro.storage.backend` for the protocol and the design
 rationale; :mod:`repro.storage.local` and :mod:`repro.storage.remote`
 for the two shipped backends; :mod:`repro.storage.url` for
 ``--store-url`` resolution; :mod:`repro.storage.httpd` for the
-test/CI HTTP object server.
+test/CI HTTP object server; :mod:`repro.storage.store` for the shell
+both stores share.
 """
 
 from repro.storage.backend import (
@@ -21,6 +22,7 @@ from repro.storage.remote import (
     ObjectStore,
     RemoteObjectBackend,
 )
+from repro.storage.store import BackendStore
 from repro.storage.url import backend_from_spec, backend_from_url
 
 __all__ = [
@@ -36,4 +38,5 @@ __all__ = [
     "HTTPObjectStore",
     "backend_from_spec",
     "backend_from_url",
+    "BackendStore",
 ]

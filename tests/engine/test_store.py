@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from repro.engine.points import SeriesPoint, points_identical
@@ -49,11 +48,11 @@ class TestRoundTrip:
 
     def test_len_and_clear(self, store):
         store.put(KEY, {})
-        store.put(OTHER, {}, arrays={"x": np.arange(3)})
+        store.put(OTHER, {})
         assert len(store) == 2
         assert store.clear() == 2
         assert len(store) == 0
-        assert store.get_arrays(OTHER) is None
+        assert store.get(OTHER) is None
 
     def test_point_payload_round_trip(self, store):
         point = SeriesPoint(
@@ -86,21 +85,6 @@ class TestRoundTrip:
         assert decode_spend(None) is None
 
 
-class TestArrays:
-    def test_npz_sidecar_round_trip(self, store):
-        noisy = np.linspace(0.0, 5.0, 12).reshape(3, 4)
-        mask = np.array([True, False, True, True])
-        store.put(KEY, {"n_trials": 3}, arrays={"noisy": noisy, "mask": mask})
-        arrays = store.get_arrays(KEY)
-        np.testing.assert_array_equal(arrays["noisy"], noisy)
-        np.testing.assert_array_equal(arrays["mask"], mask)
-        assert store.get(KEY)["arrays"] == ["mask", "noisy"]
-
-    def test_absent_sidecar_is_none(self, store):
-        store.put(KEY, {})
-        assert store.get_arrays(KEY) is None
-
-
 class TestRobustness:
     def test_corrupt_payload_is_a_miss(self, store):
         path = store.put(KEY, {"value": 1})
@@ -130,40 +114,13 @@ class TestRobustness:
 
 
 class TestQuarantine:
-    """Corrupt entries are evicted whole — payload and sidecar together."""
-
-    def test_corrupt_payload_quarantines_the_sidecar_too(self, store):
-        path = store.put(KEY, {"value": 1}, arrays={"xs": np.arange(3)})
-        path.write_text("{not json", encoding="utf-8")
-        assert store.get(KEY) is None
-        assert not store.path_for(KEY).exists()
-        assert not store.path_for(KEY, ".npz").exists()
-        assert store.statistics.evictions == 1
-
-    def test_corrupt_npz_is_a_miss_like_corrupt_json(self, store):
-        # Regression: a truncated .npz used to raise out of get_arrays
-        # while a corrupt .json was silently a miss — the two halves of
-        # one entry had different failure semantics.
-        store.put(KEY, {"value": 1}, arrays={"xs": np.arange(8)})
-        npz = store.path_for(KEY, ".npz")
-        npz.write_bytes(npz.read_bytes()[:10])  # truncate mid-archive
-        assert store.get_arrays(KEY) is None
-        # the payload promised arrays the sidecar cannot deliver, so
-        # the whole entry is gone and the point will be recomputed:
-        assert not store.path_for(KEY).exists()
-        assert not npz.exists()
-        assert store.get(KEY) is None  # a miss, never a re-parse
-
-    def test_garbage_npz_bytes_are_a_miss(self, store):
-        store.put(KEY, {"value": 1}, arrays={"xs": np.arange(4)})
-        store.path_for(KEY, ".npz").write_bytes(b"not a zip archive")
-        assert store.get_arrays(KEY) is None
-        assert not store.contains(KEY)
+    """Corrupt payloads are evicted, so a bad artifact is never re-read."""
 
     def test_quarantine_of_payload_only_entry(self, store):
         path = store.put(KEY, {"value": 1})
         path.write_text("junk", encoding="utf-8")
         assert store.get(KEY) is None
+        assert not store.path_for(KEY).exists()
         assert store.statistics.evictions == 1
         # recomputation repopulates cleanly after the quarantine:
         store.put(KEY, {"value": 2})

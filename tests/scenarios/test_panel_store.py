@@ -76,13 +76,6 @@ class TestPanelRoundTrip:
         assert loaded is not None
         _assert_panels_equal(generate_panel(PANEL), loaded)
 
-    def test_save_then_load(self, store):
-        panel = generate_panel(PANEL)
-        store.save_panel(panel, PANEL)
-        loaded = store.load_panel(panel_fingerprint(PANEL))
-        assert loaded is not None
-        _assert_panels_equal(panel, loaded)
-
     def test_mmap_load_returns_memory_maps(self, store):
         store.build_panel(PANEL)
         loaded = store.load_panel(panel_fingerprint(PANEL))
@@ -104,13 +97,21 @@ class TestPanelRoundTrip:
         # panels are not snapshots: the flat listing must not see them.
         assert store.entries() == []
 
-    def test_load_or_generate_miss_then_hit(self, store):
-        panel, was_hit = store.load_or_generate_panel(PANEL)
-        assert not was_hit
-        again, was_hit = store.load_or_generate_panel(PANEL)
-        assert was_hit
-        _assert_panels_equal(panel, again)
-        assert store.hits >= 1
+    def test_miss_then_build_then_hit(self, store):
+        fingerprint = panel_fingerprint(PANEL)
+        assert store.load_panel(fingerprint) is None
+        store.build_panel(PANEL)
+        panel = store.load_panel(fingerprint)
+        assert panel is not None
+        # one registry plus one directory per year were written:
+        assert store.stats == {
+            "hits": 1,
+            "misses": 1,
+            "writes": 1 + PANEL.n_years,
+        }
+        store.build_panel(PANEL)  # a complete panel is left as it is
+        assert store.writes == 1 + PANEL.n_years
+        _assert_panels_equal(panel, store.load_panel(fingerprint))
 
 
 class TestPanelResume:
@@ -140,9 +141,10 @@ class TestPanelResume:
         target = store.path_for(fingerprint) / "year-2" / "job_worker.npy"
         target.write_bytes(b"not numpy")
         assert store.load_panel(fingerprint) is None
-        panel, was_hit = store.load_or_generate_panel(PANEL)
-        assert not was_hit
-        _assert_panels_equal(reference, panel)
+        writes = store.writes
+        store.build_panel(PANEL)
+        assert store.writes == writes + 1  # only the corrupt year
+        _assert_panels_equal(reference, store.load_panel(fingerprint))
 
     def test_sharded_build_matches_sequential(self, tmp_path):
         sequential = SnapshotStore(tmp_path / "seq")
@@ -155,11 +157,8 @@ class TestPanelResume:
             sharded.load_panel(fingerprint),
         )
 
-    def test_unwritable_root_degrades_to_in_memory(self, tmp_path):
+    def test_build_on_an_unwritable_root_raises(self, tmp_path):
         root = tmp_path / "blocked"
         root.write_text("a file where the store root should be")
-        store = SnapshotStore(root)
-        with pytest.warns(RuntimeWarning, match="panel build under"):
-            panel, was_hit = store.load_or_generate_panel(PANEL)
-        assert not was_hit
-        _assert_panels_equal(generate_panel(PANEL), panel)
+        with pytest.raises(OSError):
+            SnapshotStore(root).build_panel(PANEL)

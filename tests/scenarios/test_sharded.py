@@ -1,16 +1,19 @@
-"""Sharded snapshot builds: byte-for-byte identical to sequential.
+"""The one snapshot writer: byte-for-byte ``np.save`` of ``generate()``.
 
-The tentpole contract of the process-parallel generator: a snapshot
-directory produced by ``SnapshotStore.build`` — whatever the worker
-count, chunks drawn by a process pool writing straight into the staged
-``.npy`` files — is indistinguishable from ``save(generate(config))``.
-Same fingerprint, same file names, same bytes (``meta.json`` compared
-modulo its ``created_at`` wall-clock stamp).
+The contract of ``SnapshotStore.build`` — whatever the worker count,
+chunks drawn inline or by a process pool writing straight into the
+staged ``.npy`` files — is that every stored column is byte-identical
+to ``np.save`` of the matching :func:`generate` column, that two builds
+of one config are indistinguishable (``meta.json`` compared modulo its
+``created_at`` wall-clock stamp), and that every O(jobs) file is
+fsynced before the directory installs.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -49,22 +52,35 @@ def assert_snapshot_dirs_identical(a, b):
             assert bytes_a == bytes_b, f"{name} differs"
 
 
-@pytest.fixture()
-def sequential_dir(tmp_path):
-    store = SnapshotStore(tmp_path / "sequential")
-    store.save(generate(MULTI_CHUNK), MULTI_CHUNK)
-    return store.path_for(dataset_fingerprint(MULTI_CHUNK))
+def assert_columns_match_generate(directory, config):
+    """Each stored ``.npy`` equals ``np.save`` of ``generate(config)``'s column."""
+    dataset = generate(config)
+    arrays = {
+        "job_worker": dataset.job_worker,
+        "job_establishment": dataset.job_establishment,
+    }
+    for table in ("worker", "workplace"):
+        columns = getattr(dataset, table)
+        for name in columns.schema.names:
+            arrays[f"{table}__{name}"] = columns.column(name)
+    assert sorted(p.name for p in directory.glob("*.npy")) == sorted(
+        f"{name}.npy" for name in arrays
+    )
+    for name, array in arrays.items():
+        expected = io.BytesIO()
+        np.save(expected, array)
+        assert (directory / f"{name}.npy").read_bytes() == expected.getvalue(), (
+            f"{name}.npy differs from np.save of generate()"
+        )
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_build_matches_sequential_save(
-        self, tmp_path, sequential_dir, workers
-    ):
+    def test_build_matches_np_save_of_generate(self, tmp_path, workers):
         store = SnapshotStore(tmp_path / f"sharded-{workers}")
         built = store.build(MULTI_CHUNK, workers=workers)
         assert store.writes == 1
-        assert_snapshot_dirs_identical(sequential_dir, built)
+        assert_columns_match_generate(built, MULTI_CHUNK)
 
     def test_worker_count_cannot_change_the_bytes(self, tmp_path):
         two = SnapshotStore(tmp_path / "w2").build(MULTI_CHUNK, workers=2)
@@ -94,19 +110,34 @@ class TestByteIdentity:
             loaded.job_establishment, reference.job_establishment
         )
 
-    def test_single_chunk_config_builds_sharded_too(
-        self, tmp_path
-    ):
+    def test_single_chunk_config_builds_sharded_too(self, tmp_path):
         # A config fitting one chunk degenerates to an inline build —
-        # still byte-identical to save(generate(...)).
+        # still byte-identical to np.save of generate()'s columns.
         config = SyntheticConfig(target_jobs=5_000, seed=5)
-        sequential = SnapshotStore(tmp_path / "seq")
-        sequential.save(generate(config), config)
-        sharded = SnapshotStore(tmp_path / "sharded")
-        built = sharded.build(config, workers=4)
-        assert_snapshot_dirs_identical(
-            sequential.path_for(dataset_fingerprint(config)), built
-        )
+        built = SnapshotStore(tmp_path / "sharded").build(config, workers=4)
+        assert_columns_match_generate(built, config)
+
+
+class TestDurability:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_workforce_file_is_fsynced_before_install(
+        self, tmp_path, monkeypatch, workers
+    ):
+        store = SnapshotStore(tmp_path / "snapshots")
+        final = store.path_for(dataset_fingerprint(MULTI_CHUNK))
+        installed_at_sync: dict[int, bool] = {}
+        fsync = os.fsync
+
+        def spy(fd):
+            installed_at_sync[os.fstat(fd).st_ino] = final.exists()
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        built = store.build(MULTI_CHUNK, workers=workers)
+        for name in (*(f"worker__{n}" for n in WORKER_COLUMNS), *JOB_ARRAYS):
+            inode = (built / f"{name}.npy").stat().st_ino
+            assert inode in installed_at_sync, f"{name}.npy never fsynced"
+            assert not installed_at_sync[inode], f"{name}.npy synced late"
 
 
 class TestBuildSemantics:
@@ -157,20 +188,20 @@ class TestBuildSemantics:
 
 
 class TestThreadThrough:
-    def test_load_or_generate_build_workers(self, tmp_path, sequential_dir):
+    def test_load_or_generate_build_workers(self, tmp_path):
         store = SnapshotStore(tmp_path / "snapshots")
         dataset, hit = store.load_or_generate(MULTI_CHUNK, build_workers=2)
         assert not hit
         assert store.stats == {"hits": 0, "misses": 1, "writes": 1}
         # The caller holds the store-mapped artifact, not a private copy.
         assert isinstance(dataset.job_worker, np.memmap)
-        assert_snapshot_dirs_identical(
-            sequential_dir, store.path_for(dataset_fingerprint(MULTI_CHUNK))
+        assert_columns_match_generate(
+            store.path_for(dataset_fingerprint(MULTI_CHUNK)), MULTI_CHUNK
         )
         again, hit_again = store.load_or_generate(MULTI_CHUNK, build_workers=2)
         assert hit_again
 
-    def test_session_snapshot_workers(self, tmp_path, sequential_dir):
+    def test_session_snapshot_workers(self, tmp_path):
         config = ExperimentConfig(data=MULTI_CHUNK, n_trials=1, seed=31)
         store = SnapshotStore(tmp_path / "snapshots")
         session = ReleaseSession(
@@ -178,8 +209,8 @@ class TestThreadThrough:
         )
         assert session.snapshot_workers == 2
         assert store.writes == 1
-        assert_snapshot_dirs_identical(
-            sequential_dir, store.path_for(dataset_fingerprint(MULTI_CHUNK))
+        assert_columns_match_generate(
+            store.path_for(dataset_fingerprint(MULTI_CHUNK)), MULTI_CHUNK
         )
         plain = ReleaseSession(config)
         assert session.snapshot_fingerprint == plain.snapshot_fingerprint

@@ -8,13 +8,16 @@ anything corrupt or partial is a miss that falls back to generation.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.api.session import ReleaseSession
 from repro.data.generator import SyntheticConfig, generate
+from repro.data.geography import geography_payload
 from repro.engine.plan import grid_plan
 from repro.engine.sweep import run_plan
 from repro.experiments.config import ExperimentConfig
@@ -63,14 +66,14 @@ def _assert_datasets_equal(a, b):
 class TestRoundTrip:
     def test_all_tables_and_geography_bit_exact(self, store):
         dataset = generate(SMALL)
-        store.save(dataset, SMALL)
+        store.build(SMALL)
         for mmap in (False, True):
             loaded = store.load(dataset_fingerprint(SMALL), mmap=mmap)
             assert loaded is not None
             _assert_datasets_equal(dataset, loaded)
 
     def test_mmap_load_returns_memory_maps(self, store):
-        store.save(generate(SMALL), SMALL)
+        store.build(SMALL)
         loaded = store.load(dataset_fingerprint(SMALL), mmap=True)
         assert isinstance(loaded.job_worker, np.memmap)
         assert isinstance(loaded.job_establishment, np.memmap)
@@ -89,6 +92,48 @@ class TestRoundTrip:
     def test_store_loaded_equals_generated(self, store):
         loaded, _ = store.load_or_generate(SMALL)
         _assert_datasets_equal(loaded, generate(SMALL))
+
+    def test_miss_builds_without_generating_in_memory(self, store, monkeypatch):
+        # A miss fills the store through build() and opens the result:
+        # no in-process copy of the economy is ever generated.
+        monkeypatch.setattr("repro.scenarios.store.generate", _boom)
+        dataset, hit = store.load_or_generate(SMALL)
+        assert not hit
+        assert isinstance(dataset.job_worker, np.memmap)
+        assert store.stats == {"hits": 0, "misses": 1, "writes": 1}
+
+    def test_column_by_column_np_save_layout_opens_as_a_hit(self, store):
+        # Snapshots were once persisted with one np.save per column;
+        # such a directory must open as a hit and never be rewritten.
+        dataset = generate(SMALL)
+        fingerprint = dataset_fingerprint(SMALL)
+        directory = store.path_for(fingerprint)
+        directory.mkdir(parents=True)
+        for table in ("worker", "workplace"):
+            columns = getattr(dataset, table)
+            for name in columns.schema.names:
+                np.save(directory / f"{table}__{name}.npy", columns.column(name))
+        np.save(directory / "job_worker.npy", dataset.job_worker)
+        np.save(directory / "job_establishment.npy", dataset.job_establishment)
+        (directory / "geography.json").write_text(
+            json.dumps(geography_payload(dataset.geography))
+        )
+        meta = {
+            "schema": 1,
+            "fingerprint": fingerprint,
+            "config": asdict(SMALL),
+            "n_jobs": int(dataset.n_jobs),
+            "n_establishments": int(dataset.n_establishments),
+            "n_places": int(dataset.geography.n_places),
+            "worker_columns": list(dataset.worker.schema.names),
+            "workplace_columns": list(dataset.workplace.schema.names),
+            "created_at": 0.0,
+        }
+        (directory / "meta.json").write_text(json.dumps(meta, indent=2))
+        loaded, hit = store.load_or_generate(SMALL)
+        assert hit
+        assert store.stats == {"hits": 1, "misses": 0, "writes": 0}
+        _assert_datasets_equal(dataset, loaded)
 
     def test_fingerprint_scopes_by_every_knob(self):
         base = dataset_fingerprint(SMALL)
@@ -143,8 +188,6 @@ class TestRobustness:
         assert store.load(fingerprint) is None
 
     def test_version_skew_is_a_miss(self, store):
-        import json
-
         fingerprint = dataset_fingerprint(SMALL)
         store.load_or_generate(SMALL)
         meta_path = store.path_for(fingerprint) / "meta.json"
@@ -152,31 +195,6 @@ class TestRobustness:
         meta["schema"] = 999
         meta_path.write_text(json.dumps(meta))
         assert store.load(fingerprint) is None
-
-    def test_save_repairs_a_corrupt_snapshot(self, store):
-        fingerprint = dataset_fingerprint(SMALL)
-        dataset, _ = store.load_or_generate(SMALL)
-        (store.path_for(fingerprint) / "worker__age.npy").write_bytes(b"junk")
-        assert store.load(fingerprint) is None
-        store.save(generate(SMALL), SMALL)
-        repaired = store.load(fingerprint)
-        assert repaired is not None
-        _assert_datasets_equal(repaired, generate(SMALL))
-
-    def test_save_keeps_an_existing_loadable_snapshot(self, store):
-        fingerprint = dataset_fingerprint(SMALL)
-        store.load_or_generate(SMALL)
-        created = store.info(fingerprint)["created_at"]
-        store.save(generate(SMALL), SMALL)
-        assert store.info(fingerprint)["created_at"] == created
-
-    def test_save_overwrite_replaces_a_loadable_snapshot(self, store):
-        fingerprint = dataset_fingerprint(SMALL)
-        store.load_or_generate(SMALL)
-        created = store.info(fingerprint)["created_at"]
-        store.save(generate(SMALL), SMALL, overwrite=True)
-        assert store.info(fingerprint)["created_at"] != created
-        assert store.load(fingerprint) is not None
 
     def test_miss_falls_back_to_regeneration(self, store):
         fingerprint = dataset_fingerprint(SMALL)
@@ -252,11 +270,11 @@ class TestStagingHygiene:
             os.utime(staging, (old, old))
         return staging
 
-    def test_next_save_removes_stale_staging(self, tmp_path):
+    def test_next_build_removes_stale_staging(self, tmp_path):
         root = tmp_path / "snapshots"
         store = SnapshotStore(root)  # store opened before the crash
         stale = self._plant_staging(root, age_s=7 * 24 * 3600)
-        store.save(generate(SMALL), SMALL)
+        store.build(SMALL)
         assert not stale.exists()
         assert store.load(dataset_fingerprint(SMALL)) is not None
 
@@ -272,11 +290,11 @@ class TestStagingHygiene:
 
     def test_fresh_staging_survives_the_age_gate(self, tmp_path):
         # A concurrent writer's live staging dir is younger than the
-        # gate: neither init, save, nor a default prune may touch it.
+        # gate: neither init, build, nor a default prune may touch it.
         root = tmp_path / "snapshots"
         fresh = self._plant_staging(root, name=".cafe.tmp-live")
         store = SnapshotStore(root)
-        store.save(generate(SMALL), SMALL)
+        store.build(SMALL)
         assert store.prune() == []
         assert fresh.exists()
         assert store.prune(max_age_s=0.0) == [fresh]
@@ -326,8 +344,8 @@ class TestUmask:
         }
         return dir_mode, file_modes
 
-    def test_save_is_group_other_readable(self, store, shared_umask):
-        store.save(generate(SMALL), SMALL)
+    def test_inline_build_is_group_other_readable(self, store, shared_umask):
+        store.build(SMALL)
         directory = store.path_for(dataset_fingerprint(SMALL))
         dir_mode, file_modes = self._modes(directory)
         assert dir_mode == 0o755
@@ -368,12 +386,12 @@ class TestUnwritableRoot:
         assert not hit
         _assert_datasets_equal(dataset, generate(SMALL))
 
-    def test_explicit_save_still_raises(self, file_root):
-        # The fallback is load_or_generate's contract, not save's: a
+    def test_explicit_build_still_raises(self, file_root):
+        # The fallback is load_or_generate's contract, not build's: a
         # caller persisting explicitly must hear about the failure.
         store = SnapshotStore(file_root)
         with pytest.raises(OSError):
-            store.save(generate(SMALL), SMALL)
+            store.build(SMALL)
 
 
 def _same_points(a, b) -> bool:
@@ -385,7 +403,7 @@ def _same_points(a, b) -> bool:
 
 
 def _boom(*args, **kwargs):  # pragma: no cover - must never run
-    raise AssertionError("workers must open the stored snapshot, not regenerate")
+    raise AssertionError("the stored snapshot must be opened, not regenerated")
 
 
 class TestWorkerBootstrap:

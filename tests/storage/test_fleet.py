@@ -117,14 +117,12 @@ class TestResultFleet:
             ),
         )
 
-    def test_payload_and_arrays_cross_machines(self, bucket, tmp_path):
+    def test_payload_crosses_machines(self, bucket, tmp_path):
         writer, reader = self._stores(bucket, tmp_path)
         key = "f" * 64
-        writer.put(key, {"value": 0.25}, arrays={"xs": np.arange(4)})
+        writer.put(key, {"value": 0.25})
         payload = reader.get(key)
         assert payload is not None and payload["value"] == 0.25
-        arrays = reader.get_arrays(key)
-        np.testing.assert_array_equal(arrays["xs"], np.arange(4))
         assert reader.hits == 1 and reader.misses == 0
 
     def test_sweep_replays_remotely_with_zero_recomputation(
@@ -157,7 +155,7 @@ class TestLocalLayoutIdentity:
     def test_snapshot_directory_file_set_is_historical(self, tmp_path):
         store = SnapshotStore(tmp_path / "snapshots")
         dataset = generate(SMALL)
-        path = store.save(dataset, SMALL)
+        path = store.build(SMALL)
         names = sorted(p.name for p in path.iterdir())
         expected = sorted(
             ["meta.json", "geography.json", "job_worker.npy",
@@ -187,11 +185,10 @@ class TestLocalLayoutIdentity:
     def test_remote_cache_matches_local_store_byte_for_byte(
         self, bucket, tmp_path
     ):
-        dataset = generate(SMALL)
         local = SnapshotStore(tmp_path / "local")
         remote = _snapshot_store(bucket, tmp_path / "cache")
-        local_path = local.save(dataset, SMALL)
-        remote_path = remote.save(dataset, SMALL)
+        local_path = local.build(SMALL)
+        remote_path = remote.build(SMALL)
         local_files = sorted(p.name for p in local_path.iterdir())
         assert sorted(p.name for p in remote_path.iterdir()) == local_files
         for name in local_files:
@@ -210,12 +207,12 @@ class TestLocalLayoutIdentity:
         self, tmp_path
     ):
         # A tree written by one store instance (standing in for the
-        # pre-refactor layout, which save() reproduces byte for byte)
+        # pre-refactor layout, which build() reproduces byte for byte)
         # is read by a *fresh* store over an explicitly-constructed
         # backend with zero migration.
         first = SnapshotStore(tmp_path / "snapshots")
         dataset = generate(SMALL)
-        first.save(dataset, SMALL)
+        first.build(SMALL)
         reopened = SnapshotStore(
             backend=LocalFSBackend(tmp_path / "snapshots")
         )

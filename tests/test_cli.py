@@ -118,6 +118,17 @@ class TestCommands:
                 ]
             )
 
+    def test_claim_without_cache_is_refused_before_the_session(
+        self, tmp_path, monkeypatch
+    ):
+        # The usage error must not wait for a snapshot open and SDL fit.
+        def no_session(*args, **kwargs):
+            raise AssertionError("the session was built before the flags")
+
+        monkeypatch.setattr("repro.cli._session_from_args", no_session)
+        with pytest.raises(SystemExit, match="drop --no-cache"):
+            main(["tables", "--out", str(tmp_path), "--claim", "--no-cache"])
+
     def test_figures_subset(self, tmp_path):
         code = main(
             [
