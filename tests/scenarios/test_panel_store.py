@@ -9,11 +9,17 @@ finished and rebuilds only the missing ones.
 
 from __future__ import annotations
 
+import json
+import os
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.data.panel import PanelConfig, generate_panel
 from repro.data.generator import SyntheticConfig
+from repro.data.geography import geography_payload
+from repro.data.workers import JOB_ARRAYS, WORKER_COLUMNS
 from repro.scenarios import SnapshotStore, panel_fingerprint
 
 PANEL = PanelConfig(
@@ -24,6 +30,12 @@ PANEL = PanelConfig(
 @pytest.fixture()
 def store(tmp_path) -> SnapshotStore:
     return SnapshotStore(tmp_path / "snapshots")
+
+
+def _write_panel_meta(directory, fingerprint, **fields):
+    """A panel ``meta.json`` with the keys panel stores have always had."""
+    meta = {"schema": 1, "fingerprint": fingerprint, **fields, "created_at": 0.0}
+    (directory / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
 
 def _assert_panels_equal(a, b):
@@ -112,6 +124,81 @@ class TestPanelRoundTrip:
         store.build_panel(PANEL)  # a complete panel is left as it is
         assert store.writes == 1 + PANEL.n_years
         _assert_panels_equal(panel, store.load_panel(fingerprint))
+
+    def test_column_by_column_np_save_layout_opens_as_a_hit(self, store):
+        # Panels were once persisted from a generated panel with one
+        # np.save per column; such a store must open as a hit and never
+        # be rewritten.
+        panel = generate_panel(PANEL)
+        fingerprint = panel_fingerprint(PANEL)
+        registry = store.path_for(fingerprint) / "registry"
+        registry.mkdir(parents=True)
+        for name in panel.workplace.schema.names:
+            np.save(
+                registry / f"workplace__{name}.npy", panel.workplace.column(name)
+            )
+        np.save(registry / "sizes_by_year.npy", panel.sizes_by_year)
+        (registry / "geography.json").write_text(
+            json.dumps(geography_payload(panel.geography))
+        )
+        _write_panel_meta(
+            registry,
+            fingerprint,
+            config=asdict(PANEL),
+            n_years=len(panel.years),
+            n_establishments=int(panel.workplace.n_rows),
+            n_places=int(panel.geography.n_places),
+            workplace_columns=list(panel.workplace.schema.names),
+        )
+        for year, dataset in enumerate(panel.years):
+            directory = store.path_for(fingerprint) / f"year-{year}"
+            directory.mkdir()
+            for name in dataset.worker.schema.names:
+                np.save(
+                    directory / f"worker__{name}.npy", dataset.worker.column(name)
+                )
+            np.save(directory / "job_worker.npy", dataset.job_worker)
+            np.save(directory / "job_establishment.npy", dataset.job_establishment)
+            _write_panel_meta(
+                directory,
+                fingerprint,
+                year=year,
+                n_jobs=int(dataset.n_jobs),
+                worker_columns=list(dataset.worker.schema.names),
+            )
+        loaded = store.load_panel(fingerprint)
+        assert loaded is not None
+        _assert_panels_equal(panel, loaded)
+        store.build_panel(PANEL)
+        assert store.stats == {"hits": 1, "misses": 0, "writes": 0}
+
+    def test_every_year_workforce_file_is_fsynced_before_install(
+        self, store, monkeypatch
+    ):
+        # Panel years land through the snapshot writer, so they inherit
+        # its durability: each O(jobs) file is synced while still staged.
+        fingerprint = panel_fingerprint(PANEL)
+        years = [
+            store.path_for(fingerprint) / f"year-{year}"
+            for year in range(PANEL.n_years)
+        ]
+        installed_at_sync: dict[int, set] = {}
+        fsync = os.fsync
+
+        def spy(fd):
+            installed_at_sync[os.fstat(fd).st_ino] = {
+                year for year in years if year.exists()
+            }
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        store.build_panel(PANEL)
+        for year in years:
+            for name in (*(f"worker__{n}" for n in WORKER_COLUMNS), *JOB_ARRAYS):
+                inode = (year / f"{name}.npy").stat().st_ino
+                label = f"{year.name}/{name}.npy"
+                assert inode in installed_at_sync, f"{label} never fsynced"
+                assert year not in installed_at_sync[inode], f"{label} synced late"
 
 
 class TestPanelResume:
