@@ -4,10 +4,16 @@ One session-scoped experiment context (a ~150k-job synthetic snapshot
 with a fitted SDL system) backs every figure benchmark, and every
 benchmark writes the regenerated data series to ``benchmarks/out/`` so
 the paper-shaped rows survive pytest's output capture.
+
+Timing gates also record their numbers in the ``BENCH_*.json`` files at
+the repo root through :func:`record_bench`: each file is a set of named
+sections (:data:`BENCH_SECTIONS`), each section is owned by one test,
+and a run replaces its section whole.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -17,6 +23,23 @@ from repro.data.generator import SyntheticConfig
 from repro.experiments import ExperimentConfig
 
 OUT_DIR = Path(__file__).parent / "out"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# The sections of each repo-root benchmark record.  One test owns each
+# section: test_sweep_engine writes sweep_engine and fleet_replay,
+# test_snapshot_store writes store_load, remote_open and sharded_build,
+# and every other section is named after the test that writes it.
+BENCH_SECTIONS: dict[str, tuple[str, ...]] = {
+    "BENCH_grid.json": (
+        "sweep_engine",
+        "fleet_replay",
+        "fleet_drain",
+        "fused_grid_figure-1",
+        "fused_grid_figure-2",
+    ),
+    "BENCH_serve.json": ("serve",),
+    "BENCH_snapshot.json": ("store_load", "remote_open", "sharded_build"),
+}
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +67,31 @@ def write_report(out_dir: Path, name: str, text: str) -> None:
     path = out_dir / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
     print(f"\n[{name}] written to {path}\n{text}")
+
+
+def record_bench(filename: str, section: str, fields: dict) -> None:
+    """Replace ``section`` of the repo-root record ``filename`` with ``fields``.
+
+    The section is rewritten whole, so a field its test stopped
+    measuring disappears on the next run instead of sitting next to the
+    new numbers as if both came from one commit.  The other declared
+    sections are kept; anything else in the file (a retired test's
+    section, or a field of the earlier flat layout) is dropped.
+    """
+    sections = BENCH_SECTIONS[filename]
+    if section not in sections:
+        raise ValueError(f"{filename} declares no section {section!r}")
+    path = REPO_ROOT / filename
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, json.JSONDecodeError):
+        payload = {}
+    record = {
+        name: payload[name]
+        for name in sections
+        if isinstance(payload.get(name), dict)
+    }
+    record[section] = fields
+    path.write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

@@ -40,7 +40,7 @@ def _legacy_spearman_point(stats, mechanism_name, params, n_trials, seed):
     """The pre-batching engine: per-trial draw loop + per-trial Spearman
     list comprehensions with the scalar tie-averaging ranker."""
     trials = release_trials_looped(stats, mechanism_name, params, n_trials, seed)
-    sdl = stats.masked(stats.sdl_noisy)
+    sdl = stats.sdl_noisy[stats.mask]
     strata = stats.strata[stats.mask]
 
     def mean_spearman(cells):
@@ -132,16 +132,12 @@ def test_one_pass_reduction_speedup(benchmark, context):
     matrix = release_trials(
         stats, "smooth-laplace", PARAMS, REDUCTION_N_TRIALS, 7
     )
-    true, sdl, strata = stats.eval_true, stats.eval_sdl, stats.eval_strata
+    true, strata = stats.eval_true, stats.eval_strata
+    sdl = stats.sdl_noisy[stats.mask]
 
     def one_pass():
         return _streamed_point_values(
-            iter((matrix,)),
-            true,
-            sdl,
-            "l1-ratio",
-            REDUCTION_N_TRIALS,
-            index_sets=stats.stratum_cells,
+            iter((matrix,)), true, "l1-ratio", REDUCTION_N_TRIALS, stats.evaluation
         )
 
     def sliced():

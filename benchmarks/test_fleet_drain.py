@@ -19,22 +19,17 @@ single-core machines); timings land in ``BENCH_grid.json`` beside the
 other sweep-engine numbers.
 """
 
-import json
 import multiprocessing
 import os
 import time
-from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import record_bench, write_report
 from repro.engine.plan import grid_plan, snapshot_fingerprint
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
 from repro.util import format_table
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_grid.json"
 
 MECHANISMS = ("log-laplace", "smooth-laplace", "smooth-gamma")
 ALPHAS = (0.05, 0.2)
@@ -44,20 +39,6 @@ WARM_TRIALS = 2
 # Two drains of an even grid should approach 2x; 1.6x leaves headroom
 # for claim/poll overhead and an uneven point-cost split.
 MIN_FLEET_DRAIN_SPEEDUP = 1.6
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_grid.json, keeping other tests' keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _fleet_plan(context, n_trials: int = N_TRIALS):
@@ -150,17 +131,19 @@ def test_two_process_fleet_drain(context, out_dir, tmp_path):
         title=f"claim-coordinated fleet drain ({cpus} core(s))",
     )
     write_report(out_dir, "bench-fleet-drain", report)
-    _merge_bench_json(
+    record_bench(
+        "BENCH_grid.json",
+        "fleet_drain",
         {
-            "fleet_drain_n_points": len(plan),
-            "fleet_drain_n_trials": N_TRIALS,
-            "fleet_drain_solo_s": solo_s,
-            "fleet_drain_two_process_s": fleet_s,
-            "fleet_drain_speedup": speedup,
-            "fleet_drain_split": [count for count, _ in results],
-            "fleet_drain_cpu_count": cpus,
-            "min_fleet_drain_speedup_gate": MIN_FLEET_DRAIN_SPEEDUP,
-        }
+            "n_points": len(plan),
+            "n_trials": N_TRIALS,
+            "solo_s": solo_s,
+            "two_process_s": fleet_s,
+            "speedup": speedup,
+            "split": [count for count, _ in results],
+            "cpu_count": cpus,
+            "min_speedup_gate": MIN_FLEET_DRAIN_SPEEDUP,
+        },
     )
 
     if cpus < 2:

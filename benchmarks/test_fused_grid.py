@@ -21,9 +21,8 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import record_bench, write_report
 from benchmarks.test_batched_trials import _best_of_pair
-from benchmarks.test_sweep_engine import _merge_bench_json
 from repro.engine.plan import figure_plan
 from repro.engine.sweep import run_plan
 from repro.runtime import MAX_WORKERS_ENV, SerialDriver
@@ -81,18 +80,18 @@ def test_fused_grid_speedup(bench_config, context, out_dir, name, monkeypatch):
     )
     write_report(out_dir, f"fused-grid-{name}", report)
 
-    _merge_bench_json(
+    record_bench(
+        "BENCH_grid.json",
+        f"fused_grid_{name}",
         {
-            f"fused_grid_{name}": {
-                "points": len(plan.points),
-                "metric": plan.metric,
-                "n_trials": N_TRIALS,
-                "serial_s": serial_s,
-                "fused_s": fused_s,
-                "speedup": speedup,
-                "min_speedup_gate": MIN_FUSED_SPEEDUP,
-            }
-        }
+            "points": len(plan.points),
+            "metric": plan.metric,
+            "n_trials": N_TRIALS,
+            "serial_s": serial_s,
+            "fused_s": fused_s,
+            "speedup": speedup,
+            "min_speedup_gate": MIN_FUSED_SPEEDUP,
+        },
     )
 
     assert speedup >= MIN_FUSED_SPEEDUP, (

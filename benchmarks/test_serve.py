@@ -20,13 +20,11 @@ so successive PRs can diff serving performance.
 
 from __future__ import annotations
 
-import json
 import statistics
 import threading
 import time
-from pathlib import Path
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import record_bench, write_report
 from repro.api import ReleaseRequest
 from repro.engine.store import ResultStore
 from repro.serve import (
@@ -40,8 +38,6 @@ from repro.serve import (
 from repro.util import format_table
 from tests.serve.conftest import ServiceRunner
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_serve.json"
 
 SCENARIO = "national-1m"
 N_CLIENTS = 16
@@ -50,20 +46,6 @@ UNIQUE_RELEASES = 16
 N_TRIALS = 128  # a realistic released product averages many trials
 REPLAY_ROUNDS = 3
 MIN_REPLAY_SPEEDUP = 5.0
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_serve.json, keeping existing keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _request(seed: int) -> ReleaseRequest:
@@ -200,7 +182,9 @@ def test_release_service_under_concurrent_load(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-serve", report)
 
-    _merge_bench_json(
+    record_bench(
+        "BENCH_serve.json",
+        "serve",
         {
             "scenario": SCENARIO,
             "n_clients": N_CLIENTS,
@@ -218,7 +202,7 @@ def test_release_service_under_concurrent_load(out_dir, tmp_path):
             "min_replay_speedup_gate": MIN_REPLAY_SPEEDUP,
             "spent_epsilon": ledger["spent_epsilon"],
             "ledger_entries": ledger["n_entries"],
-        }
+        },
     )
 
     assert speedup >= MIN_REPLAY_SPEEDUP, (

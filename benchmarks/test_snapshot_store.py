@@ -35,14 +35,12 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import record_bench, write_report
 from repro.data.generator import generate
 from repro.scenarios import SnapshotStore, dataset_fingerprint, scenario_config
 from repro.storage import FilesystemObjectStore, RemoteObjectBackend
 from repro.util import format_table
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_snapshot.json"
 
 SCENARIO = "national-1m"
 MIN_LOAD_SPEEDUP = 5.0
@@ -61,20 +59,6 @@ def _timed(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_snapshot.json, keeping existing keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def test_snapshot_store_wall_clock(out_dir, tmp_path):
@@ -110,7 +94,9 @@ def test_snapshot_store_wall_clock(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-snapshot-store", report)
 
-    _merge_bench_json(
+    record_bench(
+        "BENCH_snapshot.json",
+        "store_load",
         {
             "scenario": SCENARIO,
             "fingerprint": fingerprint,
@@ -122,7 +108,7 @@ def test_snapshot_store_wall_clock(out_dir, tmp_path):
             "load_s": load_s,
             "load_speedup": speedup,
             "min_load_speedup_gate": MIN_LOAD_SPEEDUP,
-        }
+        },
     )
 
     assert speedup >= MIN_LOAD_SPEEDUP, (
@@ -194,17 +180,19 @@ def test_remote_open_wall_clock(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-snapshot-remote", report)
 
-    _merge_bench_json(
+    record_bench(
+        "BENCH_snapshot.json",
+        "remote_open",
         {
-            "remote_scenario": REMOTE_SCENARIO,
-            "remote_fingerprint": fingerprint,
-            "remote_publish_s": publish_s,
-            "remote_cold_open_s": cold_open_s,
-            "remote_cold_bytes_read": int(bytes_downloaded),
-            "remote_warm_open_s": warm_open_s,
-            "remote_warm_open_speedup": warm_speedup,
+            "scenario": REMOTE_SCENARIO,
+            "fingerprint": fingerprint,
+            "publish_s": publish_s,
+            "cold_open_s": cold_open_s,
+            "cold_bytes_read": int(bytes_downloaded),
+            "warm_open_s": warm_open_s,
+            "warm_open_speedup": warm_speedup,
             "min_warm_open_speedup_gate": MIN_WARM_OPEN_SPEEDUP,
-        }
+        },
     )
 
     assert warm_speedup >= MIN_WARM_OPEN_SPEEDUP, (
@@ -280,18 +268,20 @@ def test_sharded_build_wall_clock(out_dir, tmp_path):
     )
     write_report(out_dir, "bench-snapshot-sharded", report)
 
-    _merge_bench_json(
+    record_bench(
+        "BENCH_snapshot.json",
+        "sharded_build",
         {
-            "sharded_fingerprint": fingerprint,
-            "sharded_n_jobs": n_jobs,
-            "sharded_chunk_jobs": config.chunk_jobs,
+            "fingerprint": fingerprint,
+            "n_jobs": n_jobs,
+            "chunk_jobs": config.chunk_jobs,
             "sequential_build_s": sequential_s,
             "sharded_build_s": sharded_s,
-            "sharded_speedup": speedup,
+            "speedup": speedup,
             "shard_workers": SHARD_WORKERS,
             "cpu_count": cpus,
             "min_sharded_speedup_gate": MIN_SHARDED_SPEEDUP,
-        }
+        },
     )
 
     if cpus < SHARD_WORKERS:

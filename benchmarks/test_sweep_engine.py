@@ -16,11 +16,9 @@ Timings land in ``BENCH_grid.json`` at the repo root (the sweep-engine
 companion of ``BENCH_trials.json``) so successive PRs can diff them.
 """
 
-import json
 import time
-from pathlib import Path
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import record_bench, write_report
 from repro.api.session import ReleaseSession
 from repro.engine.plan import grid_plan, snapshot_fingerprint
 from repro.engine.points import points_identical
@@ -31,8 +29,6 @@ from repro.scenarios import SnapshotStore
 from repro.storage import FilesystemObjectStore, RemoteObjectBackend
 from repro.util import format_table
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "BENCH_grid.json"
 
 MECHANISMS = ("log-laplace", "smooth-laplace", "smooth-gamma")
 ALPHAS = (0.05, 0.2)
@@ -45,20 +41,6 @@ FLEET_N_TRIALS = 200
 # A cross-machine replay pays remote downloads instead of Monte Carlo
 # draws; it must still beat recomputing by a wide margin.
 MIN_FLEET_REPLAY_SPEEDUP = 3.0
-
-
-def _merge_bench_json(fields: dict) -> None:
-    """Fold ``fields`` into BENCH_grid.json, keeping other tests' keys."""
-    payload = {}
-    if BENCH_JSON.is_file():
-        try:
-            payload = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            payload = {}
-    payload.update(fields)
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _bench_plan(context):
@@ -161,23 +143,22 @@ def test_sweep_engine_wall_clock(context, out_dir, tmp_path):
     )
     write_report(out_dir, "sweep-engine", report)
 
-    _merge_bench_json(
+    record_bench(
+        "BENCH_grid.json",
+        "sweep_engine",
         {
-            "grid": {
-                "points": len(plan),
-                "n_trials": N_TRIALS,
-                "workload": "workload-1",
-                "workers": WORKERS,
-            },
+            "points": len(plan),
+            "n_trials": N_TRIALS,
+            "workload": "workload-1",
+            "workers": WORKERS,
             "serial_s": serial_s,
             "thread_s": thread_s,
             "process_s": process_s,
             "replay_s": replay_s,
             "replay_speedup": replay_speedup,
             "cache_hits": replay.cache_hits,
-        }
+        },
     )
-    print(f"wrote {BENCH_JSON}")
 
     assert replay_speedup >= MIN_REPLAY_SPEEDUP, (
         f"cache replay only {replay_speedup:.1f}x faster than serial "
@@ -272,20 +253,20 @@ def test_fleet_replay_wall_clock(bench_config, out_dir, tmp_path, monkeypatch):
     )
     write_report(out_dir, "sweep-fleet-replay", report)
 
-    _merge_bench_json(
+    record_bench(
+        "BENCH_grid.json",
+        "fleet_replay",
         {
-            "fleet": {
-                "points": len(plan),
-                "n_trials": FLEET_N_TRIALS,
-                "workload": "workload-1",
-            },
-            "fleet_compute_s": compute_s,
-            "fleet_snapshot_open_s": open_s,
-            "fleet_replay_s": replay_s,
-            "fleet_replay_speedup": fleet_speedup,
-            "fleet_cache_hits": second.cache_hits,
-            "min_fleet_replay_speedup_gate": MIN_FLEET_REPLAY_SPEEDUP,
-        }
+            "points": len(plan),
+            "n_trials": FLEET_N_TRIALS,
+            "workload": "workload-1",
+            "compute_s": compute_s,
+            "snapshot_open_s": open_s,
+            "replay_s": replay_s,
+            "replay_speedup": fleet_speedup,
+            "cache_hits": second.cache_hits,
+            "min_replay_speedup_gate": MIN_FLEET_REPLAY_SPEEDUP,
+        },
     )
 
     assert fleet_speedup >= MIN_FLEET_REPLAY_SPEEDUP, (

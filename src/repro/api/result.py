@@ -3,10 +3,9 @@
 Every request executed by :class:`repro.api.ReleaseSession` returns a
 :class:`ReleaseResult`: the underlying
 :class:`~repro.core.release.MarginalRelease`, the request and derived
-seed (provenance), the ledger entry it debited, and — when the session
-has a fitted SDL system — the SDL baseline and place-population strata
-needed for the paper's Sec 10 metrics (L1 error ratio and Spearman rank
-correlation, overall and per stratum).
+seed (provenance), the ledger entry it debited, and the SDL baseline
+and place-population strata needed for the paper's Sec 10 metrics (L1
+error ratio and Spearman rank correlation, overall and per stratum).
 
 Metric conventions match :mod:`repro.engine.evaluate`: evaluation is
 restricted to cells with positive true count that were released, the L1
@@ -14,8 +13,9 @@ ratio is the mean private L1 over trials divided by the SDL L1, and
 Spearman compares each trial's ordering to the SDL ordering.
 
 The SDL side of those metrics never changes between releases of one
-marginal, so it lives in an :class:`EvaluationBaseline` record that the
-session builds once per (marginal, evaluation mask) and attaches to
+marginal, so it lives in the session's one
+:class:`~repro.engine.points.EvaluationBaseline` record per (marginal,
+evaluation mask) — the same record the figure points read — attached to
 every result; a result then pays only for its own noise.
 """
 
@@ -31,9 +31,8 @@ from repro.api.ledger import LedgerEntry
 from repro.api.request import ReleaseRequest
 from repro.core.composition import MarginalBudget
 from repro.core.release import MarginalRelease
-from repro.engine.points import baseline_rank_stats, stratum_index_sets
-from repro.metrics.error import l1_error
-from repro.metrics.ranking import RankLayout, SetRanker
+from repro.engine.points import EvaluationBaseline
+from repro.metrics.ranking import SetRanker
 
 
 def _json_float(value: float) -> float | None:
@@ -51,74 +50,24 @@ def _params_dict(params) -> dict:
 
 
 @dataclass(frozen=True)
-class EvaluationBaseline:
-    """The SDL side of the Sec-10 metrics over one evaluation mask.
-
-    ``cells`` are the evaluation cells, ascending indices into the
-    marginal.  ``index_sets`` index into ``cells``: the overall set
-    first, then one set per place-population stratum (all empty when
-    the marginal has no strata).  Per set, ``sdl_l1`` is the SDL
-    baseline's L1 error and ``rank_stats`` its centered ranks and rank
-    sd; ``rank_layout`` lays the sets out in set order with those ranks
-    for the Spearman kernel.  All three are ``None`` without a baseline.
-    Every array is read-only, so one record can be shared by every
-    release whose mask has this content.
-    """
-
-    cells: np.ndarray
-    index_sets: tuple[np.ndarray, ...]
-    sdl_l1: tuple[float, ...] | None
-    rank_stats: tuple[tuple[np.ndarray, float], ...] | None
-    rank_layout: RankLayout | None = None
-
-    @classmethod
-    def build(
-        cls,
-        mask: np.ndarray,
-        true: np.ndarray,
-        sdl_noisy: np.ndarray | None,
-        strata: np.ndarray | None,
-    ) -> "EvaluationBaseline":
-        """The record for boolean ``mask`` over the marginal's cells."""
-        cells = np.flatnonzero(mask)
-        cells.setflags(write=False)
-        # Without strata no cell is in any stratum: those sets are empty,
-        # so their metrics come back nan.
-        index_sets = stratum_index_sets(
-            np.full(cells.size, -1) if strata is None else strata[cells]
-        )
-        if sdl_noisy is None:
-            return cls(cells, index_sets, None, None)
-        true, sdl = true[cells], sdl_noisy[cells]
-        rank_stats = baseline_rank_stats(sdl, index_sets)
-        return cls(
-            cells,
-            index_sets,
-            tuple(l1_error(true[idx], sdl[idx]) for idx in index_sets),
-            rank_stats,
-            RankLayout.build(index_sets, rank_stats),
-        )
-
-
-@dataclass(frozen=True)
 class ReleaseResult:
     """One executed release request, with provenance and metrics.
 
-    ``sdl_noisy`` and ``strata`` are per-cell arrays over the marginal
-    (present when the session computed its SDL baseline), and
-    ``evaluation`` is the session's shared record of their statistics
-    over this release's evaluation mask (built from the arrays when
-    absent).  The metric helpers return ``nan`` when a baseline is
-    unavailable or a stratum is empty, mirroring the figure kernels.
+    ``evaluation`` is the session's shared SDL record over this
+    release's evaluation mask; every metric reads it.  ``sdl_noisy``
+    and ``strata`` are the per-cell arrays over the marginal it was
+    built from (``strata`` is ``None`` without a ``place`` attribute).
+    The metric helpers return ``nan`` when a stratum is empty,
+    mirroring the figure kernels.
     """
 
     request: ReleaseRequest
     release: MarginalRelease
+    evaluation: EvaluationBaseline
     seed: int | None = None
     ledger_entry: LedgerEntry | None = None
     sdl_noisy: np.ndarray | None = None
     strata: np.ndarray | None = None
-    evaluation: EvaluationBaseline | None = None
 
     # -- delegation -----------------------------------------------------
 
@@ -158,17 +107,17 @@ class ReleaseResult:
 
     # -- metrics --------------------------------------------------------
 
-    def mean_l1(self, cells: np.ndarray | None = None) -> float:
+    def mean_l1(self) -> float:
         """Mean-over-trials total L1 error on the evaluation cells."""
-        return self._metrics_for(cells)[0][0]
+        return self._metrics[0][0]
 
-    def l1_ratio(self, cells: np.ndarray | None = None) -> float:
+    def l1_ratio(self) -> float:
         """Mean private L1 over trials / SDL L1 (the Sec 10 error ratio)."""
-        return self._metrics_for(cells)[1][0]
+        return self._metrics[1][0]
 
-    def spearman(self, cells: np.ndarray | None = None) -> float:
+    def spearman(self) -> float:
         """Mean-over-trials Spearman ρ against the SDL ordering."""
-        return self._metrics_for(cells)[2][0]
+        return self._metrics[2][0]
 
     def l1_ratio_by_stratum(self) -> tuple[float, ...]:
         """The error ratio per place-population stratum (Sec 10 panels)."""
@@ -178,29 +127,11 @@ class ReleaseResult:
         """Spearman ρ per place-population stratum."""
         return self._metrics[2][1:]
 
-    def _metrics_for(self, cells: np.ndarray | None):
-        if cells is None:
-            return self._metrics
-        return self._evaluate(
-            EvaluationBaseline.build(cells, self.true, self.sdl_noisy, None)
-        )
-
     @cached_property
     def _metrics(self) -> tuple[tuple[float, ...], ...]:
         """(mean L1, L1 ratios, Spearman ρs) over the evaluation record's
         sets, computed once per result (``cached_property`` writes into
-        ``__dict__``, so it works on this frozen dataclass)."""
-        evaluation = self.evaluation
-        if evaluation is None:
-            evaluation = EvaluationBaseline.build(
-                self.mask, self.true, self.sdl_noisy, self.strata
-            )
-        return self._evaluate(evaluation)
-
-    def _evaluate(
-        self, evaluation: EvaluationBaseline
-    ) -> tuple[tuple[float, ...], ...]:
-        """Every set's metrics in one pass over the noisy trials.
+        ``__dict__``, so it works on this frozen dataclass).
 
         One gather of the evaluation cells feeds one |error| pass, whose
         per-set row sums give the mean L1 and the L1 ratio.  An
@@ -216,11 +147,11 @@ class ReleaseResult:
         bit-identical, per trial and set, to the tie-averaging kernel on
         that set's cells.
         """
+        evaluation = self.evaluation
         trials = self.trials()[:, evaluation.cells]
         abs_err = np.abs(trials - self.true[evaluation.cells])
         n_cells = evaluation.cells.size
-        layout = evaluation.rank_layout
-        rhos = None if layout is None else SetRanker(layout).rank_cells(trials)
+        rhos = SetRanker(evaluation.rank_layout).rank_cells(trials)
         rows = []
         for j, idx in enumerate(evaluation.index_sets):
             mean_l1 = ratio = rho = float("nan")
@@ -228,13 +159,12 @@ class ReleaseResult:
             if idx.size:
                 errors = abs_err if whole else abs_err[:, idx]
                 mean_l1 = float(errors.sum(axis=1).mean())
-            if idx.size and evaluation.sdl_l1 is not None:
                 sdl_l1 = evaluation.sdl_l1[j]
                 if sdl_l1 != 0.0:
                     ratio = mean_l1 / sdl_l1
                 elif mean_l1 > 0:
                     ratio = math.inf
-            if rhos is not None and not np.all(np.isnan(rhos[j])):
+            if not np.all(np.isnan(rhos[j])):
                 rho = float(np.nanmean(rhos[j]))
             rows.append((mean_l1, ratio, rho))
         return tuple(zip(*rows))

@@ -3,10 +3,22 @@
 A :class:`ReleaseSession` owns one dataset snapshot, the fitted SDL
 baseline system, and caches of every trial-invariant statistic, so any
 number of release requests and figure evaluations against the same
-snapshot reuse the expensive work — the true marginals, release masks,
-smooth-sensitivity statistics, place strata and SDL answers are computed
-once per (marginal, mode), the SDL side of the Sec-10 metrics once per
-(marginal, evaluation mask), and only the noise is redrawn.
+snapshot reuse the expensive work, and only the noise is redrawn.
+There are three caches, and every path reads them:
+
+- one release prologue per (marginal, mode, population filters) — the
+  true counts, release mask and xv of
+  :func:`~repro.core.release.compute_release_statistics`;
+- one SDL baseline per (marginal, filters) — the SDL answer and the
+  place strata;
+- one SDL evaluation record per (marginal, filters, evaluation mask) —
+  the :class:`~repro.engine.points.EvaluationBaseline` behind every
+  Sec-10 metric.
+
+:meth:`ReleaseSession.statistics` composes a workload's figure-point
+statistics from them, and a release of the same marginal reads the
+same entries: a Workload-1 release and the Workload-1 figure points
+hold one prologue and one record.
 
 Three execution surfaces:
 
@@ -56,8 +68,8 @@ import numpy as np
 from repro.api.ledger import LedgerEntry, PrivacyLedger
 from repro.api.registry import BASELINE, COMPOSITE
 from repro.api.request import ReleaseRequest
-from repro.api.result import EvaluationBaseline, ReleaseResult
-from repro.core.composition import marginal_budget
+from repro.api.result import ReleaseResult
+from repro.core.composition import STRONG, WEAK, marginal_budget
 from repro.core.params import EREEParams
 from repro.core.release import (
     DEFAULT_WORKER_ATTRS,
@@ -67,9 +79,15 @@ from repro.core.release import (
     resolve_mode,
 )
 from repro.data.generator import generate
-from repro.db.query import Marginal, per_establishment_counts
+from repro.db.join import WorkerFull
+from repro.db.query import Marginal
 from repro.engine import evaluate as point_kernels
-from repro.engine.points import N_STRATA, SeriesPoint, WorkloadStatistics
+from repro.engine.points import (
+    N_STRATA,
+    EvaluationBaseline,
+    SeriesPoint,
+    WorkloadStatistics,
+)
 from repro.metrics.strata import cell_strata
 from repro.sdl.noise_infusion import InputNoiseInfusion
 from repro.util import derive_seed
@@ -107,7 +125,6 @@ class ReleaseSession:
         *,
         dataset=None,
         snapshot_store=None,
-        snapshot_mmap: bool = True,
         snapshot_workers: int | None = None,
         budget: float | None = None,
         delta_budget: float | None = None,
@@ -135,9 +152,7 @@ class ReleaseSession:
             self.dataset = dataset
         elif self.snapshot_store is not None:
             self.dataset, _ = self.snapshot_store.load_or_generate(
-                self.config.data,
-                mmap=snapshot_mmap,
-                build_workers=snapshot_workers,
+                self.config.data, build_workers=snapshot_workers
             )
         else:
             self.dataset = generate(self.config.data)
@@ -157,8 +172,8 @@ class ReleaseSession:
         self._evaluation_cache: dict = {}
         # Guards the caches above: threads sharing this session (e.g. a
         # ThreadDriver sweep) must compute each trial-invariant
-        # statistic exactly once.  Reentrant because statistics() can
-        # recurse into _baseline() on some paths.
+        # statistic exactly once.  Reentrant because statistics() holds
+        # it while it fills the prologue, baseline and record caches.
         self._cache_lock = threading.RLock()
 
     @classmethod
@@ -270,78 +285,51 @@ class ReleaseSession:
     # -- trial-invariant caches ----------------------------------------
 
     def statistics(self, workload: Workload) -> WorkloadStatistics:
-        """Compute (or fetch cached) trial-invariant workload statistics."""
+        """Compute (or fetch cached) trial-invariant workload statistics.
+
+        Composes three cached pieces: the workload's release prologue
+        (the same cache entry a release of its marginal reads), its SDL
+        baseline arrays, and the SDL evaluation record over its mask.
+        """
         with self._cache_lock:
-            return self._statistics_locked(workload)
+            stats = self._stats_cache.get(workload)
+            if stats is not None:
+                return stats
+            attrs, filters = tuple(workload.attrs), workload.filters
+            mode = WEAK if workload.has_worker_attrs else STRONG
+            prologue = self._prologue(attrs, mode, filters)
+            sdl_noisy, strata = self._baseline(attrs, filters)
+            mask = (prologue.true > 0) & prologue.released
+            schema, worker_attrs = self.schema, self.worker_attrs
 
-    def _statistics_locked(self, workload: Workload) -> WorkloadStatistics:
-        if workload in self._stats_cache:
-            return self._stats_cache[workload]
+            def budget_of(params: EREEParams):
+                return marginal_budget(
+                    params,
+                    schema,
+                    workload.attrs,
+                    worker_attrs,
+                    mode,
+                    workload.budget_style,
+                )
 
-        schema = self.schema
-        marginal = Marginal(schema, workload.attrs)
+            def per_cell_params(params: EREEParams) -> EREEParams:
+                return budget_of(params).per_cell
 
-        population = self.worker_full
-        for attribute, value in workload.filters:
-            population = population.filter(
-                population.table.equals_value(attribute, value)
+            stats = WorkloadStatistics(
+                workload=workload,
+                marginal=prologue.marginal,
+                true=prologue.true,
+                released=prologue.released,
+                xv=prologue.xv,
+                strata=strata,
+                sdl_noisy=sdl_noisy,
+                evaluation=self._evaluation(attrs, filters, mask, prologue.true),
+                mode=mode,
+                per_cell_params_of=per_cell_params,
+                budget_of=budget_of,
             )
-
-        true = marginal.counts(population.table).astype(np.float64)
-        cell_index = marginal.cell_index(population.table)
-        stats = per_establishment_counts(
-            cell_index, population.establishment, marginal.n_cells
-        )
-        xv = stats.max_single
-
-        # Release mask: the workplace part matches >= 1 establishment,
-        # judged on the *unfiltered* population (existence is public).
-        workplace_part = [
-            a for a in workload.attrs if a not in self.worker_attrs
-        ]
-        wp_marginal = Marginal(schema, workplace_part)
-        wp_stats = per_establishment_counts(
-            wp_marginal.cell_index(self.worker_full.table),
-            self.worker_full.establishment,
-            wp_marginal.n_cells,
-        )
-        released = (
-            wp_stats.n_establishments[marginal.project_onto(workplace_part)] > 0
-        )
-
-        strata = cell_strata(marginal, self.dataset.geography.place_populations)
-        sdl_noisy = self.sdl.answer_marginal(population, marginal).noisy
-
-        mode = "weak" if workload.has_worker_attrs else "strong"
-        worker_attrs = self.worker_attrs
-
-        def budget_of(params: EREEParams):
-            return marginal_budget(
-                params,
-                schema,
-                workload.attrs,
-                worker_attrs,
-                mode,
-                workload.budget_style,
-            )
-
-        def per_cell_params(params: EREEParams) -> EREEParams:
-            return budget_of(params).per_cell
-
-        result = WorkloadStatistics(
-            workload=workload,
-            marginal=marginal,
-            true=true,
-            released=released,
-            xv=xv,
-            strata=strata,
-            sdl_noisy=sdl_noisy,
-            mode=mode,
-            per_cell_params_of=per_cell_params,
-            budget_of=budget_of,
-        )
-        self._stats_cache[workload] = result
-        return result
+            self._stats_cache[workload] = stats
+            return stats
 
     def release_statistics(
         self, attrs: Sequence[str], mode: str | None = None
@@ -350,55 +338,78 @@ class ReleaseSession:
 
         The cache key is the *resolved* mode, so ``mode=None`` and an
         explicit matching mode share one entry; a hit skips the
-        true-counts/xv tabulation entirely.
+        true-counts/xv tabulation entirely.  Workload statistics over
+        the same marginal (without filters) read the same entry.
         """
         attrs = tuple(attrs)
-        key = (attrs, resolve_mode(attrs, self.worker_attrs, mode))
-        with self._cache_lock:
-            cached = self._release_cache.get(key)
-            if cached is None:
-                cached = compute_release_statistics(
-                    self.worker_full, attrs, self.worker_attrs, mode
-                )
-                self._release_cache[key] = cached
-            return cached
+        return self._prologue(attrs, resolve_mode(attrs, self.worker_attrs, mode))
 
-    def _baseline(self, attrs: tuple[str, ...]):
+    def _population(self, filters) -> WorkerFull:
+        """The jobs a workload counts: the whole relation, filtered."""
+        if not filters:
+            return self.worker_full
+        table = self.worker_full.table
+        keep = [table.equals_value(name, value) for name, value in filters]
+        return self.worker_full.filter(np.logical_and.reduce(keep))
+
+    def _prologue(
+        self, attrs: tuple[str, ...], mode: str, filters=()
+    ) -> ReleaseStatistics:
+        """The one cached release prologue per (attrs, mode, filters)."""
+        key = (attrs, mode, filters)
+        with self._cache_lock:
+            prologue = self._release_cache.get(key)
+            if prologue is None:
+                prologue = compute_release_statistics(
+                    self.worker_full,
+                    attrs,
+                    self.worker_attrs,
+                    mode,
+                    population=self._population(filters),
+                )
+                self._release_cache[key] = prologue
+            return prologue
+
+    def _baseline(self, attrs: tuple[str, ...], filters=()):
         """Cached (sdl_noisy, strata) arrays for one marginal.
 
+        The SDL answers the marginal over the filtered population.
         ``strata`` is None for marginals without a ``place`` attribute
         (per-stratum metrics are undefined there); the overall metrics
         still work off the SDL answer.
         """
+        key = (attrs, filters)
         with self._cache_lock:
-            if attrs not in self._baseline_cache:
+            if key not in self._baseline_cache:
                 marginal = Marginal(self.schema, attrs)
-                sdl_noisy = self.sdl.answer_marginal(self.worker_full, marginal).noisy
+                sdl_noisy = self.sdl.answer_marginal(
+                    self._population(filters), marginal
+                ).noisy
                 strata = (
                     cell_strata(marginal, self.dataset.geography.place_populations)
                     if "place" in attrs
                     else None
                 )
-                self._baseline_cache[attrs] = (sdl_noisy, strata)
-            return self._baseline_cache[attrs]
+                self._baseline_cache[key] = (sdl_noisy, strata)
+            return self._baseline_cache[key]
 
-    def _evaluation(self, attrs: tuple[str, ...], release) -> EvaluationBaseline:
-        """Cached SDL-side Sec-10 statistics for one release's mask.
+    def _evaluation(
+        self, attrs: tuple[str, ...], filters, mask: np.ndarray, true: np.ndarray
+    ) -> EvaluationBaseline:
+        """Cached SDL-side Sec-10 statistics for one evaluation mask.
 
-        Keyed by (attrs, evaluation-mask content): the true counts and
-        the SDL answers are fixed per marginal, so every release whose
-        mask has this content — any seed, any mechanism — shares one
-        read-only record, built on the first such release.
+        Keyed by (attrs, filters, mask content): the true counts and the
+        SDL answers are fixed per marginal and population, so every
+        release and figure point whose mask has this content — any
+        seed, any mechanism — shares one read-only record, built on
+        first use.
         """
-        mask = release.released & (release.true > 0)
-        key = (attrs, mask.tobytes())
+        key = (attrs, filters, mask.tobytes())
         with self._cache_lock:
             evaluation = self._evaluation_cache.get(key)
             if evaluation is None:
-                sdl_noisy, strata = self._baseline(attrs)
-                evaluation = EvaluationBaseline.build(
-                    mask, release.true, sdl_noisy, strata
-                )
+                sdl_noisy, strata = self._baseline(attrs, filters)
+                evaluation = EvaluationBaseline.build(mask, true, sdl_noisy, strata)
                 self._evaluation_cache[key] = evaluation
             return evaluation
 
@@ -436,17 +447,43 @@ class ReleaseSession:
             return self._run_baseline(request)
         return self._run_calibrated(request)
 
+    def spend_of(self, request: ReleaseRequest) -> tuple[float, float]:
+        """The (ε, δ) ``request`` debits, known before any noise is drawn.
+
+        The one preflight amount: the three execution paths below and
+        the release service refuse an unaffordable request with it
+        before paying compute.  Baseline (node-DP) releases spend the
+        request ε alone; composite releases spend the request (ε, δ);
+        calibrated releases spend the Sec-4 composed total of their
+        marginal.  Pure arithmetic over the schema.
+        """
+        kind = request.spec.kind
+        if kind == BASELINE:
+            return float(request.epsilon), 0.0
+        if kind == COMPOSITE:
+            return float(request.epsilon), float(request.delta)
+        total = marginal_budget(
+            request.params,
+            self.schema,
+            request.attrs,
+            self.worker_attrs,
+            resolve_mode(request.attrs, self.worker_attrs, request.mode),
+            request.budget_style,
+        ).total
+        return float(total.epsilon), float(total.delta)
+
     def _result(self, request, release, entry) -> ReleaseResult:
         attrs = tuple(request.attrs)
         sdl_noisy, strata = self._baseline(attrs)
+        mask = release.released & (release.true > 0)
         return ReleaseResult(
             request=request,
             release=release,
+            evaluation=self._evaluation(attrs, (), mask, release.true),
             seed=request.seed,
             ledger_entry=entry,
             sdl_noisy=sdl_noisy,
             strata=strata,
-            evaluation=self._evaluation(attrs, release),
         )
 
     def _run_calibrated(
@@ -465,7 +502,7 @@ class ReleaseSession:
         # after the noise draw succeeds, so a failed release never
         # leaves privacy spend on the books.
         self.ledger.preflight(
-            budget.total.epsilon, budget.total.delta, label=request.ledger_label
+            *self.spend_of(request), label=request.ledger_label
         )
         release = release_from_statistics(
             stats,
@@ -502,7 +539,9 @@ class ReleaseSession:
             theta=theta, epsilon=request.epsilon, **options
         )
         marginal = Marginal(self.schema, request.attrs)
-        self.ledger.preflight(request.epsilon, 0.0, label=request.ledger_label)
+        self.ledger.preflight(
+            *self.spend_of(request), label=request.ledger_label
+        )
         result = mechanism.release_batch(
             self.worker_full,
             marginal,
@@ -543,7 +582,7 @@ class ReleaseSession:
         options = dict(request.mechanism_options or {})
         base_mechanism = options.pop("base_mechanism", "smooth-laplace")
         self.ledger.preflight(
-            request.epsilon, request.delta, label=request.ledger_label
+            *self.spend_of(request), label=request.ledger_label
         )
         weighted = request.spec.factory(
             self.worker_full,

@@ -10,12 +10,16 @@ randomized half:
 - :func:`release_from_statistics` derives the per-cell budget, looks the
   mechanism up in the :mod:`repro.api.registry`, and adds noise.
 
-:class:`repro.api.ReleaseSession` caches the first half per (attrs,
-mode) so repeated requests against one snapshot only redraw noise.
-:func:`release_marginal` chains the two halves for one-shot use and is
-kept as the historical entry point (prefer the session facade for
-anything beyond a single release — it adds caching and ledger
-accounting on top of the identical noise stream).
+The first half is the one prologue of every release path: session
+releases and figure points (:class:`repro.api.ReleaseSession` caches it
+per (attrs, mode, population filters), so repeated requests against one
+snapshot only redraw noise), the stacked panel release
+(:func:`release_marginal_stack`, one prologue per year) and the
+weighted split's main stage.  :func:`release_marginal` chains the two
+halves for one-shot use and is kept as the historical entry point
+(prefer the session facade for anything beyond a single release — it
+adds caching and ledger accounting on top of the identical noise
+stream).
 
 Which cells are published?  Establishment existence, sector, ownership
 and location are public (Sec 4.1), so a cell is released iff its
@@ -151,6 +155,7 @@ def check_mechanism_mode(
 
 def _released_mask_and_xv(
     worker_full: WorkerFull,
+    population: WorkerFull,
     marginal: Marginal,
     workplace_part: Sequence[str],
     mode: str,
@@ -159,18 +164,13 @@ def _released_mask_and_xv(
     """Per-cell release mask and xv statistic.
 
     - released: the workplace part of the cell matches >= 1 establishment
-      (establishment existence is public);
-    - xv (weak mode, or no worker attrs): max jobs a single establishment
-      contributes to the cell itself;
+      of the whole relation (establishment existence is public);
+    - xv (weak mode, or no worker attrs): max jobs of ``population`` a
+      single establishment contributes to the cell itself;
     - xv (strong mode with worker attrs — the ablation): max *total size*
       of any establishment matching the workplace part, since a strong
       α-neighbor may pour α·|e| same-attribute workers into one cell.
     """
-    cell_index = marginal.cell_index(worker_full.table)
-    stats = per_establishment_counts(
-        cell_index, worker_full.establishment, marginal.n_cells
-    )
-
     wp_marginal = Marginal(worker_full.table.schema, workplace_part)
     full_to_wp = marginal.project_onto(workplace_part)
     wp_cell_index = wp_marginal.cell_index(worker_full.table)
@@ -189,7 +189,11 @@ def _released_mask_and_xv(
         np.maximum.at(wp_max_size, estab_wp_cell, sizes[estab_ids])
         xv = wp_max_size[full_to_wp]
     else:
-        xv = stats.max_single
+        xv = per_establishment_counts(
+            marginal.cell_index(population.table),
+            population.establishment,
+            marginal.n_cells,
+        ).max_single
     return released, xv
 
 
@@ -198,22 +202,31 @@ def compute_release_statistics(
     attrs: Sequence[str],
     worker_attrs: Collection[str] = DEFAULT_WORKER_ATTRS,
     mode: str | None = None,
+    *,
+    population: WorkerFull | None = None,
 ) -> ReleaseStatistics:
     """The cacheable prologue of a release: marginal, mask and xv.
 
     ``mode=None`` picks strong privacy for establishment-only marginals
     and weak privacy when worker attributes are present (the paper's
-    pairing).
+    pairing).  ``population`` is the set of jobs counted — the true
+    counts and the weak xv — and defaults to the whole relation; Ranking
+    2 counts only its filtered workers.  The release mask is always
+    judged on the whole relation, because establishment existence is
+    public.
     """
     schema = worker_full.table.schema
     marginal = Marginal(schema, attrs)
     mode = resolve_mode(attrs, worker_attrs, mode)
     has_worker_attrs = any(name in worker_attrs for name in attrs)
     workplace_part = tuple(name for name in attrs if name not in worker_attrs)
+    if population is None:
+        population = worker_full
 
-    true = marginal.counts(worker_full.table).astype(np.float64)
+    true = marginal.counts(population.table).astype(np.float64)
     released, xv = _released_mask_and_xv(
-        worker_full, marginal, workplace_part, mode, has_worker_attrs
+        worker_full, population, marginal, workplace_part, mode,
+        has_worker_attrs,
     )
     return ReleaseStatistics(
         marginal=marginal,
@@ -302,42 +315,6 @@ def release_from_statistics(
     )
 
 
-def _prepare_release(
-    schema,
-    attrs: Sequence[str],
-    mechanism_name: str,
-    params: EREEParams,
-    worker_attrs: Collection[str],
-    mode: str | None,
-    budget_style: str,
-    mechanism_options: dict | None,
-):
-    """Shared prologue of the stacked release: resolve the privacy mode,
-    validate the mechanism/mode pairing, and build the marginal, budget
-    and mechanism."""
-    marginal = Marginal(schema, attrs)
-    mode = resolve_mode(attrs, worker_attrs, mode)
-    has_worker_attrs = any(name in worker_attrs for name in attrs)
-    workplace_part = [name for name in attrs if name not in worker_attrs]
-
-    spec = _calibrated_spec(mechanism_name)
-    check_mechanism_mode(spec, mode, has_worker_attrs)
-
-    budget = marginal_budget(
-        params, schema, attrs, worker_attrs, mode, budget_style
-    )
-    mechanism = spec.create(budget.per_cell, **(mechanism_options or {}))
-    return (
-        marginal,
-        mode,
-        has_worker_attrs,
-        workplace_part,
-        budget,
-        mechanism,
-        spec,
-    )
-
-
 def release_marginal(
     worker_full: WorkerFull,
     attrs: Sequence[str],
@@ -371,8 +348,6 @@ def release_marginal(
     budget — batching is a Monte Carlo convenience, not composition).
     """
     stats = compute_release_statistics(worker_full, attrs, worker_attrs, mode)
-    spec = _calibrated_spec(mechanism_name)
-    check_mechanism_mode(spec, stats.mode, stats.has_worker_attrs)
     budget = marginal_budget(
         params, worker_full.table.schema, attrs, worker_attrs, stats.mode,
         budget_style,
@@ -412,26 +387,22 @@ def release_marginal_stack(
         return []
     rng = as_generator(seed)
     schema = worker_fulls[0].table.schema
-    marginal, mode, has_worker_attrs, workplace_part, budget, mechanism, spec = (
-        _prepare_release(
-            schema, attrs, mechanism_name, params, worker_attrs, mode,
-            budget_style, mechanism_options,
-        )
+    if any(worker_full.table.schema != schema for worker_full in worker_fulls):
+        raise ValueError("all snapshots must share one schema")
+    spec = _calibrated_spec(mechanism_name)
+    years = [
+        compute_release_statistics(worker_full, attrs, worker_attrs, mode)
+        for worker_full in worker_fulls
+    ]
+    marginal, mode = years[0].marginal, years[0].mode
+    check_mechanism_mode(spec, mode, years[0].has_worker_attrs)
+    budget = marginal_budget(
+        params, schema, attrs, worker_attrs, mode, budget_style
     )
-
-    trues, releaseds, xvs = [], [], []
-    for worker_full in worker_fulls:
-        if worker_full.table.schema != schema:
-            raise ValueError("all snapshots must share one schema")
-        trues.append(marginal.counts(worker_full.table).astype(np.float64))
-        released, xv = _released_mask_and_xv(
-            worker_full, marginal, workplace_part, mode, has_worker_attrs
-        )
-        releaseds.append(released)
-        xvs.append(xv)
-    true_stack = np.stack(trues)
-    released_stack = np.stack(releaseds)
-    xv_stack = np.stack(xvs)
+    mechanism = spec.create(budget.per_cell, **(mechanism_options or {}))
+    true_stack = np.stack([year.true for year in years])
+    released_stack = np.stack([year.released for year in years])
+    xv_stack = np.stack([year.xv for year in years])
 
     # One draw covers every (snapshot, cell); suppressed cells discard
     # their (independent) noise afterwards, which leaves the released

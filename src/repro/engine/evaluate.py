@@ -40,11 +40,13 @@ Two reduction strategies coexist:
   identical but not bit-identical to the per-point streams, so it only
   runs behind ``run_plan(fused=True)``.
 
-Both rank through :class:`~repro.metrics.ranking.SetRanker` against
-the SDL ranks cached on
-:attr:`~repro.engine.points.WorkloadStatistics.sdl_rank_layout`; its
-values equal the tie-averaging kernel's bit for bit, so the pinned
-figures do not move.
+Both read the SDL side of the metrics from one record, the
+:class:`~repro.engine.points.EvaluationBaseline` on
+:attr:`~repro.engine.points.WorkloadStatistics.evaluation` that the
+session shares with release results: its per-set SDL L1 divides every
+error ratio, and its rank layout feeds
+:class:`~repro.metrics.ranking.SetRanker`, whose values equal the
+tie-averaging kernel's bit for bit, so the pinned figures do not move.
 """
 
 from __future__ import annotations
@@ -62,9 +64,13 @@ from repro.core.release import _trial_chunks
 from repro.core.smooth_sensitivity import sample_gamma4_fast
 from repro.dp.truncation import TruncatedLaplace
 from repro.engine import profile
-from repro.engine.points import N_STRATA, SeriesPoint, WorkloadStatistics
-from repro.metrics.error import l1_error
-from repro.metrics.ranking import RankLayout, SetRanker
+from repro.engine.points import (
+    N_STRATA,
+    EvaluationBaseline,
+    SeriesPoint,
+    WorkloadStatistics,
+)
+from repro.metrics.ranking import SetRanker
 from repro.runtime.drivers import ThreadDriver
 from repro.util import as_generator
 
@@ -183,19 +189,16 @@ def release_trials_looped(
 
 
 def _l1_ratio_results(
-    sums: np.ndarray,
-    n_trials: int,
-    true: np.ndarray,
-    sdl: np.ndarray,
-    index_sets,
+    sums: np.ndarray, n_trials: int, evaluation: EvaluationBaseline
 ) -> list[float]:
-    """Sec-10 error ratios from accumulated per-set |error| totals."""
+    """Sec-10 error ratios from accumulated per-set |error| totals,
+    against the record's stored SDL L1 per set."""
     results = []
-    for j, idx in enumerate(index_sets):
+    for j, idx in enumerate(evaluation.index_sets):
         if idx.size == 0:
             results.append(float("nan"))
             continue
-        sdl_l1 = l1_error(true[idx], sdl[idx])
+        sdl_l1 = evaluation.sdl_l1[j]
         private_l1 = float(sums[j]) / n_trials
         if sdl_l1 == 0.0:
             results.append(math.inf if private_l1 > 0 else float("nan"))
@@ -207,11 +210,9 @@ def _l1_ratio_results(
 def _streamed_point_values(
     chunk_iter,
     true,
-    sdl,
     metric: str,
     n_trials: int,
-    index_sets: Sequence[np.ndarray],
-    layout: RankLayout | None = None,
+    evaluation: EvaluationBaseline,
 ) -> tuple[float, tuple[float, ...]]:
     """Reduce trial-chunk matrices to (overall, by-stratum) point values.
 
@@ -223,26 +224,27 @@ def _streamed_point_values(
 
     The L1 reduction is one pass per chunk: ``|chunk - true|`` is
     computed once and gathered into the overall + per-stratum sums
-    through the ascending ``index_sets`` (the
-    :attr:`WorkloadStatistics.stratum_cells` cache).  The gather always
-    copies — even for the full-size overall set — because a
-    ``m[:, indices]`` gather is Fortran-ordered exactly like the
-    historical ``m[:, boolean_mask]`` slices, and the axis-1 float
-    summation order depends on that layout; reducing the C-ordered
-    ``abs_err`` directly would shift the overall value by last-ULP
-    reassociation.  Values are therefore bit-identical to the slicing
-    reducer while the subtraction runs once instead of once per set.
+    through the ascending index sets of ``evaluation`` (the session's
+    shared SDL record), and the ratios divide by its stored SDL L1 per
+    set.  The gather always copies — even for the full-size overall
+    set — because a ``m[:, indices]`` gather is Fortran-ordered exactly
+    like the historical ``m[:, boolean_mask]`` slices, and the axis-1
+    float summation order depends on that layout; reducing the
+    C-ordered ``abs_err`` directly would shift the overall value by
+    last-ULP reassociation.  Values are therefore bit-identical to the
+    slicing reducer while the subtraction runs once instead of once per
+    set.
 
-    The Spearman reduction gathers each chunk into the set order of
-    ``layout`` (the :attr:`WorkloadStatistics.sdl_rank_layout` cache,
-    required for this metric) once, block by block, and ranks the
-    overall set and every stratum through one
+    The Spearman reduction gathers each chunk into the set order of the
+    record's rank layout once, block by block, and ranks the overall
+    set and every stratum through one
     :class:`~repro.metrics.ranking.SetRanker` — bit-identical, per trial
     and set, to the tie-averaging kernel on that set's cells.
     """
+    index_sets = evaluation.index_sets
     sums = np.zeros(len(index_sets))
     counts = np.zeros(len(index_sets))
-    ranker = SetRanker(layout) if metric != "l1-ratio" else None
+    ranker = SetRanker(evaluation.rank_layout) if metric != "l1-ratio" else None
     if profile.active():
         chunk_iter = profile.timed_iter(chunk_iter)
     for chunk in chunk_iter:
@@ -255,7 +257,7 @@ def _streamed_point_values(
             else:
                 _fold_rhos(ranker.rank_cells(chunk), sums, counts)
     if metric == "l1-ratio":
-        results = _l1_ratio_results(sums, n_trials, true, sdl, index_sets)
+        results = _l1_ratio_results(sums, n_trials, evaluation)
     else:
         results = [
             float(sums[j] / counts[j]) if counts[j] else float("nan")
@@ -304,10 +306,9 @@ def error_ratio_point(
     overall, by_stratum = _streamed_point_values(
         _release_chunks(stats, mechanism_name, per_cell, n_trials, seed, batch_size),
         stats.eval_true,
-        stats.eval_sdl,
         "l1-ratio",
         n_trials,
-        index_sets=stats.stratum_cells,
+        stats.evaluation,
     )
     return SeriesPoint(
         mechanism=mechanism_name,
@@ -333,11 +334,9 @@ def spearman_point(
     overall, by_stratum = _streamed_point_values(
         _release_chunks(stats, mechanism_name, per_cell, n_trials, seed, batch_size),
         stats.eval_true,
-        stats.eval_sdl,
         "spearman",
         n_trials,
-        index_sets=stats.stratum_cells,
-        layout=stats.sdl_rank_layout,
+        stats.evaluation,
     )
     return SeriesPoint(
         mechanism=mechanism_name,
@@ -380,13 +379,7 @@ def truncated_laplace_point(
             yield result.noisy[:, mask]
 
     overall, by_stratum = _streamed_point_values(
-        chunk_iter(),
-        stats.eval_true,
-        stats.eval_sdl,
-        metric,
-        n_trials,
-        index_sets=stats.stratum_cells,
-        layout=stats.sdl_rank_layout if metric == "spearman" else None,
+        chunk_iter(), stats.eval_true, metric, n_trials, stats.evaluation
     )
     return SeriesPoint(
         mechanism="truncated-laplace",
@@ -445,8 +438,8 @@ def fused_family_points(
     - Otherwise each member applies its transform to the shared unit
       chunk.  Spearman members rank the overall set and every stratum
       through one :class:`~repro.metrics.ranking.SetRanker` per family,
-      in the workload's cached set order
-      (:attr:`WorkloadStatistics.sdl_rank_layout`): each chunk's unit
+      in the set order of the workload's shared SDL record
+      (:attr:`WorkloadStatistics.evaluation`): each chunk's unit
       matrix is permuted into that order once, and a member builds its
       noisy rows one cache-sized block at a time, straight into the
       ranker's buffer, so no member ever holds a full trials×cells noisy
@@ -499,12 +492,11 @@ def fused_family_points(
         )
 
     true = stats.eval_true
-    sdl = stats.eval_sdl
     strata = stats.eval_strata
-    index_sets = stats.stratum_cells
+    evaluation = stats.evaluation
     xv = stats.eval_xv
     n_cells = true.size
-    n_sets = len(index_sets)
+    n_sets = len(evaluation.index_sets)
 
     # Per-member setup: feasibility, the mechanism, and — for linear
     # mechanisms — the unit-noise scale envelope(α)/a(ε).  The envelope
@@ -564,14 +556,11 @@ def fused_family_points(
                 strata, weights=per_cell_err, minlength=N_STRATA
             )
             results["l1-ratio"].append(
-                _point(
-                    params,
-                    _l1_ratio_results(sums, n_trials, true, sdl, index_sets),
-                )
+                _point(params, _l1_ratio_results(sums, n_trials, evaluation))
             )
         return results
 
-    layout = stats.sdl_rank_layout if "spearman" in metrics else None
+    layout = evaluation.rank_layout if "spearman" in metrics else None
     # Spearman members rank in the layout's set order.  Alone, they
     # build their noisy rows block by block from a permuted unit chunk,
     # straight into a ranker's cache-sized buffer, one ranker per share
@@ -643,9 +632,7 @@ def fused_family_points(
                 results[metric].append(_infeasible_point(mechanism_name, params))
                 continue
             if metric == "l1-ratio":
-                values = _l1_ratio_results(
-                    sums[e, m], n_trials, true, sdl, index_sets
-                )
+                values = _l1_ratio_results(sums[e, m], n_trials, evaluation)
             else:
                 values = [
                     float(sums[e, m, j] / counts[e, m, j])

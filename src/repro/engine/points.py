@@ -4,6 +4,12 @@ These types live below every layer that uses them: the session, the
 evaluation kernels (:mod:`repro.engine.evaluate`), the sweep engine and
 the experiment harness all import *down* into this module and never at
 each other.
+
+:class:`EvaluationBaseline` is the one SDL side of the Sec-10 metrics:
+the session builds it once per (marginal, population, evaluation mask),
+and every consumer — figure points, pointwise and fused, Table 3 rows,
+and release results — reads that record instead of recomputing the SDL
+error or ranks.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.metrics.error import l1_error
 from repro.metrics.ranking import RankLayout, centered_rank_stats
 from repro.metrics.strata import STRATUM_LABELS
 
@@ -29,10 +36,7 @@ def stratum_index_sets(strata: np.ndarray) -> tuple[np.ndarray, ...]:
 
     ``strata`` is the place-population stratum of each evaluation cell.
     The indices ascend, so gathering with them preserves cell order (and
-    hence float summation order) exactly.  Sweeps
-    (:attr:`WorkloadStatistics.stratum_cells`) and release results
-    (:class:`repro.api.result.EvaluationBaseline`) both evaluate over
-    these sets.
+    hence float summation order) exactly.
     """
     sets = (
         np.arange(strata.size),
@@ -65,13 +69,64 @@ def baseline_rank_stats(
 
 
 @dataclass(frozen=True)
+class EvaluationBaseline:
+    """The SDL side of the Sec-10 metrics over one evaluation mask.
+
+    ``cells`` are the evaluation cells, ascending indices into the
+    marginal.  ``index_sets`` index into ``cells``: the overall set
+    first, then one set per place-population stratum (all empty when
+    the marginal has no strata).  Per set, ``sdl_l1`` is the SDL
+    baseline's L1 error and ``rank_stats`` its centered ranks and rank
+    sd; ``rank_layout`` lays the sets out in set order with those ranks
+    for the Spearman kernel.  Every array is read-only, so one record
+    can be shared by every release and figure point whose mask has this
+    content.
+    """
+
+    cells: np.ndarray
+    index_sets: tuple[np.ndarray, ...]
+    sdl_l1: tuple[float, ...]
+    rank_stats: tuple[tuple[np.ndarray, float], ...]
+    rank_layout: RankLayout
+
+    @classmethod
+    def build(
+        cls,
+        mask: np.ndarray,
+        true: np.ndarray,
+        sdl_noisy: np.ndarray,
+        strata: np.ndarray | None,
+    ) -> "EvaluationBaseline":
+        """The record for boolean ``mask`` over the marginal's cells."""
+        cells = np.flatnonzero(mask)
+        cells.setflags(write=False)
+        # Without strata no cell is in any stratum: those sets are empty,
+        # so their metrics come back nan.
+        index_sets = stratum_index_sets(
+            np.full(cells.size, -1) if strata is None else strata[cells]
+        )
+        true, sdl = true[cells], sdl_noisy[cells]
+        rank_stats = baseline_rank_stats(sdl, index_sets)
+        return cls(
+            cells,
+            index_sets,
+            tuple(l1_error(true[idx], sdl[idx]) for idx in index_sets),
+            rank_stats,
+            RankLayout.build(index_sets, rank_stats),
+        )
+
+
+@dataclass(frozen=True)
 class WorkloadStatistics:
     """Trial-invariant statistics of one workload on one snapshot.
 
-    Arrays are over the marginal's cells.  ``mask`` selects the cells
+    Arrays are over the marginal's cells.  ``true``, ``released`` and
+    ``xv`` (the smooth-sensitivity statistic) are the workload's release
+    prologue; ``strata`` is the place-population stratum per cell and
+    ``sdl_noisy`` the SDL baseline's answer.  ``mask`` selects the cells
     used for evaluation (positive true count, hence published by both
-    systems); ``xv`` is the smooth-sensitivity statistic; ``strata`` the
-    place-population stratum per cell.
+    systems), and ``evaluation`` is the session's shared SDL record over
+    that mask.
     """
 
     workload: "Workload"
@@ -81,6 +136,7 @@ class WorkloadStatistics:
     xv: np.ndarray
     strata: np.ndarray
     sdl_noisy: np.ndarray
+    evaluation: EvaluationBaseline
     mode: str
     per_cell_params_of: object  # Callable[[EREEParams], EREEParams]
     budget_of: object = None  # Callable[[EREEParams], MarginalBudget]
@@ -93,18 +149,10 @@ class WorkloadStatistics:
         # once per sweep point.
         return (self.true > 0) & self.released
 
-    def masked(self, values: np.ndarray) -> np.ndarray:
-        return values[self.mask]
-
     @cached_property
     def eval_true(self) -> np.ndarray:
         """True counts over the evaluation cells."""
         return self.true[self.mask]
-
-    @cached_property
-    def eval_sdl(self) -> np.ndarray:
-        """SDL baseline answers over the evaluation cells."""
-        return self.sdl_noisy[self.mask]
 
     @cached_property
     def eval_xv(self) -> np.ndarray:
@@ -115,16 +163,6 @@ class WorkloadStatistics:
     def eval_strata(self) -> np.ndarray:
         """Place-population stratum per evaluation cell."""
         return self.strata[self.mask]
-
-    @cached_property
-    def stratum_cells(self) -> tuple[np.ndarray, ...]:
-        """Index sets over the evaluation cells: overall + one per stratum.
-
-        Precomputed once (:func:`stratum_index_sets`) so the streaming
-        reducers stop rebuilding N_STRATA + 1 boolean masks for every
-        point of every sweep.
-        """
-        return stratum_index_sets(self.eval_strata)
 
     def envelope(self, alpha: float) -> np.ndarray:
         """Cached per-α smooth-sensitivity envelope ``max(xv·α, 1)``.
@@ -146,37 +184,6 @@ class WorkloadStatistics:
             envelope.setflags(write=False)
             cache[alpha] = envelope
         return envelope
-
-    @cached_property
-    def sdl_rank_stats(self) -> tuple[tuple[np.ndarray, float], ...]:
-        """Per index set: ``(centered SDL ranks, rank sd)``, computed once.
-
-        Aligned with :attr:`stratum_cells` (overall first, then one entry
-        per stratum).  Spearman points compare every noisy ordering
-        against the *same* SDL ordering, so ranking the baseline is
-        trial- and mechanism-invariant — :attr:`sdl_rank_layout` permutes
-        them into set order once, instead of re-ranking the SDL answers
-        per (mechanism, α, ε, chunk).
-        """
-        return baseline_rank_stats(self.eval_sdl, self.stratum_cells)
-
-    @cached_property
-    def sdl_rank_layout(self) -> RankLayout:
-        """:attr:`stratum_cells` in set order, with :attr:`sdl_rank_stats`.
-
-        Built once, read-only: every Spearman reduction over this
-        workload — family members and per-point chunks alike — gathers
-        its rows into this order once and ranks the overall set and
-        every stratum from one key build per row block
-        (:class:`~repro.metrics.ranking.SetRanker`).
-        """
-        return RankLayout.build(self.stratum_cells, self.sdl_rank_stats)
-
-    def stratum_masks(self) -> list[np.ndarray]:
-        """Evaluation mask restricted to each place-population stratum."""
-        return [
-            self.mask & (self.strata == stratum) for stratum in range(N_STRATA)
-        ]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ stages:
 
 The stage-2 allocation is a function of stage-1 *outputs*, so by
 post-processing plus sequential composition the whole procedure is weak
-(α, ε)-ER-EE private.
+(α, ε)-ER-EE private.  Stage 2 reads the marginal's weak release
+prologue (:func:`repro.core.release.compute_release_statistics`: true
+counts, release mask and xv) like every other release; only stage 1's
+worker-only class totals are tabulated here.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.registry import COMPOSITE, create_mechanism, register_mechanism
+from repro.core.composition import WEAK, MarginalBudget
 from repro.core.params import EREEParams
 from repro.core.release import (
     DEFAULT_WORKER_ATTRS,
     MarginalRelease,
+    compute_release_statistics,
 )
 from repro.db.join import WorkerFull
 from repro.db.query import Marginal, per_establishment_counts
@@ -194,7 +199,6 @@ def release_marginal_weighted(
         )
     rng = as_generator(seed)
     schema = worker_full.table.schema
-    marginal = Marginal(schema, attrs)
     worker_attrs_in_marginal = tuple(a for a in attrs if a in worker_attrs)
     if not worker_attrs_in_marginal:
         raise ValueError(
@@ -248,20 +252,9 @@ def release_marginal_weighted(
         )
 
     # --- Stage 2: the marginal, one worker-cell class at a time. -------
-    true = marginal.counts(worker_full.table).astype(np.float64)
-    stats = per_establishment_counts(
-        marginal.cell_index(worker_full.table),
-        worker_full.establishment,
-        marginal.n_cells,
-    )
-    workplace_part = [a for a in attrs if a not in worker_attrs]
-    wp_marginal = Marginal(schema, workplace_part)
-    wp_stats = per_establishment_counts(
-        wp_marginal.cell_index(worker_full.table),
-        worker_full.establishment,
-        wp_marginal.n_cells,
-    )
-    released = wp_stats.n_establishments[marginal.project_onto(workplace_part)] > 0
+    # The weak release prologue: true counts, release mask and xv.
+    stats = compute_release_statistics(worker_full, attrs, worker_attrs, WEAK)
+    marginal, true, released = stats.marginal, stats.true, stats.released
 
     cell_class = _worker_cell_of_marginal(marginal, worker_attrs_in_marginal)
     # Per-cell noise scale: class-specific budget, cell-specific smooth
@@ -279,7 +272,7 @@ def release_marginal_weighted(
                 params.alpha, float(split.epsilons[class_index]), params.delta
             ),
         )
-        scale[members] = mechanism.noise_scale(stats.max_single[members])
+        scale[members] = mechanism.noise_scale(stats.xv[members])
         unit_distribution = mechanism.distribution
 
     shape = (
@@ -296,8 +289,6 @@ def release_marginal_weighted(
         unit = unit_distribution.sample(draw_shape, rng)
         noisy[..., released] = true[released] + scale[released] * unit
 
-    from repro.core.composition import MarginalBudget, WEAK
-
     budget = MarginalBudget(
         per_cell=EREEParams(
             params.alpha, float(split.epsilons.min()), params.delta
@@ -311,7 +302,7 @@ def release_marginal_weighted(
         true=true,
         noisy=noisy,
         released=released,
-        max_single=stats.max_single,
+        max_single=stats.xv,
         budget=budget,
         mechanism_name=f"{mechanism_name} (weighted split)",
     )

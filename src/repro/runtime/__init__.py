@@ -2,10 +2,11 @@
 
 This package owns *where work runs* for the whole codebase.  The sweep
 engine (:func:`repro.engine.run_plan`, which drains every figure, Table
-3 and ad-hoc sweep), the sharded snapshot build
-(:func:`repro.data.workers.build_workforce_sharded`), and the release
-service's compute pool (:mod:`repro.serve.pool`) all run on three
-pieces:
+3 and ad-hoc sweep) and the sharded snapshot build
+(:func:`repro.data.workers.build_workforce_sharded`) run on the
+drivers and claims below; the release service's compute pool
+(:class:`repro.serve.SessionPool`, one thread pool) is sized by the
+same policy.  Three pieces:
 
 - :mod:`~repro.runtime.drivers` — :class:`SerialDriver` /
   :class:`ThreadDriver` / :class:`ProcessDriver`:
@@ -49,13 +50,11 @@ from repro.runtime.policy import (
     serve_compute_workers,
     worker_cap,
 )
-from repro.runtime.pool import ComputePool
 
 __all__ = [
     "CLAIMS_PREFIX",
     "DEFAULT_LEASE_TTL_S",
     "ClaimBoard",
-    "ComputePool",
     "DRIVER_NAMES",
     "Driver",
     "DriverStats",

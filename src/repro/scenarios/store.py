@@ -465,7 +465,6 @@ class SnapshotStore(BackendStore):
         self,
         config: SyntheticConfig,
         *,
-        mmap: bool = True,
         build_workers: int | None = None,
     ) -> tuple[LODESDataset, bool]:
         """Open ``config``'s snapshot, building it on a miss.
@@ -484,7 +483,7 @@ class SnapshotStore(BackendStore):
         is returned instead of raising.
         """
         fingerprint = dataset_fingerprint(config)
-        dataset = self.load(fingerprint, mmap=mmap)
+        dataset = self.load(fingerprint)
         if dataset is not None:
             return dataset, True
         try:
@@ -502,7 +501,7 @@ class SnapshotStore(BackendStore):
                 stacklevel=2,
             )
             return generate(config), False
-        reopened = self._load(fingerprint, mmap=mmap, count=False)
+        reopened = self._load(fingerprint, mmap=True, count=False)
         return (reopened if reopened is not None else generate(config)), False
 
     # -- panels ---------------------------------------------------------

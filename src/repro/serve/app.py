@@ -38,9 +38,6 @@ import threading
 import time
 
 from repro.api.request import ReleaseRequest
-from repro.api.session import ReleaseSession
-from repro.core.composition import marginal_budget
-from repro.core.release import resolve_mode
 from repro.dp.composition import PrivacyBudgetExceeded
 from repro.serve.dedupe import ReleaseCache, release_key
 from repro.serve.pool import SessionPool
@@ -149,34 +146,6 @@ class ServiceMetrics:
                     "buckets": buckets,
                 },
             }
-
-
-def expected_spend(
-    session: ReleaseSession, request: ReleaseRequest
-) -> tuple[float, float]:
-    """The (ε, δ) a request will debit, computed *before* any noise draw.
-
-    This is the preflight amount: baseline (node-DP) releases spend the
-    request ε alone; composite and calibrated releases spend the Sec-4
-    composed total of their marginal.  Cheap — pure arithmetic over the
-    schema — so an over-budget tenant is refused before paying compute.
-    """
-    from repro.api.registry import BASELINE, COMPOSITE
-
-    kind = request.spec.kind
-    if kind == BASELINE:
-        return float(request.epsilon), 0.0
-    if kind == COMPOSITE:
-        return float(request.epsilon), float(request.delta)
-    budget = marginal_budget(
-        request.params,
-        session.schema,
-        request.attrs,
-        session.worker_attrs,
-        resolve_mode(request.attrs, session.worker_attrs, request.mode),
-        request.budget_style,
-    )
-    return float(budget.total.epsilon), float(budget.total.delta)
 
 
 class ReleaseService:
@@ -484,7 +453,7 @@ class ReleaseService:
             # Paid but evicted from the cache: recompute below, but the
             # tenant is never charged twice for one request key.
         else:
-            epsilon, delta = expected_spend(session, request)
+            epsilon, delta = session.spend_of(request)
             try:
                 account.preflight(epsilon, delta, label=request.ledger_label)
             except PrivacyBudgetExceeded as error:

@@ -9,26 +9,31 @@ marginals, release masks, smooth-sensitivity statistics, SDL answers)
 are lock-guarded, so a thousand requests against one scenario pay the
 expensive statistics exactly once and only draw noise per request.
 
-Compute runs on a **bounded** :class:`~repro.runtime.ComputePool`
-(`--compute-workers`).  The asyncio front end makes one
-:meth:`SessionPool.run` hop per release or ledger read, and that one
-call runs the whole flow, from tenant lookup to the fsync'd charge and
-the cache write, on one pool thread: the event loop never blocks on
-NumPy or disk, and concurrent releases proceed side by side.  Sizing
-goes through the one :mod:`repro.runtime.policy` every pool in the
-codebase uses: an explicit ``--compute-workers`` wins, otherwise
+Compute runs on the pool's own **bounded**
+:class:`~concurrent.futures.ThreadPoolExecutor` (`--compute-workers`).
+Threads, not processes, because the sessions' statistic caches are
+shared in-memory state and the noise kernels release the GIL inside
+NumPy.  The asyncio front end makes one :meth:`SessionPool.run` hop per
+release or ledger read, and that one call runs the whole flow, from
+tenant lookup to the fsync'd charge and the cache write, on one pool
+thread: the event loop never blocks on NumPy or disk, and concurrent
+releases proceed side by side.  Sizing goes through the one
+:mod:`repro.runtime.policy` every pool in the codebase uses: an
+explicit ``--compute-workers`` wins, otherwise
 :func:`~repro.runtime.serve_compute_workers` (small, CPU-derived, and
 bounded by ``REPRO_MAX_WORKERS`` like every other pool).
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from collections.abc import Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.api.session import ReleaseSession
 from repro.engine.plan import snapshot_fingerprint
-from repro.runtime import ComputePool
+from repro.runtime.policy import resolve_workers, serve_compute_workers
 
 __all__ = ["SessionPool"]
 
@@ -61,10 +66,12 @@ class SessionPool:
             )
         self.default = default if default is not None else next(iter(self._configs))
         self.snapshot_store = snapshot_store
-        self._pool = ComputePool(
-            compute_workers, thread_name_prefix="repro-serve"
+        self.compute_workers = resolve_workers(
+            compute_workers, fallback=serve_compute_workers
         )
-        self.compute_workers = self._pool.workers
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.compute_workers, thread_name_prefix="repro-serve"
+        )
         self._sessions: dict[str, ReleaseSession] = {}
         self._build_locks = {
             name: threading.Lock() for name in self._configs
@@ -147,8 +154,9 @@ class SessionPool:
 
     async def run(self, fn, /, *args):
         """Run blocking work on the bounded compute pool, off the event loop."""
-        return await self._pool.run(fn, *args)
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._executor, fn, *args)
 
     def close(self) -> None:
         """Finish queued compute and release the worker threads."""
-        self._pool.shutdown(wait=True)
+        self._executor.shutdown(wait=True)

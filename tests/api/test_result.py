@@ -107,13 +107,6 @@ class TestGoldenPayloads:
         assert all(math.isnan(v) for v in result.spearman_by_stratum())
         assert math.isfinite(result.l1_ratio())
 
-    def test_explicit_cells_match_default(self, session):
-        result = session.run(_case_request("smooth-laplace", 32))
-        cells = result.mask
-        assert _same(result.mean_l1(cells), result.mean_l1())
-        assert _same(result.l1_ratio(cells), result.l1_ratio())
-        assert _same(result.spearman(cells), result.spearman())
-
 
 def _spy_rank_stats(monkeypatch) -> list[int]:
     """Count every ranking of an SDL baseline, wherever it is imported."""
@@ -166,8 +159,7 @@ class TestEvaluationRecord:
         evaluation = session.run(_case_request("log-laplace", 4, seed=6)).evaluation
         arrays = list(_read_only_arrays(evaluation))
         assert len(arrays) == 1 + 2 * (N_STRATA + 1)
-        stats = session.statistics(WORKLOAD_1)
-        arrays += [*stats.stratum_cells, *(r for r, _ in stats.sdl_rank_stats)]
+        arrays += list(_read_only_arrays(session.statistics(WORKLOAD_1).evaluation))
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

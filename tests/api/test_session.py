@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import repro.api.session as session_module
-from repro.api import ReleaseRequest, ReleaseSession
-from repro.core import EREEParams, marginal_budget
+from repro.api import ReleaseRequest, ReleaseSession, available_mechanisms
+from repro.api.registry import mechanism_spec
+from repro.core import EREEParams, compute_release_statistics, marginal_budget
 from repro.data import SyntheticConfig
 from repro.dp.composition import PrivacyBudgetExceeded
-from repro.experiments import WORKLOAD_1, figure1
+from repro.experiments import RANKING_2, WORKLOAD_1, figure1
 from repro.experiments.config import MECHANISM_NAMES, ExperimentConfig
 from repro.engine.evaluate import mechanism_is_feasible
 from repro.runtime import ProcessDriver
@@ -205,6 +206,81 @@ class TestRun:
         )
         assert "weighted split" in result.mechanism
         assert result.ledger_entry.epsilon == pytest.approx(8.0)
+
+
+class TestOnePrologueAndRecord:
+    def test_workload_1_points_and_releases_share_prologue_and_record(
+        self, session
+    ):
+        stats = session.statistics(WORKLOAD_1)
+        result = session.run(_request(n_trials=2, seed=41))
+        assert result.evaluation is stats.evaluation
+        prologue = session.release_statistics(WORKLOAD_1.attrs)
+        assert stats.true is prologue.true
+        assert stats.released is prologue.released
+        assert stats.xv is prologue.xv
+
+    def test_ranking_2_counts_its_filtered_population(self, session):
+        workload = RANKING_2.workload
+        population = session.worker_full
+        for attribute, value in workload.filters:
+            population = population.filter(
+                population.table.equals_value(attribute, value)
+            )
+        expected = compute_release_statistics(
+            session.worker_full,
+            workload.attrs,
+            session.worker_attrs,
+            "weak",
+            population=population,
+        )
+        stats = session.statistics(workload)
+        assert stats.mode == expected.mode == "weak"
+        np.testing.assert_array_equal(stats.true, expected.true)
+        np.testing.assert_array_equal(stats.xv, expected.xv)
+        np.testing.assert_array_equal(stats.released, expected.released)
+
+        # The mask is judged on the whole relation: establishment
+        # existence is public, so cells with no filtered worker stay
+        # published.
+        whole = compute_release_statistics(
+            session.worker_full, workload.attrs, session.worker_attrs, "weak"
+        )
+        np.testing.assert_array_equal(stats.released, whole.released)
+        assert stats.true.sum() < whole.true.sum()
+        assert (stats.released & (stats.true == 0)).any()
+
+
+PREFLIGHT_CASES = {
+    "calibrated-strong": {},
+    "calibrated-weak": {"attrs": ("place", "naics", "sex"), "epsilon": 4.0},
+    "baseline": {
+        "mechanism": "truncated-laplace",
+        "mechanism_options": {"theta": 50},
+    },
+    "composite": {
+        "attrs": ("place", "sex"),
+        "mechanism": "weighted-split",
+        "alpha": 0.05,
+        "epsilon": 8.0,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFLIGHT_CASES))
+def test_preflight_amount_is_the_charged_spend(session, case):
+    request = _request(n_trials=2, **PREFLIGHT_CASES[case])
+    amount = session.spend_of(request)
+    _, spend = session.execute(request)
+    assert amount == (spend.epsilon, spend.delta)
+    assert request.spec.kind == case.split("-")[0]
+
+
+def test_preflight_cases_cover_every_registered_kind():
+    kinds = {case.split("-")[0] for case in PREFLIGHT_CASES}
+    assert kinds == {
+        mechanism_spec(name).kind for name in available_mechanisms()
+    }
 
 
 class TestSessionLedger:

@@ -4,8 +4,19 @@ xv statistics, and the strong-mode worker-attribute ablation)."""
 import numpy as np
 import pytest
 
-from repro.core import EREEParams, release_marginal
+from repro.api.registry import mechanism_spec
+from repro.core import (
+    EREEParams,
+    compute_release_statistics,
+    marginal_budget,
+    release_marginal,
+    release_marginal_stack,
+)
+from repro.core.release import DEFAULT_WORKER_ATTRS
+from repro.data.generator import SyntheticConfig
+from repro.data.panel import PanelConfig, generate_panel
 from repro.db import Marginal, per_establishment_counts
+from repro.util import as_generator
 
 
 @pytest.fixture()
@@ -117,3 +128,61 @@ class TestReleaseMarginal:
             small_worker_full, ["naics"], "log-laplace", params, seed=10
         )
         assert release.n_released == int(release.released.sum())
+
+
+class TestReleaseMarginalStack:
+    """The stacked panel release is the per-year prologues plus one draw."""
+
+    @pytest.fixture(scope="class")
+    def years(self):
+        panel = generate_panel(
+            PanelConfig(base=SyntheticConfig(target_jobs=4_000, seed=31), n_years=3)
+        )
+        return [panel.year(t).worker_full() for t in range(3)]
+
+    @pytest.mark.parametrize(
+        "attrs, mechanism, epsilon",
+        [
+            (("place", "naics", "ownership"), "log-laplace", 2.0),
+            (("place", "naics", "ownership"), "smooth-gamma", 2.0),
+            (("place", "naics", "ownership", "sex"), "smooth-laplace", 4.0),
+        ],
+    )
+    def test_equals_stacked_prologues_and_one_batch_draw(
+        self, years, attrs, mechanism, epsilon
+    ):
+        params = EREEParams(alpha=0.1, epsilon=epsilon, delta=0.05)
+        releases = release_marginal_stack(years, attrs, mechanism, params, seed=9)
+
+        prologues = [compute_release_statistics(year, attrs) for year in years]
+        budget = marginal_budget(
+            params, years[0].table.schema, attrs, DEFAULT_WORKER_ATTRS,
+            prologues[0].mode,
+        )
+        spec = mechanism_spec(mechanism)
+        drawer = spec.create(budget.per_cell)
+        true = np.stack([p.true for p in prologues])
+        xv = np.stack([p.xv for p in prologues])
+        released = np.stack([p.released for p in prologues])
+        rng = as_generator(9)
+        if spec.needs_xv:
+            noisy = drawer.release_counts_batch(true, xv, 1, rng)
+        else:
+            noisy = drawer.release_counts_batch(true, 1, rng)
+        noisy = np.where(released, noisy, 0.0)
+
+        assert len(releases) == len(years)
+        assert not np.array_equal(true[0], true[1])  # the years differ
+        for t, release in enumerate(releases):
+            assert release.budget == budget
+            assert release.mechanism_name == mechanism
+            np.testing.assert_array_equal(release.true, true[t])
+            np.testing.assert_array_equal(release.released, released[t])
+            np.testing.assert_array_equal(release.max_single, xv[t])
+            np.testing.assert_array_equal(release.noisy, noisy[t])
+
+    def test_mixed_schemas_rejected(self, years, small_worker_full, params):
+        with pytest.raises(ValueError, match="share one schema"):
+            release_marginal_stack(
+                [years[0], small_worker_full], ["place"], "smooth-laplace", params
+            )

@@ -65,8 +65,9 @@ def _reference_family(
 ):
     """The generic family loop with one full noisy matrix per member."""
     spec = mechanism_spec(mechanism_name)
-    true, sdl, strata = stats.eval_true, stats.eval_sdl, stats.eval_strata
-    index_sets, xv = stats.stratum_cells, stats.eval_xv
+    true, strata, xv = stats.eval_true, stats.eval_strata, stats.eval_xv
+    evaluation = stats.evaluation
+    index_sets = evaluation.index_sets
     per_member = []
     for alpha, epsilon in members:
         params = EREEParams(alpha, epsilon, delta)
@@ -103,7 +104,7 @@ def _reference_family(
                     )
                 else:
                     _reduce_spearman_family(
-                        noisy, index_sets, stats.sdl_rank_stats,
+                        noisy, index_sets, evaluation.rank_stats,
                         sums[e, m], counts[e, m],
                     )
     results = {metric: [] for metric in metrics}
@@ -116,9 +117,7 @@ def _reference_family(
                 results[metric].append("infeasible")
                 continue
             if metric == "l1-ratio":
-                values = _l1_ratio_results(
-                    sums[e, m], n_trials, true, sdl, index_sets
-                )
+                values = _l1_ratio_results(sums[e, m], n_trials, evaluation)
             else:
                 values = [
                     float(sums[e, m, j] / counts[e, m, j])

@@ -36,7 +36,7 @@ class TestStatistics:
 
     def test_mask_cells_positive(self, context):
         stats = context.statistics(WORKLOAD_1)
-        assert np.all(stats.masked(stats.true) > 0)
+        assert np.all(stats.true[stats.mask] > 0)
 
     def test_workload3_budget_splits_by_8(self, context):
         stats = context.statistics(WORKLOAD_3)
@@ -57,7 +57,6 @@ class TestStatistics:
     def test_strata_shape(self, context):
         stats = context.statistics(WORKLOAD_1)
         assert stats.strata.shape == (stats.marginal.n_cells,)
-        assert stats.stratum_masks()[0].shape == (stats.marginal.n_cells,)
 
 
 class TestFeasibility:
@@ -86,7 +85,7 @@ class TestTrials:
             stats, "smooth-laplace", EREEParams(0.1, 2.0, 0.05), 4, seed=1
         )
         assert len(trials) == 4
-        assert all(t.shape == stats.masked(stats.true).shape for t in trials)
+        assert all(t.shape == stats.true[stats.mask].shape for t in trials)
 
     def test_infeasible_returns_none(self, context):
         stats = context.statistics(WORKLOAD_1)

@@ -1,13 +1,22 @@
-"""Tests for the Table 1 / Table 2 generators."""
+"""Tests for the Table 1 / Table 2 generators and Table 3's shared
+statistics."""
+
+import sys
 
 import pytest
 
+import repro.core.release
+from repro.api import ReleaseSession
+from repro.data import SyntheticConfig
+from repro.experiments import ExperimentConfig
 from repro.experiments.tables import (
     PAPER_TABLE2,
     table1_text,
     table2_rows,
     table2_text,
+    table3_rows,
 )
+from repro.sdl import InputNoiseInfusion
 
 
 class TestTable1Text:
@@ -48,3 +57,47 @@ class TestTable2:
         text = table2_text()
         assert "min eps (ours)" in text
         assert "min eps (paper)" in text
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls of ``module.name`` wherever a ``repro`` module binds it."""
+    real = getattr(module, name)
+    calls: list = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for loaded_name, loaded in list(sys.modules.items()):
+        if loaded_name.startswith("repro") and loaded is not None:
+            if getattr(loaded, name, None) is real:
+                monkeypatch.setattr(loaded, name, counting)
+    return calls
+
+
+def test_default_table3_drain_reads_one_prologue_and_one_sdl_answer(
+    monkeypatch,
+):
+    """Table 3's feasibility pass and its release rows share the session's
+    one Workload-1 prologue (two establishment tabulations: the marginal
+    and its workplace part) and one SDL answer."""
+    session = ReleaseSession(
+        ExperimentConfig(
+            data=SyntheticConfig(target_jobs=4_000, seed=17), n_trials=2, seed=5
+        )
+    )
+    tabulations = _count_calls(
+        monkeypatch, repro.core.release, "per_establishment_counts"
+    )
+    answers = []
+    real_answer = InputNoiseInfusion.answer_marginal
+
+    def answer(self, *args, **kwargs):
+        answers.append(1)
+        return real_answer(self, *args, **kwargs)
+
+    monkeypatch.setattr(InputNoiseInfusion, "answer_marginal", answer)
+    rows = table3_rows(session)
+    assert any(row["feasible"] for row in rows)
+    assert len(tabulations) == 2
+    assert len(answers) == 1
