@@ -167,7 +167,7 @@ class ReleaseSession:
             on_overdraft=on_overdraft,
         )
         self._stats_cache: dict = {}
-        self._release_cache: dict = {}
+        self._prologue_cache: dict = {}
         self._baseline_cache: dict = {}
         self._evaluation_cache: dict = {}
         # Guards the caches above: threads sharing this session (e.g. a
@@ -358,7 +358,7 @@ class ReleaseSession:
         """The one cached release prologue per (attrs, mode, filters)."""
         key = (attrs, mode, filters)
         with self._cache_lock:
-            prologue = self._release_cache.get(key)
+            prologue = self._prologue_cache.get(key)
             if prologue is None:
                 prologue = compute_release_statistics(
                     self.worker_full,
@@ -367,7 +367,7 @@ class ReleaseSession:
                     mode,
                     population=self._population(filters),
                 )
-                self._release_cache[key] = prologue
+                self._prologue_cache[key] = prologue
             return prologue
 
     def _baseline(self, attrs: tuple[str, ...], filters=()):
