@@ -5,17 +5,25 @@ with a fitted SDL system) backs every figure benchmark, and every
 benchmark writes the regenerated data series to ``benchmarks/out/`` so
 the paper-shaped rows survive pytest's output capture.
 
-Timing gates also record their numbers in the ``BENCH_*.json`` files at
-the repo root through :func:`record_bench`: each file is a set of named
-sections (:data:`BENCH_SECTIONS`), each section is owned by one test,
-and a run replaces its section whole.
+Timing gates also record their numbers in ``BENCH_*.json`` files
+through :func:`record_bench`: each file is a set of named sections
+(:data:`BENCH_SECTIONS`), each section is owned by one test, and a run
+replaces its section whole, stamped with the commit, usable CPUs and
+Python and NumPy versions it was measured with.  The files go to the
+untracked ``benchmarks/out/``, so a test run leaves the tree clean;
+``REPRO_BENCH_RECORD=1`` writes the tracked records at the repo root
+instead (CI's benchmark jobs set it and upload them).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import ReleaseSession
@@ -24,6 +32,8 @@ from repro.experiments import ExperimentConfig
 
 OUT_DIR = Path(__file__).parent / "out"
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# Set to 1 to write the tracked repo-root records instead of OUT_DIR.
+BENCH_RECORD_ENV = "REPRO_BENCH_RECORD"
 
 # The sections of each repo-root benchmark record.  One test owns each
 # section: test_sweep_engine writes sweep_engine and fleet_replay,
@@ -69,19 +79,50 @@ def write_report(out_dir: Path, name: str, text: str) -> None:
     print(f"\n[{name}] written to {path}\n{text}")
 
 
-def record_bench(filename: str, section: str, fields: dict) -> None:
-    """Replace ``section`` of the repo-root record ``filename`` with ``fields``.
+def _provenance() -> dict:
+    """What a recorded number was measured with."""
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count()
+    return {
+        "commit": commit,
+        "cpus": cpus,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
-    The section is rewritten whole, so a field its test stopped
-    measuring disappears on the next run instead of sitting next to the
-    new numbers as if both came from one commit.  The other declared
-    sections are kept; anything else in the file (a retired test's
-    section, or a field of the earlier flat layout) is dropped.
+
+def record_bench(filename: str, section: str, fields: dict) -> None:
+    """Replace ``section`` of the record ``filename`` with ``fields``.
+
+    The record is ``benchmarks/out/<filename>``, or the tracked
+    repo-root file under ``REPRO_BENCH_RECORD=1``.  The section is
+    rewritten whole, so a field its test stopped measuring disappears
+    on the next run instead of sitting next to the new numbers as if
+    both came from one commit; its ``provenance`` names the commit,
+    usable CPUs and Python and NumPy versions of this run.  The other
+    declared sections are kept; anything else in the file (a retired
+    test's section, or a field of the earlier flat layout) is dropped.
     """
     sections = BENCH_SECTIONS[filename]
     if section not in sections:
         raise ValueError(f"{filename} declares no section {section!r}")
-    path = REPO_ROOT / filename
+    if os.environ.get(BENCH_RECORD_ENV) == "1":
+        path = REPO_ROOT / filename
+    else:
+        OUT_DIR.mkdir(exist_ok=True)
+        path = OUT_DIR / filename
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):
@@ -91,7 +132,7 @@ def record_bench(filename: str, section: str, fields: dict) -> None:
         for name in sections
         if isinstance(payload.get(name), dict)
     }
-    record[section] = fields
+    record[section] = {**fields, "provenance": _provenance()}
     path.write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

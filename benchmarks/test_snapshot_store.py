@@ -22,9 +22,10 @@ through the chunked generator):
   impossibility below that (the measurement is still taken and
   recorded).
 
-Timings land in ``BENCH_snapshot.json`` at the repo root (companion of
-``BENCH_trials.json`` and ``BENCH_grid.json``) so successive PRs can
-diff them.
+Timings land in ``BENCH_snapshot.json`` (companion of
+``BENCH_trials.json`` and ``BENCH_grid.json``; ``benchmarks/out/``
+unless ``REPRO_BENCH_RECORD=1`` selects the tracked repo-root record)
+so successive changes can diff them.
 """
 
 import json

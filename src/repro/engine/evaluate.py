@@ -32,13 +32,14 @@ Two reduction strategies coexist:
   ``Z`` depends on neither α nor ε, so one unit matrix per (workload,
   mechanism) family serves every (α, ε) point of the grid via a scale
   multiply (linear mechanisms) or one transform pass (Log-Laplace).
-  Spearman members build their noisy rows one cache-sized block at a
-  time, in set order, straight into the multi-set kernel's buffer; a
-  Spearman-only family ranks shares of its members on ``threads``
-  threads, each share through its own ranker, with values that do not
-  depend on the thread count.  The family stream is statistically
-  identical but not bit-identical to the per-point streams, so it only
-  runs behind ``run_plan(fused=True)``.
+  Members build their noisy rows one cache-sized block at a time into
+  reused buffers — ranked in set order by the multi-set kernel, folded
+  into L1 column sums, or both — so no member holds a trials×cells
+  matrix; a family reduces shares of its members on ``threads``
+  threads, with values that do not depend on the thread count.  The
+  family stream is statistically identical but not bit-identical to
+  the per-point streams, so it only runs behind
+  ``run_plan(fused=True)``.
 
 Both read the SDL side of the metrics from one record, the
 :class:`~repro.engine.points.EvaluationBaseline` on
@@ -70,7 +71,7 @@ from repro.engine.points import (
     SeriesPoint,
     WorkloadStatistics,
 )
-from repro.metrics.ranking import SetRanker
+from repro.metrics.ranking import SetRanker, block_rows
 from repro.runtime.drivers import ThreadDriver
 from repro.util import as_generator
 
@@ -401,6 +402,11 @@ def sample_unit_noise(kind: str, shape, seed=None) -> np.ndarray:
     Smooth Gamma h(z) ∝ 1/(1+z⁴) noise (through the oversampled
     single-round sampler — same distribution as the default sampler,
     different bit stream), ``"laplace"`` draws Laplace(1).
+
+    A Laplace draw allocates only its output; a γ4 draw peaks at about
+    3× its output (the output, one rejection round's proposals and a
+    few fixed-size slice buffers, see
+    :func:`~repro.core.smooth_sensitivity.sample_gamma4_fast`).
     """
     rng = as_generator(seed)
     if kind == "gamma4":
@@ -435,29 +441,39 @@ def fused_family_points(
       column sums accumulate once and every member is an envelope-scale
       multiply plus a ``bincount`` scatter, the envelope coming from the
       per-α cache on ``stats`` shared by all mechanisms of the sweep.
-    - Otherwise each member applies its transform to the shared unit
-      chunk.  Spearman members rank the overall set and every stratum
-      through one :class:`~repro.metrics.ranking.SetRanker` per family,
-      in the set order of the workload's shared SDL record
-      (:attr:`WorkloadStatistics.evaluation`): each chunk's unit
-      matrix is permuted into that order once, and a member builds its
-      noisy rows one cache-sized block at a time, straight into the
-      ranker's buffer, so no member ever holds a full trials×cells noisy
-      matrix (``--profile`` counts that build under ``reduce``).  When
-      the L1 ratio is also asked for (Table 3's fused rows), the
-      member's full chunk is built in cell order for the L1 column sums
-      and the ranker gathers its blocks from it.
+    - Otherwise each member builds its noisy rows from the shared unit
+      chunk one cache-sized block at a time
+      (:func:`~repro.metrics.ranking.block_rows`), into a buffer its
+      share reuses, so no member ever holds a full trials×cells noisy
+      matrix.  Spearman members rank the overall set and every stratum
+      through a :class:`~repro.metrics.ranking.SetRanker`, in the set
+      order of the workload's shared SDL record
+      (:attr:`WorkloadStatistics.evaluation`): each chunk's unit matrix
+      is permuted into that order once and a member's blocks go straight
+      into the ranker's buffer.  L1 members fold each block's
+      |noisy − true| rows into per-cell column sums carried as the
+      block buffer's first row, so the sums equal a whole-chunk
+      ``sum(axis=0)`` bit for bit; they go back to cell order at the end
+      of each chunk.  Table 3's fused rows ask for both metrics, and
+      each block serves both.
 
-    ``threads`` ranks a Spearman-only family's members in parallel: each
-    chunk's live members are dealt round-robin into up to ``threads``
-    shares, and each share ranks through its own ranker on a
-    :class:`~repro.runtime.ThreadDriver` thread (the sorts, gathers and
-    transforms release the GIL).  A member's sums are written by its
-    share alone, and the unit draw, the set-order permutation and the
-    chunk loop stay in the calling thread, so every member folds its
-    chunks in the same order and the values are bit-identical at any
-    thread count.  The analytic L1 reduction and the mixed-metric path
-    ignore ``threads``.
+    Memory is bounded by the unit draw: the analytic path takes |Z| in
+    place, so it holds one unit chunk (plus the draw's own transients,
+    about 3× the chunk for γ4 noise), and the member loop holds the
+    chunk, its set-order copy when ranking, and one block buffer per
+    share.  ``--profile`` counts the member builds under ``reduce`` on
+    every path, the draw alone under ``draw``.
+
+    ``threads`` reduces the members in parallel: each chunk's live
+    members are dealt round-robin into up to ``threads`` shares, and
+    each share builds and reduces its members through its own buffers
+    on a :class:`~repro.runtime.ThreadDriver` thread (the sorts,
+    gathers and transforms release the GIL).  A member's sums are
+    written by its share alone, and the unit draw, the set-order
+    permutation, the chunk loop and the profile stay in the calling
+    thread, so every member folds its chunks in the same order and the
+    values are bit-identical at any thread count.  The analytic L1
+    reduction ignores ``threads``.
 
     ``evaluate`` masks which members to reduce (a resumed family
     recomputes only its missing members).  The unit draw never depends
@@ -494,7 +510,6 @@ def fused_family_points(
     true = stats.eval_true
     strata = stats.eval_strata
     evaluation = stats.evaluation
-    xv = stats.eval_xv
     n_cells = true.size
     n_sets = len(evaluation.index_sets)
 
@@ -517,19 +532,9 @@ def fused_family_points(
         per_member.append((params, mechanism, scale))
 
     rng = as_generator(seed)
-    results: dict[str, list[SeriesPoint | None]] = {
-        metric: [] for metric in metrics
-    }
-
-    def _point(params: EREEParams, values: list[float]) -> SeriesPoint:
-        return SeriesPoint(
-            mechanism=mechanism_name,
-            alpha=params.alpha,
-            epsilon=params.epsilon,
-            overall=values[0],
-            by_stratum=tuple(values[1:]),
-        )
-
+    l1_sums = np.zeros((len(per_member), n_sets))
+    rho_sums = np.zeros((len(per_member), n_sets))
+    rho_counts = np.zeros((len(per_member), n_sets))
     if metrics == ("l1-ratio",) and spec.linear_unit_scale:
         # Whole-family analytic reduction: one pass over the unit draw
         # accumulates Σ|Z| per cell; every member — any α, any ε — then
@@ -539,109 +544,96 @@ def fused_family_points(
             with profile.stage("draw"):
                 unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
             with profile.stage("reduce"):
-                unit_colsum += np.abs(unit).sum(axis=0)
-        for do_eval, (params, mechanism, scale) in zip(evaluate, per_member):
-            if not do_eval:
-                results["l1-ratio"].append(None)
-                continue
-            if mechanism is None:
-                results["l1-ratio"].append(
-                    _infeasible_point(mechanism_name, params)
-                )
-                continue
-            per_cell_err = scale * unit_colsum
-            sums = np.empty(n_sets)
-            sums[0] = per_cell_err.sum()
-            sums[1:] = np.bincount(
-                strata, weights=per_cell_err, minlength=N_STRATA
-            )
-            results["l1-ratio"].append(
-                _point(params, _l1_ratio_results(sums, n_trials, evaluation))
-            )
-        return results
-
-    layout = evaluation.rank_layout if "spearman" in metrics else None
-    # Spearman members rank in the layout's set order.  Alone, they
-    # build their noisy rows block by block from a permuted unit chunk,
-    # straight into a ranker's cache-sized buffer, one ranker per share
-    # of members; next to the L1 ratio, whose full-chunk column sums pin
-    # the goldens' summation order, one ranker gathers its blocks from
-    # that chunk instead.
-    blockwise = metrics == ("spearman",)
-    ranker = SetRanker(layout) if layout is not None else None
-    xv = xv if spec.needs_xv else None
-    sums = np.zeros((len(per_member), len(metrics), n_sets))
-    counts = np.zeros((len(per_member), len(metrics), n_sets))
-    if blockwise:
-        order = layout.order
+                unit_colsum += np.abs(unit, out=unit).sum(axis=0)
+        for e, (do_eval, (_, mechanism, scale)) in enumerate(
+            zip(evaluate, per_member)
+        ):
+            if do_eval and mechanism is not None:
+                _fold_cell_totals(scale * unit_colsum, strata, l1_sums[e])
+    else:
+        # Members build their noisy rows one block at a time.  Spearman
+        # ranks them in the layout's set order, so each chunk's unit
+        # matrix is permuted into that order once, and the L1 column
+        # sums go back to cell order at the end of the chunk.
+        order = evaluation.rank_layout.order if "spearman" in metrics else None
+        xv = stats.eval_xv if spec.needs_xv else None
         live = [
-            (e, mechanism, None if scale is None else scale[order])
+            (e, mechanism, scale)
             for e, (do_eval, (_, mechanism, scale)) in enumerate(
                 zip(evaluate, per_member)
             )
             if do_eval and mechanism is not None
         ]
+        positions = None
+        if order is not None:
+            positions = np.argsort(order)
+            true = true[order]
+            xv = None if xv is None else xv[order]
+            live = [
+                (e, mechanism, None if scale is None else scale[order])
+                for e, mechanism, scale in live
+            ]
         n_shares = max(1, min(threads, len(live)))
         shares = [
-            (ranker if s == 0 else SetRanker(layout), live[s::n_shares])
+            (
+                SetRanker(evaluation.rank_layout) if order is not None else None,
+                np.empty((block_rows(n_cells) + 1, n_cells))
+                if "l1-ratio" in metrics
+                else None,
+                live[s::n_shares],
+            )
             for s in range(n_shares)
         ]
         fan_out = ThreadDriver(n_shares)
-        true_set = true[order]
-        xv_set = None if xv is None else xv[order]
-    for chunk in _trial_chunks(n_trials, batch_size):
-        with profile.stage("draw"):
-            unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
-        if blockwise:
+        for chunk in _trial_chunks(n_trials, batch_size):
+            with profile.stage("draw"):
+                unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
             with profile.stage("reduce"):
-                unit = np.take(unit, order, axis=1)
+                if order is not None:
+                    unit = np.take(unit, order, axis=1)
                 fan_out.map(
-                    _rank_share,
-                    (chunk, unit, true_set, xv_set, sums[:, 0], counts[:, 0]),
+                    _reduce_share,
+                    (chunk, unit, true, xv, positions, strata, l1_sums,
+                     rho_sums, rho_counts),
                     shares,
                 )
-            continue
-        for e, (do_eval, (params, mechanism, scale)) in enumerate(
-            zip(evaluate, per_member)
-        ):
-            if not do_eval or mechanism is None:
-                continue
-            with profile.stage("draw"):
-                noisy = _release_from_unit(mechanism, scale, true, xv, unit)
-            with profile.stage("reduce"):
-                for m, metric in enumerate(metrics):
-                    if metric == "l1-ratio":
-                        cell_tot = np.abs(noisy - true).sum(axis=0)
-                        sums[e, m, 0] += cell_tot.sum()
-                        sums[e, m, 1:] += np.bincount(
-                            strata, weights=cell_tot, minlength=N_STRATA
-                        )
-                        continue
-                    _fold_rhos(
-                        ranker.rank_cells(noisy), sums[e, m], counts[e, m]
-                    )
 
-    for do_eval, (e, (params, mechanism, scale)) in zip(
-        evaluate, enumerate(per_member)
+    results: dict[str, list[SeriesPoint | None]] = {
+        metric: [] for metric in metrics
+    }
+    for e, (do_eval, (params, mechanism, _)) in enumerate(
+        zip(evaluate, per_member)
     ):
-        for m, metric in enumerate(metrics):
+        for metric in metrics:
             if not do_eval:
-                results[metric].append(None)
-                continue
-            if mechanism is None:
-                results[metric].append(_infeasible_point(mechanism_name, params))
-                continue
-            if metric == "l1-ratio":
-                values = _l1_ratio_results(sums[e, m], n_trials, evaluation)
+                point = None
+            elif mechanism is None:
+                point = _infeasible_point(mechanism_name, params)
             else:
-                values = [
-                    float(sums[e, m, j] / counts[e, m, j])
-                    if counts[e, m, j]
-                    else float("nan")
-                    for j in range(n_sets)
-                ]
-            results[metric].append(_point(params, values))
+                values = (
+                    _l1_ratio_results(l1_sums[e], n_trials, evaluation)
+                    if metric == "l1-ratio"
+                    else [
+                        float(total / count) if count else float("nan")
+                        for total, count in zip(rho_sums[e], rho_counts[e])
+                    ]
+                )
+                point = SeriesPoint(
+                    mechanism=mechanism_name,
+                    alpha=params.alpha,
+                    epsilon=params.epsilon,
+                    overall=values[0],
+                    by_stratum=tuple(values[1:]),
+                )
+            results[metric].append(point)
     return results
+
+
+def _fold_cell_totals(cell_tot, strata, sums) -> None:
+    """Add per-cell |error| totals to one member's overall + per-stratum
+    L1 sums."""
+    sums[0] += cell_tot.sum()
+    sums[1:] += np.bincount(strata, weights=cell_tot, minlength=N_STRATA)
 
 
 def _release_from_unit(mechanism, scale, true, xv, unit, out=None):
@@ -661,23 +653,61 @@ def _release_from_unit(mechanism, scale, true, xv, unit, out=None):
 
 
 def _rows_from_unit(mechanism, scale, true, xv, unit, start, stop, out):
-    """:meth:`SetRanker.rank` fill: a member's rows from set-order units."""
+    """:meth:`SetRanker.rank` fill: a member's rows ``start:stop``."""
     rows = unit[start:stop]
     return _release_from_unit(mechanism, scale, true, xv, rows, out)
 
 
-def _rank_share(chunk_state, share) -> None:
-    """:class:`~repro.runtime.ThreadDriver` task: rank one share of members.
+def _fill_and_fold(fill, true, l1_rows, col_tot, start, stop, out):
+    """A fill that also folds the rows' |noisy − true| into ``col_tot``.
 
-    ``chunk_state`` is ``(n_rows, set-order unit chunk, set-order true
-    counts, set-order xv or None, sums, counts)``; ``share`` is
-    ``(ranker, [(member index, mechanism, set-order scale), ...])``.
-    Each member's ρ fold into its own rows of ``sums``/``counts``, so
-    shares write disjoint memory.  Nothing here touches
+    The block's |error| rows go below the running column sums, which
+    ride as row 0 of ``l1_rows``, so one ``sum(axis=0)`` per block adds
+    the rows in the order a sum over the whole chunk would, bit for bit.
+    """
+    x = fill(start, stop, out)
+    block = l1_rows[: stop - start + 1]
+    block[0] = col_tot
+    np.subtract(x, true, out=block[1:])
+    np.abs(block[1:], out=block[1:])
+    block.sum(axis=0, out=col_tot)
+    return x
+
+
+def _reduce_share(chunk_state, share) -> None:
+    """:class:`~repro.runtime.ThreadDriver` task: reduce one share of a
+    family's members over one chunk of unit rows.
+
+    ``chunk_state`` is ``(n_rows, unit chunk, true counts, xv or None,
+    each cell's set position or None, strata, L1 sums, ρ sums, ρ
+    counts)``: given positions, the chunk and the per-cell vectors are
+    in set order, and the L1 column sums go back to cell order through
+    them.  ``share`` is ``(ranker or None, L1 block buffer or None,
+    [(member index, mechanism, scale), ...])``.  A member's noisy rows are built
+    one block at a time — into the ranker's block when it ranks them,
+    else into the L1 buffer — so no member holds its whole chunk.  Each
+    member's statistics fold into its own rows of the sums, so shares
+    write disjoint memory.  Nothing here touches
     :mod:`repro.engine.profile`, whose state is a process global.
     """
-    n_rows, unit, true_set, xv_set, sums, counts = chunk_state
-    ranker, members = share
+    n_rows, unit, true, xv, positions, strata, l1_sums, rho_sums, rho_counts = (
+        chunk_state
+    )
+    ranker, l1_rows, members = share
     for e, mechanism, scale in members:
-        rows = partial(_rows_from_unit, mechanism, scale, true_set, xv_set, unit)
-        _fold_rhos(ranker.rank(n_rows, rows), sums[e], counts[e])
+        fill = partial(_rows_from_unit, mechanism, scale, true, xv, unit)
+        if l1_rows is None:
+            _fold_rhos(ranker.rank(n_rows, fill), rho_sums[e], rho_counts[e])
+            continue
+        col_tot = np.zeros(true.size)
+        fill = partial(_fill_and_fold, fill, true, l1_rows, col_tot)
+        if ranker is None:
+            step = l1_rows.shape[0] - 1
+            for start in range(0, n_rows, step):
+                stop = min(start + step, n_rows)
+                fill(start, stop, l1_rows[1 : stop - start + 1])
+        else:
+            _fold_rhos(ranker.rank(n_rows, fill), rho_sums[e], rho_counts[e])
+        if positions is not None:
+            col_tot = col_tot[positions]
+        _fold_cell_totals(col_tot, strata, l1_sums[e])

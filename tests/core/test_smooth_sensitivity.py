@@ -2,6 +2,7 @@
 gamma-4 sampler, and numeric admissibility (Definition 8.3) checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.core import (
     GammaAdmissible,
     LaplaceAdmissible,
     sample_gamma4,
+    smooth_sensitivity,
     smooth_sensitivity_of_counts,
 )
 from repro.core.smooth_sensitivity import (
@@ -25,6 +27,7 @@ from repro.core.smooth_sensitivity import (
     sample_gamma4_fast,
     smooth_envelope,
 )
+from repro.util import as_generator
 
 
 class TestSmoothEnvelope:
@@ -199,6 +202,83 @@ class TestGamma4FastSampler:
             expected = m * GAMMA4_ACCEPT_RATE
             sigma = math.sqrt(m * GAMMA4_ACCEPT_RATE * (1 - GAMMA4_ACCEPT_RATE))
             assert expected - 3.9 * sigma >= need
+
+
+def _reference_gamma4_fast(size, seed=None):
+    """The sampler's earlier round code, kept verbatim: one
+    ``rng.random((2, m))`` block and whole-round temporaries per round."""
+    rng = as_generator(seed)
+    shape = (size,) if np.isscalar(size) else tuple(size)
+    total = int(np.prod(shape)) if shape else 1
+    out = np.empty(total, dtype=np.float64)
+    filled = 0
+    while filled < total:
+        m = smooth_sensitivity._gamma4_round_size(total - filled)
+        u = rng.random((2, m))
+        z = np.tan(np.pi * (u[0] - 0.5))
+        z2 = z * z
+        z4 = z2 * z2
+        accepted = z[u[1] * ((1.0 + z4) * _REJECTION_BOUND) < (1.0 + z2)]
+        take = min(len(accepted), total - filled)
+        out[filled : filled + take] = accepted[:take]
+        filled += take
+    return out.reshape(shape)
+
+
+class TestGamma4FastSamplerStream:
+    """The sliced sampler draws the same bits as the whole-round one:
+    same values, and the generator left at the same place."""
+
+    SIZES = [1, 10, (7, 3), (1500, 503), (300, 3281)]
+
+    @staticmethod
+    def _assert_same_stream(size, seed):
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        want = _reference_gamma4_fast(size, want_rng)
+        got = sample_gamma4_fast(size, got_rng)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("size", SIZES, ids=str)
+    def test_single_round_matches_reference(self, size):
+        for seed in (0, 41):
+            self._assert_same_stream(size, seed)
+
+    @pytest.mark.parametrize(
+        "round_size",
+        [
+            # Several short rounds per draw.
+            lambda need: need // 2 + 1,
+            # One long round whose output fills in its first slice, so
+            # the rest of its slices are drawn unused.
+            lambda need: 3 * need + 2 * smooth_sensitivity._GAMMA4_SLICE,
+        ],
+        ids=["many-rounds", "fills-early"],
+    )
+    @pytest.mark.parametrize("slice_size", [7, None], ids=["slice-7", "slice-default"])
+    def test_rounds_and_slices_match_reference(
+        self, monkeypatch, round_size, slice_size
+    ):
+        monkeypatch.setattr(smooth_sensitivity, "_gamma4_round_size", round_size)
+        if slice_size is not None:
+            monkeypatch.setattr(smooth_sensitivity, "_GAMMA4_SLICE", slice_size)
+        for size in (1, 10, (7, 3), (40, 503)):
+            self._assert_same_stream(size, 5)
+
+    def test_peak_memory_is_a_few_outputs(self):
+        """A (1500, 503) draw holds its output, one round's proposals
+        and slice buffers — not whole-round temporaries (13× before)."""
+        shape = (1500, 503)
+        sample_gamma4_fast(shape, 1)
+        tracemalloc.start()
+        try:
+            sample_gamma4_fast(shape, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * shape[0] * shape[1] * 8, peak
 
 
 def _sliding_holds(density, a, epsilon1, grid):

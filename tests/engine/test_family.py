@@ -6,11 +6,15 @@ The family path rides the same content-addressed store and ledger
 machinery as the default path, so these tests focus on what sharing the
 draw adds: the shared envelope cache, two-way key disjointness (default
 / ``family``), member-precise resume, ``--trials-batch`` chunking of the
-family draw, the per-worker profile breakdown that ships back from
-process pools, and the kernel threads a drain hands its family units.
+family draw, blockwise members (bits, memory and ``--profile`` stage
+against a whole-chunk reference), the per-worker profile breakdown that
+ships back from process pools, and the kernel threads a drain hands its
+family units.
 """
 
 import os
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from repro.engine.plan import fused_families, grid_plan, work_units
 from repro.engine.points import points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
+from repro.experiments.workloads import WORKLOAD_2
+from repro.metrics.ranking import block_rows
 from repro.runtime import (
     MAX_WORKERS_ENV,
     SerialDriver,
@@ -28,6 +34,7 @@ from repro.runtime import (
     kernel_threads,
 )
 
+from .test_family_spearman import MEMBERS, _reference_family
 from .test_fused import FIGURE_GOLDEN, run_figure_plan, same_float
 
 NAN = float("nan")
@@ -435,6 +442,118 @@ class TestFamilyBatching:
             assert b.overall == pytest.approx(a.overall, rel=1e-12)
             for sa, sb in zip(a.by_stratum, b.by_stratum):
                 assert sb == pytest.approx(sa, rel=1e-12)
+
+
+class TestBlockwiseMembers:
+    """Every non-analytic member builds its noisy rows one block at a
+    time: its L1 column sums ride as the block buffer's first row, so
+    they fold in whole-chunk order, and no member holds a trials×cells
+    matrix."""
+
+    @pytest.mark.parametrize(
+        "metrics", [("l1-ratio",), ("l1-ratio", "spearman")], ids="+".join
+    )
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_log_laplace_matches_full_chunk_reference(
+        self, session, metrics, threads
+    ):
+        stats = session.statistics(WORKLOAD_2)
+        block = block_rows(stats.eval_true.size)
+        # 640 + 640 + 220 trials: uneven chunks, each ending mid-block.
+        assert 640 % block and 220 % block
+        kwargs = dict(
+            members=MEMBERS,
+            delta=0.05,
+            n_trials=1500,
+            seed=37,
+            batch_size=640,
+            metrics=metrics,
+            evaluate=[True, True, False, True, True],
+        )
+        got = fused_family_points(
+            stats, "log-laplace", threads=threads, **kwargs
+        )
+        want = _reference_family(stats, "log-laplace", **kwargs)
+        for metric in metrics:
+            pairs = zip(got[metric], want[metric])
+            for e, (point, expected) in enumerate(pairs):
+                if expected is None:
+                    assert point is None
+                elif expected == "infeasible":
+                    assert not point.feasible
+                else:
+                    assert points_identical(point, expected), (metric, e)
+        assert got["l1-ratio"][2] is None
+        assert any(point and point.feasible for point in got["l1-ratio"])
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [("l1-ratio",), ("spearman",), ("l1-ratio", "spearman")],
+        ids="+".join,
+    )
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_member_builds_count_under_reduce(
+        self, session, monkeypatch, metrics, threads
+    ):
+        """``--profile``'s ``draw`` is the unit draw alone: every member
+        build runs while the calling thread is inside ``reduce``."""
+        from repro.core.log_laplace import LogLaplace
+        from repro.engine import profile
+
+        open_stages, seen = [], set()
+        stage = profile.stage
+
+        @contextmanager
+        def recording_stage(name):
+            open_stages.append(name)
+            try:
+                with stage(name):
+                    yield
+            finally:
+                open_stages.pop()
+
+        build = LogLaplace.release_counts_from_unit
+
+        def recording_build(self, *args, **kwargs):
+            seen.add(tuple(open_stages))
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(profile, "stage", recording_stage)
+        monkeypatch.setattr(
+            LogLaplace, "release_counts_from_unit", recording_build
+        )
+        with profile.profiled():
+            fused_family_points(
+                session.statistics(WORKLOAD_2),
+                "log-laplace",
+                members=MEMBERS,
+                delta=0.05,
+                n_trials=200,
+                seed=37,
+                batch_size=120,
+                metrics=metrics,
+                threads=threads,
+            )
+        assert seen == {("reduce",)}
+
+    @pytest.mark.parametrize(
+        "mechanism,bound",
+        # A whole-chunk member holds 4× the unit matrix, an out-of-place
+        # |Z| 2×.
+        [("log-laplace", 2.5), ("smooth-laplace", 1.5)],
+    )
+    def test_l1_family_peak_memory(self, session, mechanism, bound):
+        stats = session.statistics(WORKLOAD_2)
+        kwargs = dict(members=MEMBERS, delta=0.05, n_trials=1500, seed=37)
+        fused_family_points(stats, mechanism, **kwargs)
+        tracemalloc.start()
+        try:
+            fused_family_points(stats, mechanism, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit_bytes = 1500 * stats.eval_true.size * 8
+        assert peak <= bound * unit_bytes, peak / unit_bytes
 
 
 class TestEnvelopeCache:

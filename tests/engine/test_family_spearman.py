@@ -196,7 +196,8 @@ class TestFamilySpearmanMatchesPerSetReducer:
             assert infeasible is not None and not infeasible.feasible
 
 
-# Seven members, so eight threads leave one share empty.
+# Seven members, so eight threads leave one share empty and three
+# deal them unevenly.
 STRESS_MEMBERS = [
     (0.05, 0.5), (0.05, 1.0), (0.05, 2.0),
     (0.1, 1.0), (0.1, 2.0), (0.2, 0.5), (0.2, 2.0),
@@ -204,12 +205,20 @@ STRESS_MEMBERS = [
 
 
 @pytest.mark.parametrize("mechanism", ["smooth-laplace", "log-laplace"])
+@pytest.mark.parametrize(
+    "metrics",
+    [("spearman",), ("l1-ratio",), ("l1-ratio", "spearman")],
+    ids="+".join,
+)
+@pytest.mark.parametrize("threads", [3, 8])
 def test_threaded_shares_match_one_thread_under_fast_switching(
-    session, mechanism
+    session, mechanism, metrics, threads
 ):
-    """Eight threads switching every microsecond fold every member's ρ
-    exactly as one thread does; a lost update on the shared sums, or a
-    share ranking through another's scratch, would show in the bits."""
+    """Threads switching every microsecond fold every member's L1 sums
+    and ρ exactly as one thread does; a lost update on the shared sums,
+    or a share building through another's buffers, would show in the
+    bits.  (Smooth Laplace's L1-only family is the analytic reduction,
+    which takes no threads.)"""
     stats = session.statistics(WORKLOAD_2)
     kwargs = dict(
         members=STRESS_MEMBERS,
@@ -217,19 +226,20 @@ def test_threaded_shares_match_one_thread_under_fast_switching(
         n_trials=400,
         seed=31,
         batch_size=150,
-        metrics=("spearman",),
+        metrics=metrics,
         evaluate=[True, True, False, True, True, True, True],
     )
     want = fused_family_points(stats, mechanism, threads=1, **kwargs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = fused_family_points(stats, mechanism, threads=8, **kwargs)
+        got = fused_family_points(stats, mechanism, threads=threads, **kwargs)
     finally:
         sys.setswitchinterval(interval)
-    assert got["spearman"][2] is None
-    for point, expected in zip(got["spearman"], want["spearman"]):
-        if expected is None:
-            assert point is None
-        else:
-            assert points_identical(point, expected)
+    for metric in metrics:
+        assert got[metric][2] is None
+        for point, expected in zip(got[metric], want[metric]):
+            if expected is None:
+                assert point is None
+            else:
+                assert points_identical(point, expected)
