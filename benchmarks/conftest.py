@@ -10,9 +10,8 @@ through :func:`record_bench`: each file is a set of named sections
 (:data:`BENCH_SECTIONS`), each section is owned by one test, and a run
 replaces its section whole, stamped with the commit, usable CPUs and
 Python and NumPy versions it was measured with.  The files go to the
-untracked ``benchmarks/out/``, so a test run leaves the tree clean;
-``REPRO_BENCH_RECORD=1`` writes the tracked records at the repo root
-instead (CI's benchmark jobs set it and upload them).
+untracked ``benchmarks/out/`` (CI's benchmark jobs upload them from
+there), so a test run leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -31,11 +30,8 @@ from repro.data.generator import SyntheticConfig
 from repro.experiments import ExperimentConfig
 
 OUT_DIR = Path(__file__).parent / "out"
-REPO_ROOT = Path(__file__).resolve().parents[1]
-# Set to 1 to write the tracked repo-root records instead of OUT_DIR.
-BENCH_RECORD_ENV = "REPRO_BENCH_RECORD"
 
-# The sections of each repo-root benchmark record.  One test owns each
+# The sections of each benchmark record.  One test owns each
 # section: test_sweep_engine writes sweep_engine and fleet_replay,
 # test_snapshot_store writes store_load, remote_open and sharded_build,
 # and every other section is named after the test that writes it.
@@ -104,25 +100,21 @@ def _provenance() -> dict:
 
 
 def record_bench(filename: str, section: str, fields: dict) -> None:
-    """Replace ``section`` of the record ``filename`` with ``fields``.
+    """Replace ``section`` of ``benchmarks/out/<filename>`` with ``fields``.
 
-    The record is ``benchmarks/out/<filename>``, or the tracked
-    repo-root file under ``REPRO_BENCH_RECORD=1``.  The section is
-    rewritten whole, so a field its test stopped measuring disappears
-    on the next run instead of sitting next to the new numbers as if
-    both came from one commit; its ``provenance`` names the commit,
-    usable CPUs and Python and NumPy versions of this run.  The other
-    declared sections are kept; anything else in the file (a retired
-    test's section, or a field of the earlier flat layout) is dropped.
+    The section is rewritten whole, so a field its test stopped
+    measuring disappears on the next run instead of sitting next to the
+    new numbers as if both came from one commit; its ``provenance``
+    names the commit, usable CPUs and Python and NumPy versions of this
+    run.  The other declared sections are kept; anything else in the
+    file (a retired test's section, or a field of the earlier flat
+    layout) is dropped.
     """
     sections = BENCH_SECTIONS[filename]
     if section not in sections:
         raise ValueError(f"{filename} declares no section {section!r}")
-    if os.environ.get(BENCH_RECORD_ENV) == "1":
-        path = REPO_ROOT / filename
-    else:
-        OUT_DIR.mkdir(exist_ok=True)
-        path = OUT_DIR / filename
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / filename
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):

@@ -1,7 +1,6 @@
-"""``record_bench`` leaves the tree clean: by default its records go to
-the untracked ``benchmarks/out/``, ``REPRO_BENCH_RECORD=1`` selects the
-tracked repo-root files, and every section names what it was measured
-with."""
+"""``record_bench`` leaves the tree clean: its records go to the
+untracked ``benchmarks/out/``, and every section names what it was
+measured with."""
 
 import json
 import platform
@@ -13,36 +12,19 @@ from benchmarks import conftest as bench
 
 
 @pytest.fixture
-def roots(tmp_path, monkeypatch):
-    root = tmp_path / "repo"
-    out = root / "benchmarks" / "out"
-    out.mkdir(parents=True)
-    monkeypatch.setattr(bench, "REPO_ROOT", root)
+def out(tmp_path, monkeypatch):
+    out = tmp_path / "out"
     monkeypatch.setattr(bench, "OUT_DIR", out)
-    return root, out
+    return out
 
 
-def test_records_go_to_the_untracked_out_dir_by_default(roots, monkeypatch):
-    monkeypatch.delenv(bench.BENCH_RECORD_ENV, raising=False)
-    root, out = roots
+def test_records_go_to_the_untracked_out_dir(out):
     bench.record_bench("BENCH_grid.json", "sweep_engine", {"wall_s": 1.0})
-    assert not (root / "BENCH_grid.json").exists()
     record = json.loads((out / "BENCH_grid.json").read_text())
     assert record["sweep_engine"]["wall_s"] == 1.0
 
 
-def test_record_env_writes_the_tracked_file(roots, monkeypatch):
-    monkeypatch.setenv(bench.BENCH_RECORD_ENV, "1")
-    root, out = roots
-    bench.record_bench("BENCH_serve.json", "serve", {"p50_ms": 2.0})
-    assert not (out / "BENCH_serve.json").exists()
-    record = json.loads((root / "BENCH_serve.json").read_text())
-    assert record["serve"]["p50_ms"] == 2.0
-
-
-def test_each_section_carries_its_provenance(roots, monkeypatch):
-    monkeypatch.delenv(bench.BENCH_RECORD_ENV, raising=False)
-    _, out = roots
+def test_each_section_carries_its_provenance(out):
     bench.record_bench("BENCH_snapshot.json", "store_load", {"load_s": 0.1})
     bench.record_bench("BENCH_snapshot.json", "remote_open", {"open_s": 0.2})
     record = json.loads((out / "BENCH_snapshot.json").read_text())

@@ -13,11 +13,9 @@ service exists for:
   ledger after the hammering equals the ledger after the first pass
   entry-for-entry.
 
-Timings land in ``BENCH_serve.json`` (companion of
-``BENCH_trials.json`` / ``BENCH_snapshot.json`` / ``BENCH_grid.json``;
-``benchmarks/out/`` unless ``REPRO_BENCH_RECORD=1`` selects the
-tracked repo-root record) so successive changes can diff serving
-performance.
+Timings land in ``benchmarks/out/BENCH_serve.json`` (companion of
+``BENCH_trials.json`` / ``BENCH_snapshot.json`` / ``BENCH_grid.json``)
+so successive changes can diff serving performance.
 """
 
 from __future__ import annotations

@@ -22,10 +22,9 @@ through the chunked generator):
   impossibility below that (the measurement is still taken and
   recorded).
 
-Timings land in ``BENCH_snapshot.json`` (companion of
-``BENCH_trials.json`` and ``BENCH_grid.json``; ``benchmarks/out/``
-unless ``REPRO_BENCH_RECORD=1`` selects the tracked repo-root record)
-so successive changes can diff them.
+Timings land in ``benchmarks/out/BENCH_snapshot.json`` (companion of
+``BENCH_trials.json`` and ``BENCH_grid.json``) so successive changes
+can diff them.
 """
 
 import json

@@ -12,10 +12,9 @@ store.  This suite records, on a paper-scale snapshot:
   gate — the acceptance criterion that a second ``--resume`` run
   recomputes zero points is asserted via the store's hit counter.
 
-Timings land in ``BENCH_grid.json`` (the sweep-engine companion of
-``BENCH_trials.json``; ``benchmarks/out/`` unless
-``REPRO_BENCH_RECORD=1`` selects the tracked repo-root record) so
-successive changes can diff them.
+Timings land in ``benchmarks/out/BENCH_grid.json`` (the sweep-engine
+companion of ``BENCH_trials.json``) so successive changes can diff
+them.
 """
 
 import time

@@ -701,7 +701,8 @@ def _reduce_share(chunk_state, share) -> None:
             continue
         col_tot = np.zeros(true.size)
         fill = partial(_fill_and_fold, fill, true, l1_rows, col_tot)
-        if ranker is None:
+        # A ranker with no live set builds no rows (ρ stays nan).
+        if ranker is None or not ranker.denominators:
             step = l1_rows.shape[0] - 1
             for start in range(0, n_rows, step):
                 stop = min(start + step, n_rows)

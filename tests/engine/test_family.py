@@ -12,6 +12,7 @@ ships back from process pools, and the kernel threads a drain hands its
 family units.
 """
 
+import dataclasses
 import os
 import tracemalloc
 from contextlib import contextmanager
@@ -22,11 +23,11 @@ import pytest
 from repro.engine import evaluate
 from repro.engine.evaluate import fused_family_points
 from repro.engine.plan import fused_families, grid_plan, work_units
-from repro.engine.points import points_identical
+from repro.engine.points import EvaluationBaseline, points_identical
 from repro.engine.store import ResultStore
 from repro.engine.sweep import run_plan
 from repro.experiments.workloads import WORKLOAD_2
-from repro.metrics.ranking import block_rows
+from repro.metrics.ranking import SetRanker, block_rows
 from repro.runtime import (
     MAX_WORKERS_ENV,
     SerialDriver,
@@ -444,6 +445,18 @@ class TestFamilyBatching:
                 assert sb == pytest.approx(sa, rel=1e-12)
 
 
+def assert_matches_reference(got, want, metrics):
+    for metric in metrics:
+        pairs = zip(got[metric], want[metric])
+        for e, (point, expected) in enumerate(pairs):
+            if expected is None:
+                assert point is None
+            elif expected == "infeasible":
+                assert not point.feasible
+            else:
+                assert points_identical(point, expected), (metric, e)
+
+
 class TestBlockwiseMembers:
     """Every non-analytic member builds its noisy rows one block at a
     time: its L1 column sums ride as the block buffer's first row, so
@@ -474,17 +487,41 @@ class TestBlockwiseMembers:
             stats, "log-laplace", threads=threads, **kwargs
         )
         want = _reference_family(stats, "log-laplace", **kwargs)
-        for metric in metrics:
-            pairs = zip(got[metric], want[metric])
-            for e, (point, expected) in enumerate(pairs):
-                if expected is None:
-                    assert point is None
-                elif expected == "infeasible":
-                    assert not point.feasible
-                else:
-                    assert points_identical(point, expected), (metric, e)
+        assert_matches_reference(got, want, metrics)
         assert got["l1-ratio"][2] is None
         assert any(point and point.feasible for point in got["l1-ratio"])
+
+    @pytest.mark.parametrize("mechanism", ["log-laplace", "smooth-laplace"])
+    def test_l1_folds_when_no_set_can_be_ranked(self, session, mechanism):
+        """A constant SDL baseline leaves the ranker no live set: ρ is
+        nan, and the L1 sums still fold every block of every member."""
+        stats = session.statistics(WORKLOAD_2)
+        constant = np.ones_like(stats.sdl_noisy)
+        stats = dataclasses.replace(
+            stats,
+            sdl_noisy=constant,
+            evaluation=EvaluationBaseline.build(
+                stats.mask, stats.true, constant, stats.strata
+            ),
+        )
+        assert not SetRanker(stats.evaluation.rank_layout).denominators
+        metrics = ("l1-ratio", "spearman")
+        kwargs = dict(
+            members=MEMBERS,
+            delta=0.05,
+            n_trials=300,
+            seed=37,
+            batch_size=130,
+            metrics=metrics,
+            evaluate=[True] * len(MEMBERS),
+        )
+        got = fused_family_points(stats, mechanism, threads=2, **kwargs)
+        want = _reference_family(stats, mechanism, **kwargs)
+        assert_matches_reference(got, want, metrics)
+        feasible = [point for point in got["l1-ratio"] if point.feasible]
+        assert feasible and all(point.overall > 0 for point in feasible)
+        for point in got["spearman"]:
+            assert np.isnan([point.overall, *point.by_stratum]).all()
 
     @pytest.mark.parametrize(
         "metrics",

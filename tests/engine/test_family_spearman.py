@@ -204,11 +204,21 @@ STRESS_MEMBERS = [
 ]
 
 
-@pytest.mark.parametrize("mechanism", ["smooth-laplace", "log-laplace"])
+# Every family that reduces its members in thread shares.  Smooth
+# Laplace's L1-only family is the analytic reduction, which takes no
+# threads.
+THREADED_FAMILIES = [
+    (mechanism, metrics)
+    for mechanism in ("smooth-laplace", "log-laplace")
+    for metrics in (("spearman",), ("l1-ratio",), ("l1-ratio", "spearman"))
+    if (mechanism, metrics) != ("smooth-laplace", ("l1-ratio",))
+]
+
+
 @pytest.mark.parametrize(
-    "metrics",
-    [("spearman",), ("l1-ratio",), ("l1-ratio", "spearman")],
-    ids="+".join,
+    "mechanism,metrics",
+    THREADED_FAMILIES,
+    ids=[f"{m}-{'+'.join(ms)}" for m, ms in THREADED_FAMILIES],
 )
 @pytest.mark.parametrize("threads", [3, 8])
 def test_threaded_shares_match_one_thread_under_fast_switching(
@@ -217,8 +227,7 @@ def test_threaded_shares_match_one_thread_under_fast_switching(
     """Threads switching every microsecond fold every member's L1 sums
     and ρ exactly as one thread does; a lost update on the shared sums,
     or a share building through another's buffers, would show in the
-    bits.  (Smooth Laplace's L1-only family is the analytic reduction,
-    which takes no threads.)"""
+    bits."""
     stats = session.statistics(WORKLOAD_2)
     kwargs = dict(
         members=STRESS_MEMBERS,
