@@ -77,10 +77,9 @@ class LogLaplace:
         """Release noisy counts for a vector of true counts (one draw each)."""
         rng = as_generator(seed)
         counts = np.asarray(counts, dtype=np.float64)
-        gamma = self.gamma
-        log_shifted = np.log(counts + gamma)
+        log_shifted = self.shifted_log(counts)
         eta = rng.laplace(0.0, self.scale, size=counts.shape)
-        noisy = np.exp(log_shifted + eta) - gamma
+        noisy = np.exp(log_shifted + eta) - self.gamma
         if self.debias:
             noisy = self.debiased(noisy)
         return noisy
@@ -104,15 +103,23 @@ class LogLaplace:
         if n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {n_trials}")
         shape = np.broadcast_shapes(counts.shape, (n_trials, counts.shape[-1]))
-        gamma = self.gamma
         eta = rng.laplace(0.0, self.scale, size=shape)
-        noisy = np.exp(np.log(counts + gamma) + eta) - gamma
+        noisy = np.exp(self.shifted_log(counts) + eta) - self.gamma
         if self.debias:
             noisy = self.debiased(noisy)
         return noisy
 
+    def shifted_log(self, counts: np.ndarray) -> np.ndarray:
+        """The shifted log count ℓ = ln(n + γ) that Algorithm 1 perturbs."""
+        return np.log(np.asarray(counts, dtype=np.float64) + self.gamma)
+
     def release_counts_from_unit(
-        self, counts: np.ndarray, unit: np.ndarray, out: np.ndarray | None = None
+        self,
+        counts: np.ndarray,
+        unit: np.ndarray,
+        out: np.ndarray | None = None,
+        *,
+        shifted_log: np.ndarray | None = None,
     ) -> np.ndarray:
         """Algorithm 1 release from an externally drawn Laplace(1) matrix.
 
@@ -122,15 +129,20 @@ class LogLaplace:
         nonlinear (the exp), so each ε still pays its own apply pass.
         Every step runs in place in ``out`` (allocated when not given,
         never ``unit``), which is returned; the values do not depend on
-        whether ``out`` was passed.
+        whether ``out`` was passed.  A caller that applies the transform
+        to many blocks of unit rows passes ``shifted_log``, the
+        :meth:`shifted_log` of ``counts``, so it is taken once, not per
+        block; the values are the same either way.
         """
         counts = np.asarray(counts, dtype=np.float64)
         unit = np.asarray(unit, dtype=np.float64)
         if out is None:
             out = np.empty(np.broadcast_shapes(counts.shape, unit.shape))
+        if shifted_log is None:
+            shifted_log = self.shifted_log(counts)
         gamma = self.gamma
         np.multiply(self.scale, unit, out=out)
-        out += np.log(counts + gamma)
+        out += shifted_log
         np.exp(out, out=out)
         out -= gamma
         if self.debias:

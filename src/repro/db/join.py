@@ -10,6 +10,14 @@ Because the smooth-sensitivity mechanisms and the SDL system both need to
 know which establishment each joined record came from, the join result
 carries the establishment row index explicitly alongside the attribute
 table (explicit is better than hiding it in a pseudo-attribute).
+
+The join copies no column (see :meth:`repro.db.table.Table.joined`).
+When ``job_worker`` is the identity, as in every generated snapshot, a
+worker column reads as a read-only view of the Worker table's own array
+(a store-opened snapshot's memory map), so processes sharing a snapshot
+share those pages.  Every other column, and every worker column under
+any other ``job_worker``, is gathered through the job index on its first
+read and kept.  Joined columns are read-only.
 """
 
 from __future__ import annotations
@@ -74,7 +82,8 @@ def join_worker_full(
 
     ``job_worker[i]`` and ``job_establishment[i]`` are row indices into the
     Worker and Workplace tables for job ``i``.  The result row order follows
-    the job order.
+    the job order.  Both index arrays are checked here; the tables' codes
+    were checked when the tables were built, so the join scans no column.
     """
     job_worker = np.asarray(job_worker, dtype=np.int64)
     job_establishment = np.asarray(job_establishment, dtype=np.int64)
@@ -88,14 +97,15 @@ def join_worker_full(
                 "job_establishment index out of range of the Workplace table"
             )
 
-    worker_part = worker.take(job_worker)
-    workplace_part = workplace.take(job_establishment)
-    joined = worker_part.with_columns(
-        workplace_part.schema,
-        {name: workplace_part.column(name) for name in workplace_part.schema.names},
+    # In range and strictly increasing over every Worker row: the identity.
+    identity = job_worker.size == worker.n_rows and bool(
+        np.all(job_worker[1:] > job_worker[:-1])
+    )
+    table = Table.joined(
+        [(worker, None if identity else job_worker), (workplace, job_establishment)]
     )
     return WorkerFull(
-        table=joined,
+        table=table,
         establishment=job_establishment,
         n_establishments=workplace.n_rows,
     )

@@ -60,6 +60,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.registry import create_mechanism, mechanism_spec
+from repro.core.log_laplace import LogLaplace
 from repro.core.params import EREEParams
 from repro.core.release import _trial_chunks
 from repro.core.smooth_sensitivity import sample_gamma4_fast
@@ -636,26 +637,29 @@ def _fold_cell_totals(cell_tot, strata, sums) -> None:
     sums[1:] += np.bincount(strata, weights=cell_tot, minlength=N_STRATA)
 
 
-def _release_from_unit(mechanism, scale, true, xv, unit, out=None):
-    """A family member's noisy rows from unit-noise rows.
+def _rows_from_unit(
+    mechanism, scale, true, xv, unit, start, stop, out, shifted_log=None
+):
+    """:meth:`SetRanker.rank` fill: a family member's noisy rows
+    ``start:stop`` from the unit-noise rows.
 
     ``true + scale · unit`` for linear mechanisms; otherwise the
     mechanism's own transform, with ``xv`` ``None`` unless the mechanism
-    needs it.  Written into ``out`` when given, except by a transform
-    that needs ``xv``.  Every operation is per-cell, so permuting the
-    cells of all inputs permutes the output.
+    needs it, and Log-Laplace given its ``shifted_log`` of ``true``.
+    Written into ``out`` when given, except by a transform that needs
+    ``xv``.  Every operation is per-cell, so permuting the cells of all
+    inputs permutes the output.
     """
-    if scale is not None:
-        return np.add(np.multiply(unit, scale, out=out), true, out=out)
-    if xv is None:
-        return mechanism.release_counts_from_unit(true, unit, out=out)
-    return mechanism.release_counts_from_unit(true, xv, unit)
-
-
-def _rows_from_unit(mechanism, scale, true, xv, unit, start, stop, out):
-    """:meth:`SetRanker.rank` fill: a member's rows ``start:stop``."""
     rows = unit[start:stop]
-    return _release_from_unit(mechanism, scale, true, xv, rows, out)
+    if scale is not None:
+        return np.add(np.multiply(rows, scale, out=out), true, out=out)
+    if shifted_log is not None:
+        return mechanism.release_counts_from_unit(
+            true, rows, out=out, shifted_log=shifted_log
+        )
+    if xv is None:
+        return mechanism.release_counts_from_unit(true, rows, out=out)
+    return mechanism.release_counts_from_unit(true, xv, rows)
 
 
 def _fill_and_fold(fill, true, l1_rows, col_tot, start, stop, out):
@@ -695,7 +699,15 @@ def _reduce_share(chunk_state, share) -> None:
     )
     ranker, l1_rows, members = share
     for e, mechanism, scale in members:
-        fill = partial(_rows_from_unit, mechanism, scale, true, xv, unit)
+        # Log-Laplace's shifted log is per cell: one per chunk serves
+        # every block.
+        shifted_log = (
+            mechanism.shifted_log(true) if isinstance(mechanism, LogLaplace) else None
+        )
+        fill = partial(
+            _rows_from_unit, mechanism, scale, true, xv, unit,
+            shifted_log=shifted_log,
+        )
         if l1_rows is None:
             _fold_rhos(ranker.rank(n_rows, fill), rho_sums[e], rho_counts[e])
             continue

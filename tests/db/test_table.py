@@ -1,5 +1,7 @@
 """Unit tests for the column-store Table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,10 +110,94 @@ class TestTransforms:
         with pytest.raises(ValueError, match="different schemas"):
             table.concat(other)
 
-    def test_with_columns_extends(self, table):
-        extra_schema = Schema([Attribute("place", ("P1", "P2"))])
-        extended = table.with_columns(
-            extra_schema, {"place": np.array([0, 0, 1, 1])}
+
+@pytest.fixture()
+def big():
+    """Two 50k-row parts joined side by side through index arrays."""
+    rng = np.random.default_rng(11)
+    codes = Schema([Attribute(f"c{i}", tuple(range(7))) for i in range(3)])
+    other = Schema([Attribute(f"d{i}", tuple(range(5))) for i in range(6)])
+    left = Table(codes, {n: rng.integers(0, 7, 50_000) for n in codes.names})
+    right = Table(other, {n: rng.integers(0, 5, 2_000) for n in other.names})
+    right_rows = rng.integers(0, 2_000, 50_000)
+    joined = Table.joined([(left, None), (right, right_rows)])
+    eager = {n: left.column(n) for n in codes.names}
+    eager.update({n: right.column(n)[right_rows] for n in other.names})
+    return joined, eager
+
+
+class TestLazyTransforms:
+    """Derived tables compose row indices and resolve a column on read."""
+
+    def test_joined_columns_equal_the_eager_gather(self, big):
+        joined, eager = big
+        assert joined.schema.names == tuple(eager)
+        for name, want in eager.items():
+            np.testing.assert_array_equal(joined.column(name), want)
+
+    def test_compositions_equal_the_eager_gather(self, big):
+        joined, eager = big
+        rng = np.random.default_rng(12)
+        mask = rng.random(joined.n_rows) < 0.3
+        rows = rng.integers(-1000, 1000, 300)
+        derived = joined.filter(mask).take(rows).select(["d4", "c1"])
+        assert derived.n_rows == rows.size
+        for name in ("d4", "c1"):
+            np.testing.assert_array_equal(
+                derived.column(name), eager[name][mask][rows]
+            )
+
+    def test_derived_columns_are_read_only(self, table):
+        source = table.column("sex")
+        taken = table.take(np.array([1, 0]))
+        filtered = table.filter(np.array([True, False, True, True]))
+        for column in (taken.column("sex"), filtered.column("sex")):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert source.flags.writeable
+        assert source.tolist() == [0, 1, 1, 0]
+
+    def test_constructed_columns_read_as_given(self, table):
+        given = np.array([1, 0, 1, 0])
+        built = Table(table.schema, {"sex": given, "edu": given})
+        assert built.column("sex") is given
+        assert built.select(["sex"]).column("sex") is given
+
+    def test_one_composed_index_per_distinct_index_array(self, big):
+        """Filtering six columns that share one row index composes that
+        index once, not once per column."""
+        joined, _ = big
+        right = joined.select([f"d{i}" for i in range(6)])
+        mask = np.ones(joined.n_rows, dtype=bool)
+        index_bytes = joined.n_rows * 8
+        tracemalloc.start()
+        try:
+            right.filter(mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # flatnonzero's rows and one composed index.
+        assert peak < 2.5 * index_bytes, peak / index_bytes
+
+    def test_take_negative_and_empty_indices(self, table):
+        assert table.take(np.array([-1, 0])).decoded("edu").tolist() == ["BA", "HS"]
+        assert table.take(np.array([], dtype=np.int64)).n_rows == 0
+        assert table.take([]).n_rows == 0
+
+    @pytest.mark.parametrize("rows", [[4], [-5], [0.5], [[0]]])
+    def test_take_rejects_bad_indices(self, table, rows):
+        with pytest.raises(IndexError):
+            table.take(np.array(rows))
+
+    def test_take_copies_its_indices(self, table):
+        rows = np.array([0, 1])
+        taken = table.take(rows)
+        rows[:] = 3
+        assert taken.decoded("sex").tolist() == ["M", "F"]
+
+    def test_joined_rejects_parts_of_unequal_length(self, table):
+        other = Table(
+            Schema([Attribute("place", ("P1", "P2"))]), {"place": np.array([0])}
         )
-        assert extended.schema.names == ("sex", "edu", "place")
-        assert extended.decoded("place").tolist() == ["P1", "P1", "P2", "P2"]
+        with pytest.raises(ValueError, match="rows"):
+            Table.joined([(table, None), (other, None)])
