@@ -11,10 +11,10 @@ know which establishment each joined record came from, the join result
 carries the establishment row index explicitly alongside the attribute
 table (explicit is better than hiding it in a pseudo-attribute).
 
-The join copies no column (see :meth:`repro.db.table.Table.joined`).
-When ``job_worker`` is the identity, as in every generated snapshot, a
-worker column reads as a read-only view of the Worker table's own array
-(a store-opened snapshot's memory map), so processes sharing a snapshot
+The join copies no column (see :mod:`repro.db.table`).  When
+``job_worker`` is the identity, as in every generated snapshot, a worker
+column reads as a read-only view of the Worker table's own array (a
+store-opened snapshot's memory map), so processes sharing a snapshot
 share those pages.  Every other column, and every worker column under
 any other ``job_worker``, is gathered through the job index on its first
 read and kept.  Joined columns are read-only.
@@ -101,7 +101,7 @@ def join_worker_full(
     identity = job_worker.size == worker.n_rows and bool(
         np.all(job_worker[1:] > job_worker[:-1])
     )
-    table = Table.joined(
+    table = Table._joined(
         [(worker, None if identity else job_worker), (workplace, job_establishment)]
     )
     return WorkerFull(

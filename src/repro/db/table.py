@@ -9,10 +9,10 @@ Derived tables copy nothing up front.  Each of their columns is a source
 array plus a row index, resolved on its first :meth:`Table.column` read
 and kept: a column whose index is the identity reads as a read-only
 view of its source, any other as the read-only gather
-``source[index]``.  :meth:`Table.filter`, :meth:`Table.take` and
-:meth:`Table.joined` compose indices instead of gathering, one composed
-index per distinct index array, so a table pays only for the columns
-its queries read.
+``source[index]``.  :meth:`Table.filter`, :meth:`Table.take` and the
+join (:func:`repro.db.join.join_worker_full`) compose indices instead
+of gathering, one composed index per distinct index array, so a table
+pays only for the columns its queries read.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ class Table:
 
     Columns are integer code arrays (codes index the attribute's value
     tuple).  A constructed table reads its columns as given; the columns
-    of a derived table (:meth:`filter`, :meth:`take`, :meth:`joined`)
-    are read-only.  Tables are immutable: transformation methods return
+    of a derived table (:meth:`filter`, :meth:`take`, the join) are
+    read-only.  Tables are immutable: transformation methods return
     new tables sharing source arrays and row indices.
     """
 
@@ -79,16 +79,17 @@ class Table:
         return table
 
     @classmethod
-    def joined(cls, parts: Sequence[tuple["Table", np.ndarray | None]]) -> "Table":
+    def _joined(cls, parts: Sequence[tuple["Table", np.ndarray | None]]) -> "Table":
         """The columns of several tables side by side, copying nothing.
 
         Each ``(table, rows)`` part contributes all of its columns: row
         ``i`` of the result reads row ``rows[i]`` of ``table``, or row
         ``i`` when ``rows`` is ``None``.  ``rows`` must be a non-negative
-        integer array inside ``[0, table.n_rows)``; the caller checks it,
-        and this method scans nothing, since the parts' codes were
-        checked when they were built.  Parts must have equal row counts
-        and disjoint attribute names.
+        integer array inside ``[0, table.n_rows)``: the caller
+        (:meth:`filter`, :meth:`take`, the join) checks it, and this
+        method scans nothing, since the parts' codes were checked when
+        they were built.  Parts must have equal row counts and disjoint
+        attribute names.
         """
         schema, sources, n_rows = Schema(()), {}, None
         for table, rows in parts:
@@ -147,7 +148,7 @@ class Table:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n_rows,):
             raise ValueError(f"mask shape {mask.shape} != ({self.n_rows},)")
-        return Table.joined([(self, np.flatnonzero(mask))])
+        return Table._joined([(self, np.flatnonzero(mask))])
 
     def take(self, indices: np.ndarray) -> "Table":
         """Rows at ``indices``; negative indices count from the end."""
@@ -160,7 +161,7 @@ class Table:
             if rows.min() < -self._n_rows or rows.max() >= self._n_rows:
                 raise IndexError(f"row index out of range for {self._n_rows} rows")
             rows[rows < 0] += self._n_rows
-        return Table.joined([(self, rows)])
+        return Table._joined([(self, rows)])
 
     def select(self, names: Sequence[str]) -> "Table":
         """Restrict to attributes ``names`` (projection without dedup)."""

@@ -60,7 +60,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.api.registry import create_mechanism, mechanism_spec
-from repro.core.log_laplace import LogLaplace
 from repro.core.params import EREEParams
 from repro.core.release import _trial_chunks
 from repro.core.smooth_sensitivity import sample_gamma4_fast
@@ -645,20 +644,18 @@ def _rows_from_unit(
 
     ``true + scale · unit`` for linear mechanisms; otherwise the
     mechanism's own transform, with ``xv`` ``None`` unless the mechanism
-    needs it, and Log-Laplace given its ``shifted_log`` of ``true``.
-    Written into ``out`` when given, except by a transform that needs
-    ``xv``.  Every operation is per-cell, so permuting the cells of all
-    inputs permutes the output.
+    needs it.  The transform without ``xv`` (Log-Laplace's) is given the
+    chunk's ``shifted_log`` of ``true``.  Written into ``out`` when
+    given, except by a transform that needs ``xv``.  Every operation is
+    per-cell, so permuting the cells of all inputs permutes the output.
     """
     rows = unit[start:stop]
     if scale is not None:
         return np.add(np.multiply(rows, scale, out=out), true, out=out)
-    if shifted_log is not None:
+    if xv is None:
         return mechanism.release_counts_from_unit(
             true, rows, out=out, shifted_log=shifted_log
         )
-    if xv is None:
-        return mechanism.release_counts_from_unit(true, rows, out=out)
     return mechanism.release_counts_from_unit(true, xv, rows)
 
 
@@ -699,10 +696,10 @@ def _reduce_share(chunk_state, share) -> None:
     )
     ranker, l1_rows, members = share
     for e, mechanism, scale in members:
-        # Log-Laplace's shifted log is per cell: one per chunk serves
-        # every block.
+        # The transform without xv perturbs a per-cell shifted log: one
+        # per chunk serves every block.
         shifted_log = (
-            mechanism.shifted_log(true) if isinstance(mechanism, LogLaplace) else None
+            mechanism.shifted_log(true) if scale is None and xv is None else None
         )
         fill = partial(
             _rows_from_unit, mechanism, scale, true, xv, unit,

@@ -120,7 +120,7 @@ def big():
     left = Table(codes, {n: rng.integers(0, 7, 50_000) for n in codes.names})
     right = Table(other, {n: rng.integers(0, 5, 2_000) for n in other.names})
     right_rows = rng.integers(0, 2_000, 50_000)
-    joined = Table.joined([(left, None), (right, right_rows)])
+    joined = Table._joined([(left, None), (right, right_rows)])
     eager = {n: left.column(n) for n in codes.names}
     eager.update({n: right.column(n)[right_rows] for n in other.names})
     return joined, eager
@@ -200,4 +200,4 @@ class TestLazyTransforms:
             Schema([Attribute("place", ("P1", "P2"))]), {"place": np.array([0])}
         )
         with pytest.raises(ValueError, match="rows"):
-            Table.joined([(table, None), (other, None)])
+            Table._joined([(table, None), (other, None)])
