@@ -16,7 +16,7 @@ import numpy as np
 from benchmarks.conftest import write_report
 from repro.core import EREEParams
 from repro.engine.evaluate import (
-    _streamed_point_values,
+    _point_values,
     release_trials,
     release_trials_looped,
     spearman_point,
@@ -136,9 +136,7 @@ def test_one_pass_reduction_speedup(benchmark, context):
     sdl = stats.sdl_noisy[stats.mask]
 
     def one_pass():
-        return _streamed_point_values(
-            iter((matrix,)), true, "l1-ratio", REDUCTION_N_TRIALS, stats.evaluation
-        )
+        return _point_values(matrix, true, "l1-ratio", stats.evaluation)
 
     def sliced():
         return _sliced_point_values(

@@ -52,9 +52,9 @@ class ReleaseRequest:
     establishment-only marginals, weak when worker attributes are
     present).  ``n_trials=None`` releases a single noisy vector;
     ``n_trials=k`` draws a ``(k, n_cells)`` Monte Carlo matrix in one
-    vectorized call, optionally chunked by ``trials_batch`` to bound the
-    per-draw transient.  ``label`` names the request in the ledger
-    (defaults to ``"mechanism:attrs"``).
+    vectorized call.  ``label`` names the request in the ledger
+    (defaults to ``"mechanism:attrs"``); it is the one field that does
+    not change the released values.
     """
 
     attrs: tuple[str, ...]
@@ -65,7 +65,6 @@ class ReleaseRequest:
     mode: str | None = None
     budget_style: str = MARGINAL
     n_trials: int | None = None
-    trials_batch: int | None = None
     seed: int | None = None
     mechanism_options: Mapping | None = None
     label: str | None = None
@@ -108,7 +107,7 @@ class ReleaseRequest:
             "delta": self.delta,
             "budget_style": self.budget_style,
         }
-        for name in ("mode", "n_trials", "trials_batch", "seed", "label"):
+        for name in ("mode", "n_trials", "seed", "label"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
@@ -132,8 +131,8 @@ class ReleaseRequest:
             )
         known = {
             "attrs", "mechanism", "alpha", "epsilon", "delta", "mode",
-            "budget_style", "n_trials", "trials_batch", "seed",
-            "mechanism_options", "label",
+            "budget_style", "n_trials", "seed", "mechanism_options",
+            "label",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -170,7 +169,7 @@ class ReleaseRequest:
                     f"field {name!r} must be a number, got {value!r}"
                 )
             kwargs[name] = float(value)
-        for name in ("n_trials", "trials_batch", "seed"):
+        for name in ("n_trials", "seed"):
             value = payload.get(name)
             if value is None:
                 continue
@@ -237,10 +236,6 @@ class ReleaseRequest:
             )
         if self.n_trials is not None and self.n_trials < 1:
             raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.trials_batch is not None and self.trials_batch < 1:
-            raise ValueError(
-                f"trials_batch must be >= 1, got {self.trials_batch}"
-            )
         if spec.kind == BASELINE:
             options = dict(self.mechanism_options or {})
             if "theta" not in options:
@@ -308,7 +303,6 @@ class ReleaseRequest:
         mode: str | None = None,
         budget_style: str = MARGINAL,
         n_trials: int | None = None,
-        trials_batch: int | None = None,
         seed: int | None = None,
         tag: str = "grid",
         mechanism_options: Mapping | None = None,
@@ -339,7 +333,6 @@ class ReleaseRequest:
                             mode=mode,
                             budget_style=budget_style,
                             n_trials=n_trials,
-                            trials_batch=trials_batch,
                             seed=point_seed,
                             mechanism_options=mechanism_options,
                         )

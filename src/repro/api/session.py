@@ -511,7 +511,6 @@ class ReleaseSession:
             seed=request.seed,
             mechanism_options=dict(request.mechanism_options or {}),
             n_trials=request.n_trials,
-            trials_batch=request.trials_batch,
         )
         entry = LedgerEntry.from_budget(
             budget,
@@ -626,7 +625,6 @@ class ReleaseSession:
         metric: str = "l1-ratio",
         n_trials: int | None = None,
         seed=None,
-        batch_size: int | None = None,
         theta: int | None = None,
         epsilon: float | None = None,
     ) -> SeriesPoint:
@@ -645,7 +643,6 @@ class ReleaseSession:
             metric=metric,
             n_trials=n_trials,
             seed=seed,
-            batch_size=batch_size,
             theta=theta,
             epsilon=epsilon,
         )
@@ -662,7 +659,6 @@ class ReleaseSession:
         metric: str = "l1-ratio",
         n_trials: int | None = None,
         seed=None,
-        batch_size: int | None = None,
         theta: int | None = None,
         epsilon: float | None = None,
     ) -> tuple[SeriesPoint, LedgerEntry | None]:
@@ -677,8 +673,6 @@ class ReleaseSession:
         """
         if n_trials is None:
             n_trials = self.config.n_trials
-        if batch_size is None:
-            batch_size = self.config.trials_batch
         stats = self.statistics(workload)
 
         if mechanism == "truncated-laplace":
@@ -687,8 +681,7 @@ class ReleaseSession:
                     "truncated-laplace points need theta and epsilon"
                 )
             point = point_kernels.truncated_laplace_point(
-                self, stats, theta, epsilon, n_trials, seed, metric,
-                batch_size=batch_size,
+                self, stats, theta, epsilon, n_trials, seed, metric
             )
             spend = LedgerEntry(
                 label=f"{workload.name}:truncated-laplace:theta={theta}:eps={epsilon}",
@@ -704,11 +697,11 @@ class ReleaseSession:
             raise ValueError("calibrated mechanism points need params")
         if metric == "l1-ratio":
             point = point_kernels.error_ratio_point(
-                stats, mechanism, params, n_trials, seed, batch_size
+                stats, mechanism, params, n_trials, seed
             )
         elif metric == "spearman":
             point = point_kernels.spearman_point(
-                stats, mechanism, params, n_trials, seed, batch_size
+                stats, mechanism, params, n_trials, seed
             )
         else:
             raise ValueError(
@@ -737,7 +730,6 @@ class ReleaseSession:
         metrics: Sequence[str] = ("l1-ratio",),
         n_trials: int | None = None,
         seed=None,
-        batch_size: int | None = None,
         evaluate: Sequence[bool] | None = None,
         threads: int = 1,
     ) -> tuple[dict[str, list[SeriesPoint | None]], list[LedgerEntry | None]]:
@@ -760,8 +752,6 @@ class ReleaseSession:
         """
         if n_trials is None:
             n_trials = self.config.n_trials
-        if batch_size is None:
-            batch_size = self.config.trials_batch
         stats = self.statistics(workload)
         values = point_kernels.fused_family_points(
             stats,
@@ -770,7 +760,6 @@ class ReleaseSession:
             delta=delta,
             n_trials=n_trials,
             seed=seed,
-            batch_size=batch_size,
             metrics=metrics,
             evaluate=evaluate,
             threads=threads,

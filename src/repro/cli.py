@@ -306,14 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         figures, jobs_default=150_000, trials_default=10, scenario=True
     )
     figures.add_argument(
-        "--trials-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="max trials per vectorized noise draw (default: all trials "
-        "in one (trials, cells) matrix; set to bound memory)",
-    )
-    figures.add_argument(
         "--only",
         default=None,
         help="comma-separated subset, e.g. figure-1,finding-6",
@@ -624,14 +616,13 @@ def _snapshot_store_from_args(args) -> SnapshotStore | None:
     return SnapshotStore(root)
 
 
-def _config_from_args(args, trials_batch: int | None = None) -> ExperimentConfig:
+def _config_from_args(args) -> ExperimentConfig:
     """The experiment config an invocation describes (scenario-aware)."""
     if getattr(args, "scenario", None):
         try:
             return ExperimentConfig.for_scenario(
                 args.scenario,
                 n_trials=args.trials,
-                trials_batch=trials_batch,
                 seed=args.seed,
             )
         except ValueError as error:
@@ -639,18 +630,17 @@ def _config_from_args(args, trials_batch: int | None = None) -> ExperimentConfig
     return ExperimentConfig(
         data=SyntheticConfig(target_jobs=args.jobs, seed=args.seed),
         n_trials=args.trials,
-        trials_batch=trials_batch,
         seed=args.seed,
     )
 
 
-def _session_from_args(args, trials_batch: int | None = None) -> ReleaseSession:
+def _session_from_args(args) -> ReleaseSession:
     # --workers does double duty: grid points fan out to that many
     # executor workers, and a snapshot-store *miss* builds the economy
     # over the same count of processes (the same bytes either way).
     workers = getattr(args, "workers", None)
     return ReleaseSession(
-        _config_from_args(args, trials_batch),
+        _config_from_args(args),
         snapshot_store=_snapshot_store_from_args(args),
         snapshot_workers=workers,
     )
@@ -715,7 +705,7 @@ def run_figures(args, session: ReleaseSession | None = None) -> list[Path]:
     executor, store = _engine_from_args(args)
     claim_options = _claim_options_from_args(args)
     if session is None:
-        session = _session_from_args(args, trials_batch=args.trials_batch)
+        session = _session_from_args(args)
     out = _out_dir_from_args(args)
     written = []
     for name, generator in _selected_figures(args.only).items():

@@ -239,16 +239,6 @@ def compute_release_statistics(
     )
 
 
-def _trial_chunks(n_trials: int, batch_size: int | None) -> list[int]:
-    """Chunk sizes whose sum is ``n_trials`` (one chunk when unbounded)."""
-    if batch_size is None or batch_size >= n_trials:
-        return [n_trials]
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    full, rest = divmod(n_trials, batch_size)
-    return [batch_size] * full + ([rest] if rest else [])
-
-
 def release_from_statistics(
     stats: ReleaseStatistics,
     mechanism_name: str,
@@ -256,17 +246,15 @@ def release_from_statistics(
     seed=None,
     mechanism_options: dict | None = None,
     n_trials: int | None = None,
-    trials_batch: int | None = None,
 ) -> MarginalRelease:
     """The randomized half of a release: draw noise for the released cells.
 
-    For a fixed seed the noise stream is identical to the historical
-    one-shot :func:`release_marginal` path (the generator is consumed by
-    the same mechanism calls in the same order), so caching the
-    statistics cannot change any published number.  ``trials_batch``
-    caps how many of the ``n_trials`` rows share one vectorized draw —
-    for the Laplace-based mechanisms the chunk boundaries do not change
-    the stream (the matrix fills row-major from one generator).
+    Every release is one ``release_counts_batch`` draw over the released
+    cells: ``n_trials`` rows, or a single row whose row 0 is the
+    release when ``n_trials`` is None.  Each mechanism fills that draw
+    as one flat array from one generator, so the single release is the
+    same stream as a per-trial ``release_counts`` call, and for a fixed
+    seed caching the statistics cannot change any published number.
     """
     spec = _calibrated_spec(mechanism_name)
     check_mechanism_mode(spec, stats.mode, stats.has_worker_attrs)
@@ -274,40 +262,17 @@ def release_from_statistics(
     rng = as_generator(seed)
     true, released, xv = stats.true, stats.released, stats.xv
 
-    shape = (
-        (stats.marginal.n_cells,)
-        if n_trials is None
-        else (n_trials, stats.marginal.n_cells)
-    )
-    noisy = np.zeros(shape, dtype=np.float64)
+    rows = 1 if n_trials is None else n_trials
+    noisy = np.zeros((rows, stats.marginal.n_cells), dtype=np.float64)
     if released.any():
-        if n_trials is None:
-            if spec.needs_xv:
-                noisy[released] = mechanism.release_counts(
-                    true[released], xv[released], rng
-                )
-            else:
-                noisy[released] = mechanism.release_counts(true[released], rng)
-        else:
-            chunks = []
-            for chunk in _trial_chunks(n_trials, trials_batch):
-                if spec.needs_xv:
-                    chunks.append(
-                        mechanism.release_counts_batch(
-                            true[released], xv[released], chunk, rng
-                        )
-                    )
-                else:
-                    chunks.append(
-                        mechanism.release_counts_batch(true[released], chunk, rng)
-                    )
-            noisy[:, released] = (
-                chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
-            )
+        cells = (true[released],)
+        if spec.needs_xv:
+            cells += (xv[released],)
+        noisy[:, released] = mechanism.release_counts_batch(*cells, rows, rng)
     return MarginalRelease(
         marginal=stats.marginal,
         true=true,
-        noisy=noisy,
+        noisy=noisy[0] if n_trials is None else noisy,
         released=released,
         max_single=xv,
         budget=budget,

@@ -105,21 +105,17 @@ class TruncatedLaplace:
         marginal: Marginal,
         n_trials: int | None = 1,
         seed=None,
-        projection: TruncationProjection | None = None,
     ) -> TruncationResult:
         """Release ``n_trials`` independent noisy vectors in one draw.
 
         The truncation projection is deterministic, so it (and the
-        marginal tabulations) run once — pass a precomputed
-        ``projection`` to amortize it across several draws (e.g. chunked
-        trials; the noise stream does not depend on how the projection
-        was obtained).  ``noisy`` is ``(n_trials, n_cells)``, or the
-        single ``(n_cells,)`` vector when ``n_trials`` is None (the
+        marginal tabulations) run once per call, whatever ``n_trials``.
+        ``noisy`` is ``(n_trials, n_cells)``, or the single
+        ``(n_cells,)`` vector when ``n_trials`` is None (the
         :meth:`release` behavior, same bit stream).
         """
         rng = as_generator(seed)
-        if projection is None:
-            projection = self.project(worker_full, marginal)
+        projection = self.project(worker_full, marginal)
         truncated_true = projection.truncated_true
 
         mechanism = LaplaceMechanism(epsilon=self.epsilon, sensitivity=self.theta)

@@ -20,13 +20,13 @@ per place-population stratum, over the cells with positive true count.
 Two reduction strategies coexist:
 
 - The **per-point** kernels (:func:`error_ratio_point`,
-  :func:`spearman_point`, :func:`truncated_laplace_point`) draw one noise
-  matrix per grid point and fold it chunk by chunk through
-  :func:`_streamed_point_values` — one |error| pass per chunk, scattered
-  into the overall + per-stratum sums through precomputed ascending index
-  sets, bit-identical to the historical per-stratum slicing; or one
-  gather of the chunk into the workload's Spearman set order, ranked
-  for the overall set and every stratum by one multi-set kernel call.
+  :func:`spearman_point`, :func:`truncated_laplace_point`) draw one
+  ``(n_trials, n_cells)`` noise matrix per grid point and reduce it
+  through :func:`_point_values` — one |error| pass, scattered into the
+  overall + per-stratum sums through precomputed ascending index sets,
+  bit-identical to the historical per-stratum slicing; or one gather
+  of the matrix into the workload's Spearman set order, ranked for the
+  overall set and every stratum by one multi-set kernel call.
 - The **family** kernel (:func:`fused_family_points`) exploits the
   Theorem 8.4 release form ``q(x) + S(x,α)/a(ε) · Z``: the unit noise
   ``Z`` depends on neither α nor ε, so one unit matrix per (workload,
@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.api.registry import create_mechanism, mechanism_spec
 from repro.core.params import EREEParams
-from repro.core.release import _trial_chunks
 from repro.core.smooth_sensitivity import sample_gamma4_fast
 from repro.dp.truncation import TruncatedLaplace
 from repro.engine import profile
@@ -105,58 +104,29 @@ def mechanism_is_feasible(
     return mechanism_spec(name).is_feasible(params)
 
 
-def _release_chunks(
-    stats: WorkloadStatistics,
-    mechanism_name: str,
-    per_cell: EREEParams,
-    n_trials: int,
-    seed,
-    batch_size: int | None,
-):
-    """Yield ``(chunk, n_cells)`` noise matrices from one shared stream.
-
-    The chunk boundaries do not change the stream for the Laplace-based
-    mechanisms (the matrix fills row-major from one generator), so any
-    ``batch_size`` reproduces the single-draw statistics bit-for-bit.
-    """
-    needs_xv = mechanism_spec(mechanism_name).needs_xv
-    mechanism = create_mechanism(mechanism_name, per_cell)
-    rng = as_generator(seed)
-    true = stats.eval_true
-    xv = stats.eval_xv
-    for chunk in _trial_chunks(n_trials, batch_size):
-        if needs_xv:
-            yield mechanism.release_counts_batch(true, xv, chunk, rng)
-        else:
-            yield mechanism.release_counts_batch(true, chunk, rng)
-
-
 def release_trials(
     stats: WorkloadStatistics,
     mechanism_name: str,
     params: EREEParams,
     n_trials: int,
     seed,
-    batch_size: int | None = None,
 ) -> np.ndarray | None:
     """``(n_trials, n_cells)`` noisy matrix over the evaluation cells.
 
     All trials come from a single vectorized RNG draw (the batched
-    mechanism path).  ``batch_size`` caps how many trials share one draw
-    — it bounds the per-draw transients (and lets the figure points
-    stream-reduce chunk by chunk without materializing the matrix), but
-    this function's *result* is always the full matrix.  Returns None
-    when the per-cell parameters are infeasible for the mechanism (the
-    figure shows a gap there, as in the paper).  Iterating the result
-    yields one noisy vector per trial, like the historical list.
+    mechanism path).  Returns None when the per-cell parameters are
+    infeasible for the mechanism (the figure shows a gap there, as in
+    the paper).  Iterating the result yields one noisy vector per
+    trial, like the historical list.
     """
     per_cell = stats.per_cell_params_of(params)
     if not mechanism_is_feasible(mechanism_name, per_cell):
         return None
-    chunks = list(
-        _release_chunks(stats, mechanism_name, per_cell, n_trials, seed, batch_size)
-    )
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+    mechanism = create_mechanism(mechanism_name, per_cell)
+    cells = (stats.eval_true,)
+    if mechanism_spec(mechanism_name).needs_xv:
+        cells += (stats.eval_xv,)
+    return mechanism.release_counts_batch(*cells, n_trials, as_generator(seed))
 
 
 def release_trials_looped(
@@ -208,35 +178,28 @@ def _l1_ratio_results(
     return results
 
 
-def _streamed_point_values(
-    chunk_iter,
+def _point_values(
+    noisy: np.ndarray,
     true,
     metric: str,
-    n_trials: int,
     evaluation: EvaluationBaseline,
 ) -> tuple[float, tuple[float, ...]]:
-    """Reduce trial-chunk matrices to (overall, by-stratum) point values.
+    """Reduce one ``(n_trials, n_cells)`` noisy matrix to (overall,
+    by-stratum) point values.
 
-    Both metrics are means over trials, so each chunk folds into running
-    sums and is discarded — the full ``(n_trials, n_cells)`` matrix never
-    exists when the chunks are small.  The chunk rows arrive in trial
-    order, so the statistics match the whole-matrix reduction exactly up
-    to floating-point summation order (last-ULP reassociation).
+    The L1 reduction is one pass: ``|noisy - true|`` is computed once
+    and gathered into the overall + per-stratum sums through the
+    ascending index sets of ``evaluation`` (the session's shared SDL
+    record), and the ratios divide by its stored SDL L1 per set.  The
+    gather always copies — even for the full-size overall set — because
+    a ``m[:, indices]`` gather is Fortran-ordered exactly like the
+    historical ``m[:, boolean_mask]`` slices, and the axis-1 float
+    summation order depends on that layout; reducing the C-ordered
+    ``abs_err`` directly would shift the overall value by last-ULP
+    reassociation.  Values are therefore bit-identical to the slicing
+    reducer while the subtraction runs once instead of once per set.
 
-    The L1 reduction is one pass per chunk: ``|chunk - true|`` is
-    computed once and gathered into the overall + per-stratum sums
-    through the ascending index sets of ``evaluation`` (the session's
-    shared SDL record), and the ratios divide by its stored SDL L1 per
-    set.  The gather always copies — even for the full-size overall
-    set — because a ``m[:, indices]`` gather is Fortran-ordered exactly
-    like the historical ``m[:, boolean_mask]`` slices, and the axis-1
-    float summation order depends on that layout; reducing the
-    C-ordered ``abs_err`` directly would shift the overall value by
-    last-ULP reassociation.  Values are therefore bit-identical to the
-    slicing reducer while the subtraction runs once instead of once per
-    set.
-
-    The Spearman reduction gathers each chunk into the set order of the
+    The Spearman reduction gathers the matrix into the set order of the
     record's rank layout once, block by block, and ranks the overall
     set and every stratum through one
     :class:`~repro.metrics.ranking.SetRanker` — bit-identical, per trial
@@ -244,22 +207,17 @@ def _streamed_point_values(
     """
     index_sets = evaluation.index_sets
     sums = np.zeros(len(index_sets))
-    counts = np.zeros(len(index_sets))
-    ranker = SetRanker(evaluation.rank_layout) if metric != "l1-ratio" else None
-    if profile.active():
-        chunk_iter = profile.timed_iter(chunk_iter)
-    for chunk in chunk_iter:
-        with profile.stage("reduce"):
-            if metric == "l1-ratio":
-                abs_err = np.abs(chunk - true)
-                for j, idx in enumerate(index_sets):
-                    if idx.size:
-                        sums[j] += abs_err[:, idx].sum(axis=1).sum()
-            else:
-                _fold_rhos(ranker.rank_cells(chunk), sums, counts)
     if metric == "l1-ratio":
-        results = _l1_ratio_results(sums, n_trials, evaluation)
+        abs_err = np.abs(noisy - true)
+        for j, idx in enumerate(index_sets):
+            if idx.size:
+                sums[j] += abs_err[:, idx].sum(axis=1).sum()
+        results = _l1_ratio_results(sums, noisy.shape[0], evaluation)
     else:
+        counts = np.zeros(len(index_sets))
+        _fold_rhos(
+            SetRanker(evaluation.rank_layout).rank_cells(noisy), sums, counts
+        )
         results = [
             float(sums[j] / counts[j]) if counts[j] else float("nan")
             for j in range(len(index_sets))
@@ -268,8 +226,8 @@ def _streamed_point_values(
 
 
 def _fold_rhos(rhos: np.ndarray, sums: np.ndarray, counts: np.ndarray) -> None:
-    """Add one chunk's per-trial ρ, ``(n_sets, n_trials)``, to the running
-    per-set ``np.nansum`` totals and non-NaN counts.
+    """Add per-trial ρ, ``(n_sets, n_trials)``, to the running per-set
+    ``np.nansum`` totals and non-NaN counts.
 
     ``np.nansum`` sums a NaN-zeroed contiguous copy, so a row without NaN
     sums bit-identically as itself, without the copy.
@@ -292,25 +250,23 @@ def _infeasible_point(mechanism_name: str, params: EREEParams) -> SeriesPoint:
     )
 
 
-def error_ratio_point(
+def _calibrated_point(
     stats: WorkloadStatistics,
     mechanism_name: str,
     params: EREEParams,
     n_trials: int,
     seed,
-    batch_size: int | None = None,
+    metric: str,
 ) -> SeriesPoint:
-    """One L1-error-ratio point (overall + per-stratum)."""
-    per_cell = stats.per_cell_params_of(params)
-    if not mechanism_is_feasible(mechanism_name, per_cell):
+    """One calibrated-mechanism point: one draw, reduced under ``metric``."""
+    with profile.stage("draw"):
+        noisy = release_trials(stats, mechanism_name, params, n_trials, seed)
+    if noisy is None:
         return _infeasible_point(mechanism_name, params)
-    overall, by_stratum = _streamed_point_values(
-        _release_chunks(stats, mechanism_name, per_cell, n_trials, seed, batch_size),
-        stats.eval_true,
-        "l1-ratio",
-        n_trials,
-        stats.evaluation,
-    )
+    with profile.stage("reduce"):
+        overall, by_stratum = _point_values(
+            noisy, stats.eval_true, metric, stats.evaluation
+        )
     return SeriesPoint(
         mechanism=mechanism_name,
         alpha=params.alpha,
@@ -318,6 +274,17 @@ def error_ratio_point(
         overall=overall,
         by_stratum=by_stratum,
     )
+
+
+def error_ratio_point(
+    stats: WorkloadStatistics,
+    mechanism_name: str,
+    params: EREEParams,
+    n_trials: int,
+    seed,
+) -> SeriesPoint:
+    """One L1-error-ratio point (overall + per-stratum)."""
+    return _calibrated_point(stats, mechanism_name, params, n_trials, seed, "l1-ratio")
 
 
 def spearman_point(
@@ -326,26 +293,9 @@ def spearman_point(
     params: EREEParams,
     n_trials: int,
     seed,
-    batch_size: int | None = None,
 ) -> SeriesPoint:
     """One Spearman-correlation point (overall + per-stratum)."""
-    per_cell = stats.per_cell_params_of(params)
-    if not mechanism_is_feasible(mechanism_name, per_cell):
-        return _infeasible_point(mechanism_name, params)
-    overall, by_stratum = _streamed_point_values(
-        _release_chunks(stats, mechanism_name, per_cell, n_trials, seed, batch_size),
-        stats.eval_true,
-        "spearman",
-        n_trials,
-        stats.evaluation,
-    )
-    return SeriesPoint(
-        mechanism=mechanism_name,
-        alpha=params.alpha,
-        epsilon=params.epsilon,
-        overall=overall,
-        by_stratum=by_stratum,
-    )
+    return _calibrated_point(stats, mechanism_name, params, n_trials, seed, "spearman")
 
 
 def truncated_laplace_point(
@@ -356,32 +306,23 @@ def truncated_laplace_point(
     n_trials: int,
     seed,
     metric: str = "l1-ratio",
-    batch_size: int | None = None,
 ) -> SeriesPoint:
     """One node-DP Truncated-Laplace point on a workload (Finding 6).
 
     The truncation projection is trial-invariant, so it runs exactly
-    once; the whole ``(n_trials, n_cells)`` noise matrix is a single
-    vectorized draw, or — when ``batch_size`` caps memory — a few chunked
-    draws from the same stream, each masked and folded into the running
-    statistics before the next chunk exists.
+    once, and the whole ``(n_trials, n_cells)`` noise matrix is a single
+    vectorized draw.
     """
-    rng = as_generator(seed)
     mechanism = TruncatedLaplace(theta=theta, epsilon=epsilon)
-    mask = stats.mask
-    projection = mechanism.project(context.worker_full, stats.marginal)
-
-    def chunk_iter():
-        for chunk in _trial_chunks(n_trials, batch_size):
-            result = mechanism.release_batch(
-                context.worker_full, stats.marginal, chunk, rng,
-                projection=projection,
-            )
-            yield result.noisy[:, mask]
-
-    overall, by_stratum = _streamed_point_values(
-        chunk_iter(), stats.eval_true, metric, n_trials, stats.evaluation
-    )
+    with profile.stage("draw"):
+        release = mechanism.release_batch(
+            context.worker_full, stats.marginal, n_trials, seed
+        )
+    with profile.stage("reduce"):
+        overall, by_stratum = _point_values(
+            release.noisy[:, stats.mask], stats.eval_true, metric,
+            stats.evaluation,
+        )
     return SeriesPoint(
         mechanism="truncated-laplace",
         alpha=None,
@@ -424,7 +365,6 @@ def fused_family_points(
     delta: float,
     n_trials: int,
     seed,
-    batch_size: int | None = None,
     metrics: Sequence[str] = ("l1-ratio",),
     evaluate: Sequence[bool] | None = None,
     threads: int = 1,
@@ -442,42 +382,43 @@ def fused_family_points(
       multiply plus a ``bincount`` scatter, the envelope coming from the
       per-α cache on ``stats`` shared by all mechanisms of the sweep.
     - Otherwise each member builds its noisy rows from the shared unit
-      chunk one cache-sized block at a time
+      matrix one cache-sized block at a time
       (:func:`~repro.metrics.ranking.block_rows`), into a buffer its
       share reuses, so no member ever holds a full trials×cells noisy
       matrix.  Spearman members rank the overall set and every stratum
       through a :class:`~repro.metrics.ranking.SetRanker`, in the set
       order of the workload's shared SDL record
-      (:attr:`WorkloadStatistics.evaluation`): each chunk's unit matrix
-      is permuted into that order once and a member's blocks go straight
+      (:attr:`WorkloadStatistics.evaluation`): the unit matrix is
+      permuted into that order once and a member's blocks go straight
       into the ranker's buffer.  L1 members fold each block's
       |noisy − true| rows into per-cell column sums carried as the
-      block buffer's first row, so the sums equal a whole-chunk
-      ``sum(axis=0)`` bit for bit; they go back to cell order at the end
-      of each chunk.  Table 3's fused rows ask for both metrics, and
-      each block serves both.
+      block buffer's first row, so the sums equal a whole-matrix
+      ``sum(axis=0)`` bit for bit; they go back to cell order at the
+      end.  Table 3's fused rows ask for both metrics, and each block
+      serves both.
 
-    Memory is bounded by the unit draw: the analytic path takes |Z| in
-    place, so it holds one unit chunk (plus the draw's own transients,
-    about 3× the chunk for γ4 noise), and the member loop holds the
-    chunk, its set-order copy when ranking, and one block buffer per
+    Memory is bounded by the unit draw, the family's one
+    ``(n_trials, n_cells)`` matrix: the analytic path takes |Z| in
+    place, so it holds the unit matrix (plus the draw's own transients,
+    about 3× the matrix for γ4 noise), and the member loop holds the
+    matrix, its set-order copy when ranking, and one block buffer per
     share.  ``--profile`` counts the member builds under ``reduce`` on
     every path, the draw alone under ``draw``.
 
-    ``threads`` reduces the members in parallel: each chunk's live
-    members are dealt round-robin into up to ``threads`` shares, and
+    ``threads`` reduces the members in parallel: the live members are
+    dealt round-robin into up to ``threads`` shares, and
     each share builds and reduces its members through its own buffers
     on a :class:`~repro.runtime.ThreadDriver` thread (the sorts,
     gathers and transforms release the GIL).  A member's sums are
     written by its share alone, and the unit draw, the set-order
-    permutation, the chunk loop and the profile stay in the calling
-    thread, so every member folds its chunks in the same order and the
-    values are bit-identical at any thread count.  The analytic L1
+    permutation and the profile stay in the calling thread, so every
+    member folds its blocks in the same order and the values are
+    bit-identical at any thread count.  The analytic L1
     reduction ignores ``threads``.
 
     ``evaluate`` masks which members to reduce (a resumed family
     recomputes only its missing members).  The unit draw never depends
-    on the mask — full chunks are drawn regardless — so a subset
+    on the mask — the full matrix is drawn regardless — so a subset
     evaluation reproduces the full run's member values bit-for-bit.
     Masked-out members come back as ``None`` placeholders.
 
@@ -539,12 +480,10 @@ def fused_family_points(
         # Whole-family analytic reduction: one pass over the unit draw
         # accumulates Σ|Z| per cell; every member — any α, any ε — then
         # reduces in O(cells) from the shared column sums.
-        unit_colsum = np.zeros(n_cells)
-        for chunk in _trial_chunks(n_trials, batch_size):
-            with profile.stage("draw"):
-                unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
-            with profile.stage("reduce"):
-                unit_colsum += np.abs(unit, out=unit).sum(axis=0)
+        with profile.stage("draw"):
+            unit = sample_unit_noise(unit_kind, (n_trials, n_cells), rng)
+        with profile.stage("reduce"):
+            unit_colsum = np.abs(unit, out=unit).sum(axis=0)
         for e, (do_eval, (_, mechanism, scale)) in enumerate(
             zip(evaluate, per_member)
         ):
@@ -552,9 +491,9 @@ def fused_family_points(
                 _fold_cell_totals(scale * unit_colsum, strata, l1_sums[e])
     else:
         # Members build their noisy rows one block at a time.  Spearman
-        # ranks them in the layout's set order, so each chunk's unit
-        # matrix is permuted into that order once, and the L1 column
-        # sums go back to cell order at the end of the chunk.
+        # ranks them in the layout's set order, so the unit matrix is
+        # permuted into that order once, and the L1 column sums go back
+        # to cell order at the end.
         order = evaluation.rank_layout.order if "spearman" in metrics else None
         xv = stats.eval_xv if spec.needs_xv else None
         live = [
@@ -584,19 +523,17 @@ def fused_family_points(
             )
             for s in range(n_shares)
         ]
-        fan_out = ThreadDriver(n_shares)
-        for chunk in _trial_chunks(n_trials, batch_size):
-            with profile.stage("draw"):
-                unit = sample_unit_noise(unit_kind, (chunk, n_cells), rng)
-            with profile.stage("reduce"):
-                if order is not None:
-                    unit = np.take(unit, order, axis=1)
-                fan_out.map(
-                    _reduce_share,
-                    (chunk, unit, true, xv, positions, strata, l1_sums,
-                     rho_sums, rho_counts),
-                    shares,
-                )
+        with profile.stage("draw"):
+            unit = sample_unit_noise(unit_kind, (n_trials, n_cells), rng)
+        with profile.stage("reduce"):
+            if order is not None:
+                unit = np.take(unit, order, axis=1)
+            ThreadDriver(n_shares).map(
+                _reduce_share,
+                (n_trials, unit, true, xv, positions, strata, l1_sums,
+                 rho_sums, rho_counts),
+                shares,
+            )
 
     results: dict[str, list[SeriesPoint | None]] = {
         metric: [] for metric in metrics
@@ -645,7 +582,7 @@ def _rows_from_unit(
     ``true + scale · unit`` for linear mechanisms; otherwise the
     mechanism's own transform, with ``xv`` ``None`` unless the mechanism
     needs it.  The transform without ``xv`` (Log-Laplace's) is given the
-    chunk's ``shifted_log`` of ``true``.  Written into ``out`` when
+    member's ``shifted_log`` of ``true``.  Written into ``out`` when
     given, except by a transform that needs ``xv``.  Every operation is
     per-cell, so permuting the cells of all inputs permutes the output.
     """
@@ -664,7 +601,8 @@ def _fill_and_fold(fill, true, l1_rows, col_tot, start, stop, out):
 
     The block's |error| rows go below the running column sums, which
     ride as row 0 of ``l1_rows``, so one ``sum(axis=0)`` per block adds
-    the rows in the order a sum over the whole chunk would, bit for bit.
+    the rows in the order a sum over the whole matrix would, bit for
+    bit.
     """
     x = fill(start, stop, out)
     block = l1_rows[: stop - start + 1]
@@ -675,29 +613,29 @@ def _fill_and_fold(fill, true, l1_rows, col_tot, start, stop, out):
     return x
 
 
-def _reduce_share(chunk_state, share) -> None:
+def _reduce_share(draw_state, share) -> None:
     """:class:`~repro.runtime.ThreadDriver` task: reduce one share of a
-    family's members over one chunk of unit rows.
+    family's members over the unit draw.
 
-    ``chunk_state`` is ``(n_rows, unit chunk, true counts, xv or None,
+    ``draw_state`` is ``(n_rows, unit matrix, true counts, xv or None,
     each cell's set position or None, strata, L1 sums, ρ sums, ρ
-    counts)``: given positions, the chunk and the per-cell vectors are
-    in set order, and the L1 column sums go back to cell order through
-    them.  ``share`` is ``(ranker or None, L1 block buffer or None,
-    [(member index, mechanism, scale), ...])``.  A member's noisy rows are built
-    one block at a time — into the ranker's block when it ranks them,
-    else into the L1 buffer — so no member holds its whole chunk.  Each
-    member's statistics fold into its own rows of the sums, so shares
-    write disjoint memory.  Nothing here touches
+    counts)``: given positions, the unit matrix and the per-cell vectors
+    are in set order, and the L1 column sums go back to cell order
+    through them.  ``share`` is ``(ranker or None, L1 block buffer or
+    None, [(member index, mechanism, scale), ...])``.  A member's noisy
+    rows are built one block at a time — into the ranker's block when it
+    ranks them, else into the L1 buffer — so no member holds a
+    trials×cells matrix.  Each member's statistics fold into its own
+    rows of the sums, so shares write disjoint memory.  Nothing here touches
     :mod:`repro.engine.profile`, whose state is a process global.
     """
     n_rows, unit, true, xv, positions, strata, l1_sums, rho_sums, rho_counts = (
-        chunk_state
+        draw_state
     )
     ranker, l1_rows, members = share
     for e, mechanism, scale in members:
         # The transform without xv perturbs a per-cell shifted log: one
-        # per chunk serves every block.
+        # per member serves every block.
         shifted_log = (
             mechanism.shifted_log(true) if scale is None and xv is None else None
         )

@@ -12,11 +12,11 @@ resumable execution:
   used), so results are bit-identical no matter which driver runs the
   points or in what order.
 - **Content addressing** — :meth:`PointSpec.key` hashes the snapshot
-  fingerprint together with everything that determines the point's
-  value, so a :class:`~repro.engine.store.ResultStore` can recognize an
-  already-computed point across processes and invocations.  Execution
-  knobs that cannot change the value (``batch_size``, worker count) are
-  deliberately excluded from the hash.
+  fingerprint together with every field of the spec, so a
+  :class:`~repro.engine.store.ResultStore` can recognize an
+  already-computed point across processes and invocations.  What is
+  not a field cannot change the value: which driver runs the point, on
+  how many workers, and in what order.
 
 :func:`work_units` splits a plan into the tasks the sweep engine runs:
 one per point by default, or — fused — one per :class:`FusedFamily`
@@ -139,8 +139,8 @@ class PointSpec:
 
     ``mechanism == "truncated-laplace"`` points carry ``theta`` and no
     ``alpha`` (node DP has no α); calibrated points carry (α, ε, δ).
-    ``batch_size`` bounds the per-draw noise transient but cannot change
-    the point's value, so it is excluded from the content hash.
+    Every field sets the point's value, so every field is in
+    :meth:`content`.
     """
 
     workload: str
@@ -152,7 +152,6 @@ class PointSpec:
     theta: int | None = None
     n_trials: int = 1
     seed: int | None = None
-    batch_size: int | None = None
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -253,7 +252,6 @@ class FusedFamily:
     metrics: tuple[str, ...]
     delta: float
     n_trials: int
-    batch_size: int | None
     indices: tuple[int, ...]
     alphas: tuple[float, ...]
     epsilons: tuple[float, ...]
@@ -306,7 +304,7 @@ def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
     """Bucket a plan's fusable points into whole α×ε families.
 
     The bucket key leaves out α and ε, so every (α, ε) point of one
-    (workload, mechanism, metric, trials, batch, δ) combination shares a
+    (workload, mechanism, metric, trials, δ) combination shares a
     single unit draw.  Returns ``(families, leftover)``: every plan
     index lands in exactly one family's ``indices`` or in ``leftover``
     (truncated-laplace points and mechanisms without a unit-noise
@@ -329,14 +327,13 @@ def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
             spec.mechanism,
             spec.metric,
             spec.n_trials,
-            spec.batch_size,
             spec.delta,
         )
         buckets.setdefault(bucket, []).append(index)
 
     families = []
     for bucket, indices in buckets.items():
-        workload, mechanism, metric, n_trials, batch_size, delta = bucket
+        workload, mechanism, metric, n_trials, delta = bucket
         alphas = tuple(plan.points[i].alpha for i in indices)
         epsilons = tuple(plan.points[i].epsilon for i in indices)
         first_seed = plan.points[indices[0]].seed
@@ -360,7 +357,6 @@ def fused_families(plan: SweepPlan) -> tuple[list[FusedFamily], list[int]]:
                 metrics=(metric,) * len(indices),
                 delta=delta,
                 n_trials=n_trials,
-                batch_size=batch_size,
                 indices=tuple(indices),
                 alphas=alphas,
                 epsilons=epsilons,
@@ -448,7 +444,6 @@ def grid_specs(
     n_trials: int = 1,
     seed: int | None = None,
     tag: str = "grid",
-    batch_size: int | None = None,
 ) -> list[PointSpec]:
     """Flatten a (mechanism × α × ε) product into point specs.
 
@@ -476,7 +471,6 @@ def grid_specs(
                         delta=delta,
                         n_trials=n_trials,
                         seed=point_seed,
-                        batch_size=batch_size,
                     )
                 )
     return specs
@@ -494,7 +488,6 @@ def grid_plan(
     n_trials: int = 1,
     seed: int | None = None,
     tag: str = "grid",
-    batch_size: int | None = None,
     name: str | None = None,
     title: str = "",
 ) -> SweepPlan:
@@ -509,7 +502,6 @@ def grid_plan(
         n_trials=n_trials,
         seed=seed,
         tag=tag,
-        batch_size=batch_size,
     )
     return SweepPlan(
         name=name or tag,
@@ -552,7 +544,6 @@ def figure_plan(
                 theta=theta,
                 n_trials=config.n_trials,
                 seed=derive_seed(seed_base, f"finding6:{theta}:{epsilon}"),
-                batch_size=config.trials_batch,
             )
             for theta in config.thetas
             for epsilon in config.epsilons_standard
@@ -590,7 +581,6 @@ def figure_plan(
         n_trials=config.n_trials,
         seed=seed_base,
         tag=tag,
-        batch_size=config.trials_batch,
     )
     return SweepPlan(
         name=name,

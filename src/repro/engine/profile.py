@@ -1,8 +1,8 @@
 """Per-stage wall-clock profiling for sweep runs (``repro sweep --profile``).
 
 The sweep kernels spend their time in three places: **draw** (producing
-noise-matrix chunks — RNG plus the mechanism transform), **reduce**
-(folding chunks into the point statistics) and **store** (persisting
+the noise matrix — RNG plus the mechanism transform), **reduce**
+(folding it into the point statistics) and **store** (persisting
 computed points).  This module attributes wall clock to those stages
 with near-zero cost when profiling is off: kernels consult one module
 flag and skip every timer.
@@ -28,7 +28,6 @@ __all__ = [
     "profiled",
     "active",
     "stage",
-    "timed_iter",
     "merge_worker",
 ]
 
@@ -138,25 +137,3 @@ def stage(name: str):
         yield
     finally:
         _ACTIVE.add(name, time.perf_counter() - start)
-
-
-def timed_iter(iterator, name: str = "draw"):
-    """Wrap an iterator, attributing time spent *producing* items.
-
-    The reducers pull chunks lazily, so the generator's own work (RNG
-    draws, mechanism transforms) happens inside ``next()`` — this wrapper
-    meters exactly that, leaving the consuming loop body to the
-    ``reduce`` stage.
-    """
-    iterator = iter(iterator)
-    while True:
-        start = time.perf_counter()
-        try:
-            item = next(iterator)
-        except StopIteration:
-            if _ACTIVE is not None:
-                _ACTIVE.add(name, time.perf_counter() - start)
-            return
-        if _ACTIVE is not None:
-            _ACTIVE.add(name, time.perf_counter() - start)
-        yield item

@@ -96,7 +96,6 @@ def evaluate_point_spec(session, spec: PointSpec):
             metric=spec.metric,
             n_trials=spec.n_trials,
             seed=spec.seed,
-            batch_size=spec.batch_size,
             theta=spec.theta,
             epsilon=spec.epsilon,
         )
@@ -108,7 +107,6 @@ def evaluate_point_spec(session, spec: PointSpec):
         metric=spec.metric,
         n_trials=spec.n_trials,
         seed=spec.seed,
-        batch_size=spec.batch_size,
     )
 
 
@@ -165,7 +163,6 @@ def evaluate_work_unit(session, unit: WorkUnit, *, threads: int = 1):
         metrics=metrics,
         n_trials=family.n_trials,
         seed=family.family_seed,
-        batch_size=family.batch_size,
         evaluate=evaluate,
         threads=threads,
     )

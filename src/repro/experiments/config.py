@@ -30,10 +30,6 @@ class ExperimentConfig:
     data: SyntheticConfig = field(default_factory=SyntheticConfig)
     sdl: DistortionParams = field(default_factory=DistortionParams)
     n_trials: int = 20
-    # Max trials sharing one vectorized noise draw; None = all n_trials in
-    # a single (n_trials, n_cells) matrix (the fastest setting — cap it
-    # only to bound memory on very dense grids).
-    trials_batch: int | None = None
     delta: float = DELTA_DEFAULT
     epsilons_standard: tuple[float, ...] = EPSILON_GRID_STANDARD
     epsilons_extended: tuple[float, ...] = EPSILON_GRID_EXTENDED
@@ -47,8 +43,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_positive("n_trials", self.n_trials)
-        if self.trials_batch is not None:
-            check_positive("trials_batch", self.trials_batch)
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 

@@ -140,7 +140,6 @@ def _family_units(plan: SweepPlan, seed: int) -> list[WorkUnit]:
             metrics=tuple(spec.metric for spec in specs),
             delta=specs[0].delta,
             n_trials=specs[0].n_trials,
-            batch_size=None,
             indices=tuple(positions),
             alphas=tuple(spec.alpha for spec in specs),
             epsilons=tuple(spec.epsilon for spec in specs),

@@ -3,10 +3,10 @@
 A release request is identified the same way the sweep engine identifies
 a grid point (:meth:`repro.engine.plan.PointSpec.key`): the snapshot
 fingerprint plus every *value-determining* request field, hashed through
-the shared :func:`repro.engine.store.content_key` idiom.  Fields that
-cannot change the released numbers — the ledger label, the trial batch
-size — are excluded, so two requests that would produce byte-identical
-releases hash identically even when their bookkeeping differs.
+the shared :func:`repro.engine.store.content_key` idiom.  The one field
+that cannot change the released numbers — the ledger label — is
+excluded, so two requests that would produce byte-identical releases
+hash identically even when their labels differ.
 
 The cache itself is the PR-6 :class:`~repro.engine.store.ResultStore`:
 payloads live next to sweep points (same backend, same fan-out, same
@@ -30,10 +30,8 @@ __all__ = ["RELEASE_KIND", "ReleaseCache", "release_key"]
 RELEASE_KIND = "serve-release"
 
 # Request fields with no influence on the released values: the label
-# only names the ledger entry, and trials_batch only chunks the noise
-# draw (bit-identical output by construction, pinned by the batched-
-# trials tests).
-_KEY_EXCLUDED_FIELDS = ("label", "trials_batch")
+# only names the ledger entry.  Every other field is in the key.
+_KEY_EXCLUDED_FIELDS = ("label",)
 
 
 def release_key(fingerprint: str, request: ReleaseRequest) -> str:

@@ -120,17 +120,3 @@ class TestBitForBit:
         ]
         np.testing.assert_array_equal(facade[0], shim[0])
         np.testing.assert_array_equal(facade[1], shim[1])
-
-    def test_trials_batch_chunking_is_bitwise_for_laplace(self, session):
-        """Chunked draws share one stream: smooth-laplace trials split
-        2+2+1 equal the unchunked 5-trial matrix."""
-        whole = _facade(session, ATTRS, "smooth-laplace", seed=48, n_trials=5)
-        chunked = _facade(
-            session,
-            ATTRS,
-            "smooth-laplace",
-            seed=48,
-            n_trials=5,
-            trials_batch=2,
-        )
-        np.testing.assert_array_equal(chunked.noisy, whole.noisy)

@@ -35,7 +35,6 @@ class TestRequestRoundTrip:
     def test_exact_round_trip(self):
         request = _request(
             n_trials=5,
-            trials_batch=2,
             label="custom",
             mode="weak",
             mechanism_options={"theta": 3},
@@ -57,6 +56,12 @@ class TestRequestRoundTrip:
         one = _request().to_dict()
         two = _request().to_dict()
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+
+    def test_trials_batch_is_an_unknown_field(self):
+        payload = _request(n_trials=5).to_dict()
+        payload["trials_batch"] = 2
+        with pytest.raises(ValueError, match="'trials_batch'"):
+            ReleaseRequest.from_dict(payload)
 
     def test_round_trip_through_json_text(self):
         request = _request(n_trials=3)

@@ -5,9 +5,9 @@ whole α×ε sub-grid (``run_plan(fused="family")``, also what
 The family path rides the same content-addressed store and ledger
 machinery as the default path, so these tests focus on what sharing the
 draw adds: the shared envelope cache, two-way key disjointness (default
-/ ``family``), member-precise resume, ``--trials-batch`` chunking of the
-family draw, blockwise members (bits, memory and ``--profile`` stage
-against a whole-chunk reference), the per-worker profile breakdown that
+/ ``family``), member-precise resume, blockwise members (bits, memory
+and ``--profile`` stage against a whole-matrix reference), the
+per-worker profile breakdown that
 ships back from process pools, and the kernel threads a drain hands its
 family units.
 """
@@ -370,81 +370,6 @@ class TestFamilyStore:
             assert points_identical(a, b)
 
 
-class TestFamilyBatching:
-    """``--trials-batch`` chunks the family's unit draw: no allocation
-    exceeds batch×cells, and for the chunk-invariant Laplace stream the
-    results do not change at all."""
-
-    @staticmethod
-    def _record_draw_shapes(monkeypatch):
-        import repro.engine.evaluate as evaluate
-
-        shapes = []
-        original = evaluate.sample_unit_noise
-
-        def recording(kind, shape, seed=None):
-            shapes.append(tuple(shape))
-            return original(kind, shape, seed)
-
-        monkeypatch.setattr(evaluate, "sample_unit_noise", recording)
-        return shapes
-
-    def test_family_draws_respect_batch(self, session, monkeypatch):
-        shapes = self._record_draw_shapes(monkeypatch)
-        batched = grid_plan(
-            "workload-1",
-            "l1-ratio",
-            ("smooth-laplace",),
-            (0.05, 0.2),
-            (1.0, 2.0),
-            delta=0.05,
-            n_trials=7,
-            batch_size=3,
-            fingerprint=session.snapshot_fingerprint,
-            seed=11,
-            tag="family-batch",
-        )
-        run_plan(batched, session, merge_spend=False, fused="family")
-        assert shapes, "family path never drew unit noise"
-        rows = [shape[0] for shape in shapes]
-        assert all(r <= 3 for r in rows)
-        assert sum(rows) == 7  # chunks partition the trial count
-
-    def test_laplace_family_results_unchanged_under_batching(self, session):
-        """The Laplace unit stream fills row-major, so chunking the
-        family draw leaves every member's statistics unchanged up to
-        summation reassociation (the chunk boundary splits the per-cell
-        accumulations, nothing else)."""
-        def run(batch_size):
-            plan = grid_plan(
-                "workload-1",
-                "l1-ratio",
-                ("smooth-laplace", "log-laplace"),
-                (0.05, 0.2),
-                (1.0, 2.0),
-                delta=0.05,
-                n_trials=10,
-                batch_size=batch_size,
-                fingerprint=session.snapshot_fingerprint,
-                seed=11,
-                tag="family-batch-bits",
-            )
-            return run_plan(plan, session, merge_spend=False, fused="family")
-
-        whole = run(None)
-        chunked = run(3)
-        for a, b in zip(whole.points, chunked.points):
-            assert (a.mechanism, a.alpha, a.epsilon) == (
-                b.mechanism, b.alpha, b.epsilon,
-            )
-            assert a.feasible == b.feasible
-            if not a.feasible:
-                continue
-            assert b.overall == pytest.approx(a.overall, rel=1e-12)
-            for sa, sb in zip(a.by_stratum, b.by_stratum):
-                assert sb == pytest.approx(sa, rel=1e-12)
-
-
 def assert_matches_reference(got, want, metrics):
     for metric in metrics:
         pairs = zip(got[metric], want[metric])
@@ -460,7 +385,7 @@ def assert_matches_reference(got, want, metrics):
 class TestBlockwiseMembers:
     """Every non-analytic member builds its noisy rows one block at a
     time: its L1 column sums ride as the block buffer's first row, so
-    they fold in whole-chunk order, and no member holds a trials×cells
+    they fold in whole-matrix order, and no member holds a trials×cells
     matrix."""
 
     @pytest.mark.parametrize(
@@ -471,15 +396,13 @@ class TestBlockwiseMembers:
         self, session, metrics, threads
     ):
         stats = session.statistics(WORKLOAD_2)
-        block = block_rows(stats.eval_true.size)
-        # 640 + 640 + 220 trials: uneven chunks, each ending mid-block.
-        assert 640 % block and 220 % block
+        # 1500 trials: many whole blocks, then one that ends mid-block.
+        assert 1500 % block_rows(stats.eval_true.size)
         kwargs = dict(
             members=MEMBERS,
             delta=0.05,
             n_trials=1500,
             seed=37,
-            batch_size=640,
             metrics=metrics,
             evaluate=[True, True, False, True, True],
         )
@@ -511,7 +434,6 @@ class TestBlockwiseMembers:
             delta=0.05,
             n_trials=300,
             seed=37,
-            batch_size=130,
             metrics=metrics,
             evaluate=[True] * len(MEMBERS),
         )
@@ -567,7 +489,6 @@ class TestBlockwiseMembers:
                 delta=0.05,
                 n_trials=200,
                 seed=37,
-                batch_size=120,
                 metrics=metrics,
                 threads=threads,
             )
@@ -575,7 +496,7 @@ class TestBlockwiseMembers:
 
     @pytest.mark.parametrize(
         "mechanism,bound",
-        # A whole-chunk member holds 4× the unit matrix, an out-of-place
+        # A whole-matrix member holds 4× the unit matrix, an out-of-place
         # |Z| 2×.
         [("log-laplace", 2.5), ("smooth-laplace", 1.5)],
     )

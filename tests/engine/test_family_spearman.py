@@ -1,15 +1,14 @@
 """Family Spearman members against the per-set reducer they replaced.
 
 ``fused_family_points`` ranks every Spearman member through the
-multi-set kernel: the chunk's unit matrix is permuted into set order
-once, each member builds its noisy rows block by block, and one key
-build per block ranks the overall set and all four strata.  The
-reference below is the earlier reducer, kept verbatim: it builds each
-member's full trials×cells noisy matrix and gathers, keys and sorts it
-once per index set.  Member values must agree bit for bit, including
-chunkings that split the kernel's row blocks, resumed subsets
-(``evaluate`` masks), infeasible members, and members ranked in shares
-on several threads.
+multi-set kernel: the unit matrix is permuted into set order once, each
+member builds its noisy rows block by block, and one key build per
+block ranks the overall set and all four strata.  The reference below
+is the earlier reducer: it builds each member's full trials×cells
+noisy matrix and gathers, keys and sorts it once per index set.
+Member values must agree bit for bit, including trial counts that end
+mid-block, resumed subsets (``evaluate`` masks), infeasible members,
+and members ranked in shares on several threads.
 """
 
 import sys
@@ -19,7 +18,6 @@ import pytest
 
 from repro.api.registry import create_mechanism, mechanism_spec
 from repro.core.params import EREEParams
-from repro.core.release import _trial_chunks
 from repro.engine.evaluate import (
     _l1_ratio_results,
     fused_family_points,
@@ -42,7 +40,7 @@ def _reduce_spearman_family(
     sums: np.ndarray,
     counts: np.ndarray,
 ) -> None:
-    """Fold one member-chunk's Spearman statistics into running sums.
+    """Fold one member's Spearman statistics into running sums.
 
     Every index set ranks through the sorted-key kernel against the
     cached SDL rank statistics; rows it cannot rank from one value sort
@@ -60,8 +58,8 @@ def _reduce_spearman_family(
 
 
 def _reference_family(
-    stats, mechanism_name, *, members, delta, n_trials, seed, batch_size,
-    metrics, evaluate,
+    stats, mechanism_name, *, members, delta, n_trials, seed, metrics,
+    evaluate,
 ):
     """The generic family loop with one full noisy matrix per member."""
     spec = mechanism_spec(mechanism_name)
@@ -81,32 +79,32 @@ def _reference_family(
         if mechanism is not None and spec.linear_unit_scale:
             scale = stats.envelope(per_cell.alpha) / mechanism.distribution.a
         per_member.append((params, mechanism, scale))
-    rng = as_generator(seed)
+    unit = sample_unit_noise(
+        spec.unit_noise, (n_trials, true.size), as_generator(seed)
+    )
     shape = (len(members), len(metrics), len(index_sets))
     sums, counts = np.zeros(shape), np.zeros(shape)
-    for chunk in _trial_chunks(n_trials, batch_size):
-        unit = sample_unit_noise(spec.unit_noise, (chunk, true.size), rng)
-        for e, (params, mechanism, scale) in enumerate(per_member):
-            if not evaluate[e] or mechanism is None:
-                continue
-            if scale is not None:
-                noisy = true + scale * unit
-            elif spec.needs_xv:
-                noisy = mechanism.release_counts_from_unit(true, xv, unit)
+    for e, (params, mechanism, scale) in enumerate(per_member):
+        if not evaluate[e] or mechanism is None:
+            continue
+        if scale is not None:
+            noisy = true + scale * unit
+        elif spec.needs_xv:
+            noisy = mechanism.release_counts_from_unit(true, xv, unit)
+        else:
+            noisy = mechanism.release_counts_from_unit(true, unit)
+        for m, metric in enumerate(metrics):
+            if metric == "l1-ratio":
+                cell_tot = np.abs(noisy - true).sum(axis=0)
+                sums[e, m, 0] += cell_tot.sum()
+                sums[e, m, 1:] += np.bincount(
+                    strata, weights=cell_tot, minlength=N_STRATA
+                )
             else:
-                noisy = mechanism.release_counts_from_unit(true, unit)
-            for m, metric in enumerate(metrics):
-                if metric == "l1-ratio":
-                    cell_tot = np.abs(noisy - true).sum(axis=0)
-                    sums[e, m, 0] += cell_tot.sum()
-                    sums[e, m, 1:] += np.bincount(
-                        strata, weights=cell_tot, minlength=N_STRATA
-                    )
-                else:
-                    _reduce_spearman_family(
-                        noisy, index_sets, evaluation.rank_stats,
-                        sums[e, m], counts[e, m],
-                    )
+                _reduce_spearman_family(
+                    noisy, index_sets, evaluation.rank_stats,
+                    sums[e, m], counts[e, m],
+                )
     results = {metric: [] for metric in metrics}
     for e, (params, mechanism, _) in enumerate(per_member):
         for m, metric in enumerate(metrics):
@@ -137,12 +135,12 @@ def _reference_family(
     return results
 
 
-# (workload, n_trials, batch_size): chunks that end mid-block, one chunk
-# shorter than a block, and an unchunked draw several blocks long.
+# (workload, n_trials): each draw ends mid-block — after two whole
+# blocks, before the first block fills, and after several blocks.
 SHAPES = [
-    (WORKLOAD_1, 1000, 500),
-    (WORKLOAD_2, 200, 130),
-    (WORKLOAD_2, 300, None),
+    (WORKLOAD_1, 1000),
+    (WORKLOAD_2, 70),
+    (WORKLOAD_2, 300),
 ]
 
 
@@ -154,28 +152,22 @@ class TestFamilySpearmanMatchesPerSetReducer:
         "metrics", [("spearman",), ("l1-ratio", "spearman")], ids="+".join
     )
     @pytest.mark.parametrize(
-        "workload,n_trials,batch_size",
-        SHAPES,
-        ids=["w1-1000-by-500", "w2-200-by-130", "w2-300-unchunked"],
+        "workload,n_trials", SHAPES, ids=["w1-1000", "w2-70", "w2-300"]
     )
     # 3 threads is more than a 2-core host has, and than the 4 live
     # members split evenly into.
     @pytest.mark.parametrize("threads", [1, 3])
     def test_member_values_bit_identical(
-        self, session, mechanism, metrics, workload, n_trials, batch_size,
-        threads,
+        self, session, mechanism, metrics, workload, n_trials, threads,
     ):
         stats = session.statistics(workload)
-        block = block_rows(stats.eval_true.size)
-        chunks = _trial_chunks(n_trials, batch_size)
-        assert any(chunk % block for chunk in chunks)
+        assert n_trials % block_rows(stats.eval_true.size)
         evaluate = [True, False, True, True, True]
         kwargs = dict(
             members=MEMBERS,
             delta=0.05,
             n_trials=n_trials,
             seed=29,
-            batch_size=batch_size,
             metrics=metrics,
             evaluate=evaluate,
         )
@@ -234,7 +226,6 @@ def test_threaded_shares_match_one_thread_under_fast_switching(
         delta=0.05,
         n_trials=400,
         seed=31,
-        batch_size=150,
         metrics=metrics,
         evaluate=[True, True, False, True, True, True, True],
     )

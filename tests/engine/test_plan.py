@@ -68,8 +68,11 @@ class TestPointSpec:
     def test_key_scoped_to_snapshot_fingerprint(self):
         assert spec().key("fp-a") != spec().key("fp-b")
 
-    def test_batch_size_is_an_execution_knob_not_content(self):
-        assert spec(batch_size=None).key("fp") == spec(batch_size=3).key("fp")
+    def test_content_covers_every_field(self):
+        """Every field of a spec sets its value, so every field is in the
+        content its key hashes: a stored point is the value its key names."""
+        names = {field.name for field in dataclasses.fields(PointSpec)}
+        assert names <= set(spec().content("fp"))
 
     def test_label_mentions_coordinates(self):
         assert "smooth-laplace" in spec().label

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.api import ReleaseSession
+from repro.api.registry import mechanism_spec
 from repro.core import EREEParams, release_marginal
 from repro.engine.evaluate import (
     error_ratio_point,
@@ -105,42 +106,6 @@ class TestReproducibility:
         b = release_trials(stats, mechanism, params, 6, seed=104)
         np.testing.assert_array_equal(a, b)
 
-    def test_chunked_draws_keep_the_stream(self, stats):
-        """batch_size chunking must not change the Laplace stream."""
-        whole = release_trials(stats, "smooth-laplace", PARAMS, 9, seed=105)
-        chunked = release_trials(
-            stats, "smooth-laplace", PARAMS, 9, seed=105, batch_size=4
-        )
-        np.testing.assert_array_equal(whole, chunked)
-
-    def test_chunked_points_match(self, stats):
-        """Streamed per-chunk reduction agrees with the one-draw point."""
-        for fn in (error_ratio_point, spearman_point):
-            whole = fn(stats, "smooth-laplace", PARAMS, 9, seed=111)
-            chunked = fn(
-                stats, "smooth-laplace", PARAMS, 9, seed=111, batch_size=4
-            )
-            assert chunked.overall == pytest.approx(whole.overall, rel=1e-12)
-            assert chunked.by_stratum == pytest.approx(
-                whole.by_stratum, rel=1e-12
-            )
-
-    def test_truncated_point_chunked_matches(self, context, stats):
-        """Chunking the Finding-6 draws consumes the same Laplace stream,
-        so the point matches the single-draw path (exactly up to float
-        summation order in the streamed reduction)."""
-        from repro.engine.evaluate import truncated_laplace_point
-
-        whole = truncated_laplace_point(
-            context, stats, theta=50, epsilon=4.0, n_trials=6, seed=110
-        )
-        chunked = truncated_laplace_point(
-            context, stats, theta=50, epsilon=4.0, n_trials=6, seed=110,
-            batch_size=4,
-        )
-        assert chunked.overall == pytest.approx(whole.overall, rel=1e-12)
-        assert chunked.by_stratum == pytest.approx(whole.by_stratum, rel=1e-12)
-
     def test_point_reproducible(self, stats):
         a = error_ratio_point(stats, "smooth-gamma", GAMMA_PARAMS, 4, seed=106)
         b = error_ratio_point(stats, "smooth-gamma", GAMMA_PARAMS, 4, seed=106)
@@ -164,16 +129,34 @@ class TestBatchedReleases:
         assert np.all(release.noisy[:, ~release.released] == 0.0)
         assert not np.array_equal(release.noisy[0], release.noisy[1])
 
-    def test_release_marginal_single_matches_batch_stream(self, context):
+    @pytest.mark.parametrize(
+        "mechanism", ["log-laplace", "smooth-gamma", "smooth-laplace"]
+    )
+    def test_release_marginal_single_matches_batch_stream(
+        self, context, mechanism
+    ):
+        """A single release is row 0 of a one-row batch draw, and both
+        equal the per-trial ``release_counts`` call on the released
+        cells."""
         worker_full = context.worker_full
         attrs = ["place", "naics", "ownership"]
-        single = release_marginal(
-            worker_full, attrs, "smooth-laplace", PARAMS, seed=108
-        )
+        single = release_marginal(worker_full, attrs, mechanism, PARAMS, seed=108)
         batched = release_marginal(
-            worker_full, attrs, "smooth-laplace", PARAMS, seed=108, n_trials=1
+            worker_full, attrs, mechanism, PARAMS, seed=108, n_trials=1
         )
-        np.testing.assert_array_equal(single.noisy, batched.noisy[0])
+        spec = mechanism_spec(mechanism)
+        released = single.released
+        cells = (single.true[released],)
+        if spec.needs_xv:
+            cells += (single.max_single[released],)
+        reference = np.zeros(single.marginal.n_cells)
+        reference[released] = spec.create(
+            single.budget.per_cell
+        ).release_counts(*cells, 108)
+        assert single.noisy.shape == reference.shape
+        assert released.any() and not released.all()
+        np.testing.assert_array_equal(single.noisy, reference)
+        np.testing.assert_array_equal(batched.noisy, reference[None, :])
 
     def test_weighted_release_trials_axis(self, context):
         worker_full = context.worker_full

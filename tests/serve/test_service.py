@@ -139,6 +139,14 @@ class TestReleaseFlow:
         assert excinfo.value.status == 400
         assert "'bogus'" in excinfo.value.payload["error"]
 
+    def test_trials_batch_field_400(self, client):
+        body = {"tenant": "carol", "request": request(seed=74).to_dict()}
+        body["request"]["trials_batch"] = 2
+        with pytest.raises(ServeError) as excinfo:
+            client._request("POST", "/v1/release", body)
+        assert excinfo.value.status == 400
+        assert "'trials_batch'" in excinfo.value.payload["error"]
+
     def test_bad_body_400(self, client):
         with pytest.raises(ServeError) as excinfo:
             client._request("POST", "/v1/release", ["not", "an", "object"])

@@ -144,6 +144,22 @@ class TestCommands:
         assert "smooth-laplace" in report
         assert not (tmp_path / "figure-2.txt").exists()
 
+    def test_figures_refuses_trials_batch(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "figures",
+                    "--out", str(tmp_path),
+                    "--jobs", "2000",
+                    "--trials", "1",
+                    "--only", "figure-1",
+                    "--no-cache",
+                    "--trials-batch", "5",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "--trials-batch" in capsys.readouterr().err
+
     def test_figures_unknown_name(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown figures"):
             main(["figures", "--out", str(tmp_path), "--only", "figure-9"])
