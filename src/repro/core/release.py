@@ -188,7 +188,12 @@ def _released_mask_and_xv(
         wp_max_size = np.zeros(wp_marginal.n_cells, dtype=np.int64)
         np.maximum.at(wp_max_size, estab_wp_cell, sizes[estab_ids])
         xv = wp_max_size[full_to_wp]
+    elif not has_worker_attrs and population is worker_full:
+        # The marginal is its own workplace part over the same jobs: the
+        # mask pass above already tabulated it.
+        xv = wp_stats.max_single
     else:
+        wp_cell_index = None  # freed before the xv pass builds its own index
         xv = per_establishment_counts(
             marginal.cell_index(population.table),
             population.establishment,

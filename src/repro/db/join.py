@@ -18,6 +18,12 @@ store-opened snapshot's memory map), so processes sharing a snapshot
 share those pages.  Every other column, and every worker column under
 any other ``job_worker``, is gathered through the job index on its first
 read and kept.  Joined columns are read-only.
+
+The join checks both job arrays once: their index ranges, and whether
+``job_worker`` is the identity.  A job array held by a read-only memory
+map is scanned in ~1 MB blocks whose pages are dropped once read
+(:func:`repro.db.table._blocks`), so under the identity pairing
+``job_worker`` never becomes resident.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.table import Table
+from repro.db.table import Table, _blocks, _bounds
 
 
 @dataclass(frozen=True)
@@ -46,11 +52,13 @@ class WorkerFull:
     def __post_init__(self):
         if self.establishment.shape != (self.table.n_rows,):
             raise ValueError("establishment index must have one entry per row")
-        if self.establishment.size and (
-            self.establishment.min() < 0
-            or self.establishment.max() >= self.n_establishments
-        ):
-            raise ValueError("establishment index out of range")
+        if self.establishment.size:
+            low, high = _bounds(self.establishment)
+            if low < 0 or high >= self.n_establishments:
+                raise ValueError(
+                    "establishment index (job_establishment) out of range "
+                    "of the Workplace table"
+                )
 
     @property
     def n_jobs(self) -> int:
@@ -82,25 +90,22 @@ def join_worker_full(
 
     ``job_worker[i]`` and ``job_establishment[i]`` are row indices into the
     Worker and Workplace tables for job ``i``.  The result row order follows
-    the job order.  Both index arrays are checked here; the tables' codes
-    were checked when the tables were built, so the join scans no column.
+    the job order.  Both index arrays are checked, each scanned once:
+    ``job_worker`` here (an identity ``job_worker`` is in range by its
+    identity check), ``job_establishment`` by :class:`WorkerFull`.  The
+    tables' codes were checked when the tables were built, so the join
+    scans no column.
     """
     job_worker = np.asarray(job_worker, dtype=np.int64)
     job_establishment = np.asarray(job_establishment, dtype=np.int64)
     if job_worker.shape != job_establishment.shape:
         raise ValueError("job arrays must have equal length")
-    if job_worker.size:
-        if job_worker.min() < 0 or job_worker.max() >= worker.n_rows:
+    identity = _is_identity(job_worker, worker.n_rows)
+    if job_worker.size and not identity:
+        low, high = _bounds(job_worker)
+        if low < 0 or high >= worker.n_rows:
             raise ValueError("job_worker index out of range of the Worker table")
-        if job_establishment.min() < 0 or job_establishment.max() >= workplace.n_rows:
-            raise ValueError(
-                "job_establishment index out of range of the Workplace table"
-            )
 
-    # In range and strictly increasing over every Worker row: the identity.
-    identity = job_worker.size == worker.n_rows and bool(
-        np.all(job_worker[1:] > job_worker[:-1])
-    )
     table = Table._joined(
         [(worker, None if identity else job_worker), (workplace, job_establishment)]
     )
@@ -109,3 +114,17 @@ def join_worker_full(
         establishment=job_establishment,
         n_establishments=workplace.n_rows,
     )
+
+
+def _is_identity(job_worker: np.ndarray, n_workers: int) -> bool:
+    """Whether ``job_worker`` is ``0, 1, ..., n_workers - 1``: ``n_workers``
+    values rising strictly from above -1 to ``n_workers - 1``, which also
+    puts them in range.  Read by :func:`repro.db.table._blocks`."""
+    if job_worker.size != n_workers:
+        return False
+    last = -1
+    for block in _blocks(job_worker):
+        if block[0] <= last or not np.all(block[1:] > block[:-1]):
+            return False
+        last = int(block[-1])
+    return last == n_workers - 1

@@ -46,11 +46,12 @@ class Marginal:
         return f"Marginal({list(self.attrs)}, n_cells={self.n_cells})"
 
     def cell_index(self, table: Table) -> np.ndarray:
-        """Flat cell index of every row of ``table`` (shape ``(n_rows,)``)."""
-        if not self.attrs:
-            return np.zeros(table.n_rows, dtype=np.int64)
-        codes = [table.column(name) for name in self.attrs]
-        return np.ravel_multi_index(codes, self.shape).astype(np.int64)
+        """Flat cell index of every row of ``table`` (shape ``(n_rows,)``).
+
+        Computed by :meth:`Table.cell_index` from the table's sources,
+        so no joined column is materialized.
+        """
+        return table.cell_index(self.attrs, self.shape)
 
     def counts(self, table: Table) -> np.ndarray:
         """The marginal-count vector ``q_V(table)`` (length ``n_cells``)."""
@@ -157,9 +158,15 @@ def per_establishment_counts(
     n_establishments = np.zeros(n_cells, dtype=np.int64)
     if cell_index.size:
         n_estab = int(establishment.max()) + 1
-        combined = cell_index * n_estab + establishment
-        unique_pairs, pair_counts = np.unique(combined, return_counts=True)
-        pair_cells = unique_pairs // n_estab
+        # One (cell, establishment) key per job, sorted in place: each run
+        # of equal keys is one pair, and its length is the pair's count.
+        combined = cell_index * n_estab
+        combined += establishment
+        combined.sort()
+        starts = np.flatnonzero(combined[1:] != combined[:-1]) + 1
+        starts = np.concatenate(([0], starts))
+        pair_cells = combined[starts] // n_estab
+        pair_counts = np.diff(starts, append=combined.size)
         np.maximum.at(max_single, pair_cells, pair_counts)
         np.add.at(n_establishments, pair_cells, 1)
     return EstablishmentCounts(

@@ -12,16 +12,87 @@ view of its source, any other as the read-only gather
 ``source[index]``.  :meth:`Table.filter`, :meth:`Table.take` and the
 join (:func:`repro.db.join.join_worker_full`) compose indices instead
 of gathering, one composed index per distinct index array, so a table
-pays only for the columns its queries read.
+pays only for the columns its queries read.  A marginal's cell index
+(:meth:`Table.cell_index`) reads no joined column at all: it combines
+the columns that share a row index on their source rows, then gathers
+once.
+
+A constructed table checks every column's codes when it is built.  A
+column held by a read-only memory map (what ``np.load(mmap_mode="r")``
+returns) is scanned in place about 1 MB at a time, and the map's pages
+are dropped from the process after each block (``MADV_DONTNEED``; the
+file's page cache keeps them), so the check reads the very bytes that
+are mapped yet leaves none of them resident: a column no query reads
+costs no memory.  Any other array is scanned whole.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+import mmap
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.db.schema import Schema
+
+# Bytes per block when a check scans a memory-mapped array.
+_SCAN_BLOCK_BYTES = 1 << 20
+# Advice that drops a map's pages from the process (None without madvise).
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+def _read_only_map(array: np.ndarray) -> mmap.mmap | None:
+    """The read-only ``mmap.mmap`` holding ``array``'s data, or None.
+
+    ``np.asarray`` drops the ``np.memmap`` subclass, so this walks
+    ``.base`` to the ``np.memmap`` that owns the ``mmap.mmap``.  Only a
+    map opened with mode ``"r"`` counts: it has no private page that
+    dropping could lose.
+    """
+    base = array
+    while isinstance(base, np.ndarray) and not isinstance(base.base, mmap.mmap):
+        base = base.base
+    if _DONTNEED is None or not isinstance(base, np.memmap) or base.mode != "r":
+        return None
+    return base.base
+
+
+def _blocks(array: np.ndarray) -> Iterator[np.ndarray]:
+    """``array``'s values in order, as consecutive blocks to scan.
+
+    An array held by a read-only memory map comes in blocks of about
+    ``_SCAN_BLOCK_BYTES``; once a block is scanned, every page of the
+    map is dropped from the process (a fault maps the cached pages
+    around its own too), so the scan leaves none of the map resident.
+    Any other non-empty array is one block, itself.
+    """
+    mapping = _read_only_map(array)
+    if mapping is None:
+        if array.size:
+            yield array
+        return
+    step = max(1, _SCAN_BLOCK_BYTES // array.itemsize)
+    for start in range(0, array.size, step):
+        yield array[start : start + step]
+        mapping.madvise(_DONTNEED)
+
+
+def _weighted_sum(terms, total: np.ndarray | None = None) -> np.ndarray:
+    """``total`` plus the sum of ``source * stride`` over ``(source, stride)``
+    ``terms``, as int64, added in place into ``total`` (a fresh array, or
+    None) with one term's temporary alive at a time."""
+    for source, stride in terms:
+        if total is None:
+            total = np.multiply(source, stride, dtype=np.int64)
+        else:
+            total += np.multiply(source, stride, dtype=np.int64)
+    return total
+
+
+def _bounds(array: np.ndarray) -> tuple[int, int]:
+    """``(min, max)`` of a non-empty integer array, scanned by :func:`_blocks`."""
+    bounds = [(int(block.min()), int(block.max())) for block in _blocks(array)]
+    return min(low for low, _ in bounds), max(high for _, high in bounds)
 
 
 class Table:
@@ -58,10 +129,12 @@ class Table:
                     f"column {name!r} has {col.shape[0]} rows, expected {n_rows}"
                 )
             size = schema[name].size
-            if col.size and (col.min() < 0 or col.max() >= size):
-                raise ValueError(
-                    f"column {name!r} has codes outside [0, {size})"
-                )
+            if col.size:
+                low, high = _bounds(col)
+                if low < 0 or high >= size:
+                    raise ValueError(
+                        f"column {name!r} has codes outside [0, {size})"
+                    )
             resolved[name] = col
         self._n_rows = 0 if n_rows is None else int(n_rows)
         # name -> (source array, row index or None for the identity).
@@ -136,6 +209,31 @@ class Table:
             column.flags.writeable = False
             self._resolved[name] = column
         return column
+
+    def cell_index(self, names: Sequence[str], shape: Sequence[int]) -> np.ndarray:
+        """Row-major flat index of every row over ``names`` (int64).
+
+        Equal to ``np.ravel_multi_index([column(n) for n in names],
+        shape)``, but no joined column is read: the columns that share
+        one row index are combined on their source rows and gathered
+        once (a join's workplace attributes on the Workplace rows, then
+        through the job index).
+        """
+        strides = np.cumprod((1, *shape[:0:-1]))[::-1]
+        groups: dict[tuple[int, int], tuple[np.ndarray | None, list]] = {}
+        for name, stride in zip(names, strides):
+            source, index = self._sources[name]
+            key = (id(index), len(source))
+            groups.setdefault(key, (index, []))[1].append((source, int(stride)))
+        flat = None
+        for index, terms in groups.values():
+            if index is None:
+                flat = _weighted_sum(terms, flat)
+            elif flat is None:
+                flat = _weighted_sum(terms)[index]
+            else:
+                flat += _weighted_sum(terms)[index]
+        return np.zeros(self._n_rows, dtype=np.int64) if flat is None else flat
 
     def decoded(self, name: str) -> np.ndarray:
         """Column of decoded domain values (materialized; for display/tests)."""

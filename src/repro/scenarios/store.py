@@ -201,8 +201,10 @@ def _open_workforce(
     """The workforce stored in ``directory``, over the given workplace.
 
     Raises one of :data:`_UNREADABLE` when a file is missing or corrupt.
+    Over a workplace, the join is built here, so a job index out of
+    range is caught at open (a miss) rather than by the first session.
     """
-    return LODESDataset(
+    dataset = LODESDataset(
         worker=Table(
             worker_schema(),
             {
@@ -215,6 +217,9 @@ def _open_workforce(
         job_establishment=_open_array(directory / "job_establishment.npy", mmap),
         geography=geography,
     )
+    if workplace is not None:
+        dataset.worker_full()
+    return dataset
 
 
 def _write_geography(directory: Path, geography) -> None:

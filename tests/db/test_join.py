@@ -9,7 +9,9 @@ import pytest
 
 from repro.api.session import ReleaseSession
 from repro.data import SyntheticConfig, generate
-from repro.db import Table, WorkerFull, join_worker_full
+from repro.db import Marginal, Table, WorkerFull, join_worker_full
+from repro.db import join as join_module
+from repro.db import table as table_module
 from repro.scenarios import SnapshotStore
 
 
@@ -91,6 +93,39 @@ class TestWorkerFull:
                 n_establishments=2,
             )
 
+    def test_direct_construction_checks_the_establishment_range(
+        self, tiny_schema_worker
+    ):
+        worker = Table.from_records(
+            tiny_schema_worker,
+            [{"sex": "M", "education": "HS"}, {"sex": "F", "education": "BA"}],
+        )
+        with pytest.raises(ValueError, match="out of range"):
+            WorkerFull(
+                table=worker, establishment=np.array([0, 2]), n_establishments=2
+            )
+
+    def test_join_scans_job_establishment_once(
+        self, tiny_schema_worker, tiny_schema_workplace, monkeypatch
+    ):
+        worker = Table.from_records(
+            tiny_schema_worker, [{"sex": "M", "education": "HS"}] * 3
+        )
+        workplace = Table.from_records(
+            tiny_schema_workplace, [{"naics": "11", "place": "P1"}] * 2
+        )
+        establishment = np.array([0, 1, 1], dtype=np.int64)
+        scanned = []
+
+        def counted(array):
+            scanned.append(array is establishment)
+            return table_module._bounds(array)
+
+        monkeypatch.setattr(join_module, "_bounds", counted)
+        joined = join_worker_full(worker, workplace, np.arange(3), establishment)
+        assert scanned.count(True) == 1
+        assert joined.establishment is establishment
+
     def test_generated_dataset_join_consistency(self, small_dataset):
         worker_full = small_dataset.worker_full()
         assert worker_full.n_jobs == small_dataset.n_jobs
@@ -170,6 +205,25 @@ class TestLazyJoin:
         for name, column in want.items():
             np.testing.assert_array_equal(derived.column(name), column, err_msg=name)
 
+    @pytest.mark.parametrize("swap", [None, (7, 8), (0, 1), (998, 999)])
+    def test_identity_is_recognized_by_mapped_blocks(
+        self, dataset, tmp_path, monkeypatch, swap
+    ):
+        """A stored ``job_worker`` is checked block by block on its map;
+        a swap anywhere, block boundaries included, is not the identity."""
+        monkeypatch.setattr(table_module, "_SCAN_BLOCK_BYTES", 64)
+        job_worker = np.arange(dataset.n_workers)
+        if swap is not None:
+            job_worker[list(swap)] = job_worker[list(swap[::-1])]
+        np.save(tmp_path / "job_worker.npy", job_worker)
+        stored = np.load(tmp_path / "job_worker.npy", mmap_mode="r")
+        table = join_worker_full(
+            dataset.worker, dataset.workplace, stored, dataset.job_establishment
+        ).table
+        source = dataset.worker.column("sex")
+        assert np.shares_memory(table.column("sex"), source) == (swap is None)
+        np.testing.assert_array_equal(table.column("sex"), source[job_worker])
+
     def test_identity_worker_columns_are_read_only_views(self, dataset):
         source = dataset.worker.column("sex")
         before = source.copy()
@@ -215,6 +269,53 @@ class TestLazyJoin:
         assert column_bytes <= read_peak < 1.1 * column_bytes, (
             read_peak / column_bytes
         )
+
+    def test_workplace_marginal_gathers_once_and_keeps_no_column(
+        self, dataset, jobs
+    ):
+        """A marginal over workplace attributes combines them on the
+        Workplace rows and gathers once: its peak is its own cell index."""
+        table = join_worker_full(dataset.worker, dataset.workplace, *jobs).table
+        marginal = Marginal(table.schema, ["place", "naics", "ownership"])
+        column_bytes = dataset.n_jobs * 8
+        tracemalloc.start()
+        try:
+            index = marginal.cell_index(table)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.1 * column_bytes, held / column_bytes
+        assert peak < 1.2 * column_bytes, peak / column_bytes
+        want = np.ravel_multi_index(
+            [table.column(name) for name in marginal.attrs], marginal.shape
+        )
+        np.testing.assert_array_equal(index, want)
+
+    def test_one_array_as_both_job_arrays(
+        self, tiny_schema_worker, tiny_schema_workplace
+    ):
+        """The Worker and Workplace parts share one index object over
+        sources of different lengths; a marginal across both still equals
+        the row-major index of the joined columns."""
+        worker = Table.from_records(
+            tiny_schema_worker,
+            [
+                {"sex": "M", "education": "HS"},
+                {"sex": "F", "education": "BA"},
+                {"sex": "F", "education": "HS"},
+            ],
+        )
+        workplace = Table.from_records(
+            tiny_schema_workplace,
+            [{"naics": "11", "place": "P1"}] * 2 + [{"naics": "62", "place": "P2"}] * 3,
+        )
+        jobs = np.array([2, 0, 1, 1, 2, 0])
+        table = join_worker_full(worker, workplace, jobs, jobs).table
+        marginal = Marginal(table.schema, ["sex", "place", "education", "naics"])
+        want = np.ravel_multi_index(
+            [table.column(name) for name in marginal.attrs], marginal.shape
+        )
+        np.testing.assert_array_equal(marginal.cell_index(table), want)
 
     def test_racing_first_reads_get_equal_arrays(self, dataset, jobs):
         table = join_worker_full(dataset.worker, dataset.workplace, *jobs).table

@@ -1,11 +1,13 @@
 """Unit tests for the column-store Table."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.db import Attribute, Schema, Table
+from repro.db import table as table_module
 
 
 @pytest.fixture()
@@ -201,3 +203,60 @@ class TestLazyTransforms:
         )
         with pytest.raises(ValueError, match="rows"):
             Table._joined([(table, None), (other, None)])
+
+
+def _stored(tmp_path, name, values):
+    """``values`` saved as ``name.npy`` and opened as a read-only map."""
+    path = tmp_path / f"{name}.npy"
+    np.save(path, np.asarray(values, dtype=np.int64))
+    return np.load(path, mmap_mode="r"), path
+
+
+class TestScanMappedBlocks:
+    """Code checks scan a read-only map in place, block by block."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # Eight int64 values a block, so a short column spans many blocks.
+        monkeypatch.setattr(table_module, "_SCAN_BLOCK_BYTES", 64)
+
+    def test_only_a_read_only_map_is_scanned_by_blocks(self, tmp_path):
+        mapped, path = _stored(tmp_path, "c", np.arange(100) % 7)
+        assert table_module._read_only_map(np.asarray(mapped)) is mapped.base
+        assert table_module._read_only_map(mapped[1:]) is mapped.base
+        assert table_module._read_only_map(mapped[::2]) is mapped.base
+        assert table_module._read_only_map(np.array(mapped)) is None
+        assert table_module._read_only_map(np.load(path, mmap_mode="c")) is None
+        assert table_module._read_only_map(np.load(path, mmap_mode="r+")) is None
+
+    @pytest.mark.parametrize("row", [0, 7, 8, 50, 99])
+    def test_a_bad_code_in_any_block_is_rejected(self, tmp_path, row):
+        values = np.arange(100) % 2
+        values[row] = 2
+        mapped, _ = _stored(tmp_path, "sex", values)
+        schema = Schema([Attribute("sex", ("M", "F"))])
+        with pytest.raises(ValueError, match="outside"):
+            Table(schema, {"sex": mapped})
+
+    def test_blocks_cover_the_array_in_order(self, tmp_path):
+        values = np.random.default_rng(2).integers(-50, 50, 1001)
+        mapped, _ = _stored(tmp_path, "c", values)
+        blocks = [block.copy() for block in table_module._blocks(mapped)]
+        assert len(blocks) == 126
+        np.testing.assert_array_equal(np.concatenate(blocks), values)
+        assert table_module._bounds(mapped) == (values.min(), values.max())
+        strided = [block.copy() for block in table_module._blocks(mapped[::3])]
+        np.testing.assert_array_equal(np.concatenate(strided), values[::3])
+
+    def test_the_mapped_bytes_are_checked_not_the_path(self, tmp_path):
+        """A file replaced after it was mapped (a new inode at the same
+        path) does not change what the check reads."""
+        values = np.arange(100) % 2
+        values[50] = 2
+        mapped, path = _stored(tmp_path, "sex", values)
+        np.save(tmp_path / "good.npy", np.arange(100) % 2)
+        os.replace(tmp_path / "good.npy", path)
+        schema = Schema([Attribute("sex", ("M", "F"))])
+        with pytest.raises(ValueError, match="outside"):
+            Table(schema, {"sex": mapped})
+        Table(schema, {"sex": np.load(path, mmap_mode="r")})

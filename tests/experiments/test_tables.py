@@ -79,8 +79,9 @@ def test_default_table3_drain_reads_one_prologue_and_one_sdl_answer(
     monkeypatch,
 ):
     """Table 3's feasibility pass and its release rows share the session's
-    one Workload-1 prologue (two establishment tabulations: the marginal
-    and its workplace part) and one SDL answer."""
+    one Workload-1 prologue (one establishment tabulation: the marginal
+    has no worker attribute, so it is its own workplace part) and one SDL
+    answer."""
     session = ReleaseSession(
         ExperimentConfig(
             data=SyntheticConfig(target_jobs=4_000, seed=17), n_trials=2, seed=5
@@ -99,5 +100,5 @@ def test_default_table3_drain_reads_one_prologue_and_one_sdl_answer(
     monkeypatch.setattr(InputNoiseInfusion, "answer_marginal", answer)
     rows = table3_rows(session)
     assert any(row["feasible"] for row in rows)
-    assert len(tabulations) == 2
+    assert len(tabulations) == 1
     assert len(answers) == 1

@@ -4,7 +4,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Attribute, Marginal, Schema, Table, per_establishment_counts
+from repro.db import (
+    Attribute,
+    Marginal,
+    Schema,
+    Table,
+    join_worker_full,
+    per_establishment_counts,
+)
 
 
 @st.composite
@@ -99,3 +106,109 @@ class TestPerEstablishmentProperties:
         )
         assert np.all(stats.max_single[nonzero] >= lower)
         assert stats.totals.sum() == len(pairs)
+
+
+CODE_DTYPES = (np.int8, np.int16, np.int32, np.int64)
+
+
+def _random_columns(draw, prefix, n_rows):
+    """A 1-3 attribute schema (domain sizes 1-5) and codes of a random
+    integer dtype."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    schema = Schema(
+        [
+            Attribute(f"{prefix}{i}", tuple(range(size)))
+            for i, size in enumerate(sizes)
+        ]
+    )
+    dtype = draw(st.sampled_from(CODE_DTYPES))
+    columns = {
+        attribute.name: np.array(
+            draw(
+                st.lists(
+                    st.integers(0, attribute.size - 1),
+                    min_size=n_rows,
+                    max_size=n_rows,
+                )
+            ),
+            dtype=dtype,
+        )
+        for attribute in schema.attributes
+    }
+    return schema, columns
+
+
+@st.composite
+def joined_table(draw):
+    """A Worker ⋈ Job ⋈ Workplace relation over random schemas, under an
+    identity or a random (repeating, shuffled) ``job_worker``, which may
+    also serve as ``job_establishment``."""
+    n_workers = draw(st.integers(0, 40))
+    n_places = draw(st.integers(1, 8))
+    worker = Table(*_random_columns(draw, "w", n_workers))
+    workplace = Table(*_random_columns(draw, "p", n_places))
+    if n_workers == 0 or draw(st.booleans()):
+        job_worker = np.arange(n_workers)
+    else:
+        job_worker = np.array(
+            draw(st.lists(st.integers(0, n_workers - 1), max_size=40)),
+            dtype=np.int64,
+        )
+    job_establishment = np.array(
+        draw(
+            st.lists(
+                st.integers(0, n_places - 1),
+                min_size=len(job_worker),
+                max_size=len(job_worker),
+            )
+        ),
+        dtype=np.int64,
+    )
+    if len(job_worker) and job_worker.max() < n_places and draw(st.booleans()):
+        # One array as both job arrays: the Worker and Workplace parts
+        # share an index object over sources of different lengths.
+        job_establishment = job_worker
+    return join_worker_full(worker, workplace, job_worker, job_establishment).table
+
+
+@st.composite
+def derived_table(draw):
+    """A joined or constructed table after a random filter/take/select chain."""
+    if draw(st.booleans()):
+        table = draw(joined_table())
+    else:
+        n_rows = draw(st.integers(0, 40))
+        table = Table(*_random_columns(draw, "c", n_rows))
+    steps = st.lists(st.sampled_from(["filter", "take", "select"]), max_size=4)
+    for step in draw(steps):
+        n = table.n_rows
+        if step == "filter":
+            mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            table = table.filter(np.array(mask, dtype=bool))
+        elif step == "take":
+            rows = draw(st.lists(st.integers(-n, n - 1), max_size=60)) if n else []
+            table = table.take(np.array(rows, dtype=np.int64))
+        else:
+            names = draw(st.permutations(table.schema.names))
+            keep = draw(st.integers(1, len(names)))
+            table = table.select(names[:keep])
+    return table
+
+
+class TestSourceCellIndex:
+    @given(derived_table(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_ravel_multi_index_of_the_columns(self, table, data):
+        """The source-level cell index is exactly the row-major index of
+        the materialized columns, for every ordered attribute subset."""
+        names = data.draw(st.permutations(table.schema.names))
+        attrs = names[: data.draw(st.integers(0, len(names)))]
+        marginal = Marginal(table.schema, attrs)
+        got = marginal.cell_index(table)
+        if attrs:
+            codes = [table.column(name) for name in attrs]
+            want = np.ravel_multi_index(codes, marginal.shape)
+        else:
+            want = np.zeros(table.n_rows, dtype=np.int64)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)

@@ -8,13 +8,17 @@ anything corrupt or partial is a miss that falls back to generation.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
+import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.api.request import ReleaseRequest
 from repro.api.session import ReleaseSession
 from repro.data.generator import SyntheticConfig, generate
 from repro.data.geography import geography_payload
@@ -23,6 +27,7 @@ from repro.engine.sweep import run_plan
 from repro.experiments.config import ExperimentConfig
 from repro.runtime import ProcessDriver, SerialDriver
 from repro.scenarios import SnapshotStore, dataset_fingerprint
+from repro.scenarios import store as store_module
 
 SMALL = SyntheticConfig(target_jobs=5_000, seed=5)
 
@@ -187,6 +192,54 @@ class TestRobustness:
         path.write_bytes(path.read_bytes()[:16])
         assert store.load(fingerprint) is None
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("worker__age.npy", 99), ("job_worker.npy", 10**9)],
+        ids=["unread-worker-code", "job-worker-index"],
+    )
+    def test_out_of_range_value_is_a_miss_that_rebuilds(self, store, name, value):
+        """A bad code in a column no query reads, or a bad job index, is
+        caught when the snapshot opens, not by its first session."""
+        fingerprint = dataset_fingerprint(SMALL)
+        store.load_or_generate(SMALL)
+        stored = np.load(store.path_for(fingerprint) / name, mmap_mode="r+")
+        stored[stored.size // 2] = value
+        stored.flush()
+        del stored
+        assert store.load(fingerprint) is None
+        dataset, hit = store.load_or_generate(SMALL)
+        assert not hit
+        _assert_datasets_equal(dataset, generate(SMALL))
+        assert store.load(fingerprint) is not None
+
+    def test_a_column_replaced_after_it_was_mapped_is_checked_as_mapped(
+        self, store, monkeypatch
+    ):
+        """The open checks the bytes it maps, not the path: a corrupt
+        column replaced on disk right after ``np.load`` mapped it (as a
+        concurrent rebuild's install replaces the snapshot) is a miss."""
+        fingerprint = dataset_fingerprint(SMALL)
+        store.load_or_generate(SMALL)
+        path = store.path_for(fingerprint) / "worker__age.npy"
+        good = np.load(path)
+        bad = good.copy()
+        bad[bad.size // 2] = 99
+        np.save(path.with_name("swap.npy"), bad)
+        os.replace(path.with_name("swap.npy"), path)
+        opened = store_module._open_array
+
+        def open_then_replace(array_path, mmap):
+            array = opened(array_path, mmap)
+            if array_path == path:
+                np.save(path.with_name("swap.npy"), good)
+                os.replace(path.with_name("swap.npy"), path)
+            return array
+
+        monkeypatch.setattr(store_module, "_open_array", open_then_replace)
+        assert store.load(fingerprint) is None
+        monkeypatch.undo()
+        assert store.load(fingerprint) is not None  # the good file is in place
+
     def test_version_skew_is_a_miss(self, store):
         fingerprint = dataset_fingerprint(SMALL)
         store.load_or_generate(SMALL)
@@ -251,6 +304,61 @@ class TestSessionIntegration:
         session = ReleaseSession(SESSION_CONFIG, dataset=dataset)
         assert session.snapshot_store is None
         assert session.dataset_provided
+
+
+SMAPS = Path("/proc/self/smaps")
+
+
+def _resident_kib(directory: Path) -> dict[str, int]:
+    """Resident KiB of each file in ``directory`` this process maps."""
+    prefix = os.path.realpath(directory) + os.sep
+    resident, current = {}, None
+    for line in SMAPS.read_text().splitlines():
+        fields = line.split(maxsplit=5)
+        if not fields[0].endswith(":"):  # a mapping's header line
+            path = fields[5] if len(fields) == 6 else ""
+            current = Path(path).name if path.startswith(prefix) else None
+            if current is not None:
+                resident.setdefault(current, 0)
+        elif fields[0] == "Rss:" and current is not None:
+            resident[current] += int(fields[1])
+    return resident
+
+
+@pytest.mark.skipif(not SMAPS.exists(), reason="needs /proc/self/smaps")
+class TestResidency:
+    UNREAD = (
+        "worker__age.npy",
+        "worker__race.npy",
+        "worker__ethnicity.npy",
+        "job_worker.npy",
+    )
+
+    def test_unread_columns_stay_off_the_map(self, store):
+        """Opening a stored snapshot checks every column on its map and
+        drops the pages it read: after a ``place,naics`` release, no page
+        of a column that release never read is resident."""
+        store.build(SESSION_CONFIG.data)
+        gc.collect()
+        session = ReleaseSession(SESSION_CONFIG, snapshot_store=store)
+        assert store.hits == 1
+        session.run(
+            ReleaseRequest(
+                attrs=("place", "naics"),
+                mechanism="smooth-laplace",
+                alpha=0.1,
+                epsilon=1.0,
+                delta=0.05,
+                seed=1,
+            )
+        )
+        resident = _resident_kib(
+            store.path_for(dataset_fingerprint(SESSION_CONFIG.data))
+        )
+        assert resident["workplace__place.npy"] > 0  # read by the release
+        assert {name: resident.get(name) for name in self.UNREAD} == dict.fromkeys(
+            self.UNREAD, 0
+        )
 
 
 class TestStagingHygiene:
